@@ -2,9 +2,7 @@
 cost, reliability and bench reports.
 
 Subcommands: encode, decode, inject, repair, cost, reliability, bench,
-selftest.  Reports emit CSV (default) or JSON via --format.  Stripes are
-processed by a worker pool capped by the STAIR_THREADS environment
-variable; output ordering does not depend on the worker count.
+selftest.  Reports emit CSV (default) or JSON via --format.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +30,6 @@ _SIZE_UNITS = {
     "B": 1, "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50,
     "KIB": 2 ** 10, "MIB": 2 ** 20, "GIB": 2 ** 30, "TIB": 2 ** 40, "PIB": 2 ** 50,
 }
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("STAIR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_size(text: str) -> int:
@@ -91,18 +80,13 @@ def _encode_payload(header: cont.ContainerHeader, data: bytes, method: str) -> l
     per = header.data_bytes_per_stripe
     count = header.stripe_count
     padded = data.ljust(count * per, b"\x00")
-
-    def one(idx: int) -> bytes:
+    out = []
+    for idx in range(count):
         stripe = Stripe.zeros(cfg, header.symbol_size)
         cont.fill_data(stripe, padded[idx * per:(idx + 1) * per])
         stair_encode(cfg, stripe, method)
-        return cont.stripe_to_bytes(stripe)
-
-    workers = _threads()
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(count)))
-    return [one(i) for i in range(count)]
+        out.append(cont.stripe_to_bytes(stripe))
+    return out
 
 
 def cmd_encode(args) -> int:
@@ -254,23 +238,12 @@ def cmd_repair(args) -> int:
     mc = manifest["config"]
     if config_new(mc["n"], mc["r"], mc["m"], mc["e"], mc["w"]) != cfg:
         raise ValueError("manifest config does not match the container header")
-    jobs = [(entry["stripe"], _pattern_from_json(entry))
-            for entry in manifest.get("patterns", [])]
-
-    def one(job):
-        idx, pattern = job
-        stripe = cont.stripe_from_bytes(cfg, header.symbol_size, stripes[idx])
-        return idx, cont.stripe_to_bytes(stair_decode(cfg, stripe, pattern))
-
-    workers = _threads()
     repaired = list(stripes)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-    for idx, blob in results:
-        repaired[idx] = blob
+    for entry in manifest.get("patterns", []):
+        idx = entry["stripe"]
+        stripe = cont.stripe_from_bytes(cfg, header.symbol_size, stripes[idx])
+        restored = stair_decode(cfg, stripe, _pattern_from_json(entry))
+        repaired[idx] = cont.stripe_to_bytes(restored)
     Path(args.output).write_bytes(cont.pack_header(header) + b"".join(repaired))
     return 0
 
@@ -354,6 +327,23 @@ def _parse_code(token: str) -> tuple[str, tuple[int, ...]]:
     raise ValueError(f"unknown code token {token!r}")
 
 
+def _scenario_codes(opts: dict) -> tuple[int, int, list]:
+    """A scenario's (r, n - m, [(kind, e, config)]), codes in file order.
+
+    Each code's e gives its parity sectors per stripe: () for rs and (s,)
+    for sd(s), so its config has the same storage efficiency.
+    """
+    n = int(opts.get("n", "8"))
+    r = int(opts.get("r", "16"))
+    m = int(opts.get("m", "1"))
+    codes = []
+    for tok in opts.get("codes", "rs").split(";"):
+        if tok.strip():
+            kind, e = _parse_code(tok)
+            codes.append((kind, e, config_new(n, r, m, e)))
+    return r, n - m, codes
+
+
 def _scenario_params(opts: dict, p_bit: float) -> rel.ReliabilityParams:
     return rel.ReliabilityParams(
         user_bytes=_parse_size(opts.get("user_data", "10 PB")),
@@ -369,20 +359,14 @@ def _scenario_params(opts: dict, p_bit: float) -> rel.ReliabilityParams:
 
 
 def reliability_rows(opts: dict) -> list[dict]:
-    n = int(opts.get("n", "8"))
-    r = int(opts.get("r", "16"))
-    m = int(opts.get("m", "1"))
     p_bits = [float(p) for p in opts.get("p_bit", "1e-14").split(",")]
-    codes = [_parse_code(tok) for tok in opts.get("codes", "rs").split(";") if tok.strip()]
+    _, _, codes = _scenario_codes(opts)
     rows = []
     for p_bit in p_bits:
         params = _scenario_params(opts, p_bit)
-        for kind, spec in codes:
-            e = () if kind == "rs" else (spec if kind == "stair" else (spec[0],))
-            cfg = config_new(n, r, m, e)
+        for kind, e, cfg in codes:
             report = rel.mttdl(params, cfg, code=kind)
-            label = {"rs": "rs", "sd": f"sd({spec[0]})" if kind == "sd" else "",
-                     "stair": f"stair({','.join(str(x) for x in e)})"}[kind]
+            label = kind if kind == "rs" else f"{kind}({','.join(str(x) for x in e)})"
             rows.append({
                 "p_bit": p_bit,
                 "code": label,
@@ -403,9 +387,7 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
     """Cross-check each code's analytic stripe loss against Monte Carlo at an
     inflated sector-failure probability (the analytic forms are exact in the
     distribution, so the comparison is valid at any operating point)."""
-    n = int(opts.get("n", "8"))
-    r = int(opts.get("r", "16"))
-    m = int(opts.get("m", "1"))
+    r, chunks, codes = _scenario_codes(opts)
     p_inflated = float(opts.get("validate_p_sec", "1e-3"))
     if opts.get("model", "independent") == "correlated":
         dist = rel.p_chk_correlated(r, p_inflated, float(opts.get("b1", "0.98")),
@@ -413,20 +395,17 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
     else:
         dist = rel.p_chk_independent(r, p_inflated)
     out = []
-    for i, (kind, spec) in enumerate(
-            _parse_code(tok) for tok in opts.get("codes", "rs").split(";") if tok.strip()):
-        e = () if kind == "rs" else (spec if kind == "stair" else (spec[0],))
-        cfg = config_new(n, r, m, e)
+    for i, (kind, e, cfg) in enumerate(codes):
         if kind == "rs":
             analytic = rel.p_str_rs(cfg, dist)
             pred = sim.rs_recoverable()
         elif kind == "sd":
-            analytic = rel.p_str_sd(spec[0], cfg, dist)
-            pred = sim.sd_recoverable(spec[0])
+            analytic = rel.p_str_sd(e[0], cfg, dist)
+            pred = sim.sd_recoverable(e[0])
         else:
             analytic = rel.p_str_stair(cfg, dist)
             pred = sim.stair_recoverable(cfg)
-        est = sim.monte_carlo_p_str(pred, n - m, dist, trials=trials, seed=seed + i)
+        est = sim.monte_carlo_p_str(pred, chunks, dist, trials=trials, seed=seed + i)
         sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / trials)
         ok = abs(est.p_failure - analytic) <= 3 * sigma
         out.append({
@@ -439,22 +418,18 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
 
 
 def _histogram_rows(opts: dict, trials: int, seed: int) -> list[dict]:
-    n = int(opts.get("n", "8"))
-    r = int(opts.get("r", "16"))
-    m = int(opts.get("m", "1"))
+    r, chunks, codes = _scenario_codes(opts)
     p_inflated = float(opts.get("validate_p_sec", "1e-3"))
     dist = rel.p_chk_independent(r, p_inflated)
     predicates = {}
-    for kind, spec in (_parse_code(tok) for tok in opts.get("codes", "rs").split(";")
-                       if tok.strip()):
+    for kind, e, cfg in codes:
         if kind == "rs":
             predicates["rs"] = sim.rs_recoverable()
         elif kind == "sd":
-            predicates[f"sd_{spec[0]}"] = sim.sd_recoverable(spec[0])
+            predicates[f"sd_{e[0]}"] = sim.sd_recoverable(e[0])
         else:
-            cfg = config_new(n, r, m, spec)
-            predicates["stair_" + "_".join(str(x) for x in spec)] = sim.stair_recoverable(cfg)
-    return sim.outcome_histogram(predicates, n - m, dist, trials=trials, seed=seed)
+            predicates["stair_" + "_".join(str(x) for x in e)] = sim.stair_recoverable(cfg)
+    return sim.outcome_histogram(predicates, chunks, dist, trials=trials, seed=seed)
 
 
 def cmd_reliability(args) -> int:

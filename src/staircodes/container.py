@@ -9,7 +9,8 @@ kept in the header.
 Header fields, in order: magic "STAIRC1\\0" (8 bytes), version u16,
 w u8, n u16, r u16, m u16, m' u16, then m' coverage entries (u16 each),
 symbol_size u32, field polynomial u32, data_length u64.  For w=32 the
-polynomial is stored without its (implicit) x^32 bit.
+polynomial is stored without its (implicit) x^32 bit.  Only the default
+polynomial of each width (``gf.DEFAULT_POLY``) is accepted.
 """
 
 from __future__ import annotations
@@ -66,12 +67,11 @@ class ContainerHeader:
         return -(-self.data_length // per)
 
 
-def header_for(cfg: StairConfig, symbol_size: int, data_length: int,
-               poly: int | None = None) -> ContainerHeader:
+def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
     if symbol_size < 1 or symbol_size % (cfg.w // 8):
         raise ValueError(f"symbol size {symbol_size} is not a positive multiple of {cfg.w // 8}")
     return ContainerHeader(cfg.w, cfg.n, cfg.r, cfg.m, cfg.e, symbol_size,
-                           DEFAULT_POLY[cfg.w] if poly is None else poly, data_length)
+                           DEFAULT_POLY[cfg.w], data_length)
 
 
 def pack_header(header: ContainerHeader) -> bytes:
@@ -101,6 +101,10 @@ def parse_header(buf: bytes) -> ContainerHeader:
     poly = poly32 | (1 << 32) if w == 32 else poly32
     header = ContainerHeader(w, n, r, m, tuple(e), symbol_size, poly, data_length)
     header.config()   # validates the geometry
+    if poly != DEFAULT_POLY[w]:
+        # the codec only runs the default field of each width
+        raise ValueError(f"unsupported field polynomial {poly:#x} for w={w}, "
+                         f"expected {DEFAULT_POLY[w]:#x}")
     return header
 
 

@@ -10,25 +10,9 @@ survivor set, which is what makes repeated decode calls cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import UnrecoverableError
 from .gf import Field
-
-
-@dataclass
-class Codeword:
-    """Positioned symbols of one codeword; ``None`` marks an erasure."""
-
-    symbols: list
-
-    def present_positions(self) -> list[int]:
-        return [i for i, s in enumerate(self.symbols) if s is not None]
-
-    def erased_positions(self) -> list[int]:
-        return [i for i, s in enumerate(self.symbols) if s is None]
 
 
 class GenMatrix:
@@ -82,42 +66,11 @@ class GenMatrix:
         return t
 
 
-def systematic_generator(kappa: int, eta: int, field: Field) -> GenMatrix:
-    """Deterministic systematic MDS generator for the given shape."""
-    return GenMatrix(field, kappa, eta)
-
-
-def encode(gen: GenMatrix, data: np.ndarray) -> np.ndarray:
-    """Compute the eta-kappa parity regions for (kappa, S) data regions."""
-    data = np.asarray(data)
-    if data.shape[0] != gen.kappa:
-        raise ValueError(f"expected {gen.kappa} data regions, got {data.shape[0]}")
-    t = gen.decode_matrix(tuple(range(gen.kappa)), tuple(range(gen.kappa, gen.eta)))
-    return gen.field.matmul_regions(t, data)
-
-
-def decode(gen: GenMatrix, word: Codeword) -> Codeword:
-    """Fill in the erased symbols of ``word`` from any kappa survivors."""
-    missing = word.erased_positions()
-    if not missing:
-        return word
-    present = word.present_positions()
-    if len(present) < gen.kappa:
-        raise UnrecoverableError(
-            f"only {len(present)} of {gen.eta} symbols present, need {gen.kappa}")
-    survivors = tuple(present[:gen.kappa])
-    t = gen.decode_matrix(survivors, tuple(missing))
-    stacked = np.stack([word.symbols[p] for p in survivors])
-    restored = gen.field.matmul_regions(t, stacked)
-    symbols = list(word.symbols)
-    for k, pos in enumerate(missing):
-        symbols[pos] = restored[k]
-    return Codeword(symbols)
-
-
 def check_codeword(gen: GenMatrix, symbols: np.ndarray) -> bool:
     """True iff the parity positions equal the re-encoded parities."""
     symbols = np.asarray(symbols)
     if symbols.shape[0] != gen.eta:
         raise ValueError(f"expected {gen.eta} symbols, got {symbols.shape[0]}")
-    return bool(np.array_equal(encode(gen, symbols[:gen.kappa]), symbols[gen.kappa:]))
+    t = gen.decode_matrix(tuple(range(gen.kappa)), tuple(range(gen.kappa, gen.eta)))
+    parity = gen.field.matmul_regions(t, symbols[:gen.kappa])
+    return bool(np.array_equal(parity, symbols[gen.kappa:]))

@@ -76,15 +76,6 @@ class McEstimate:
     failures: int
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Per-chunk failure counts of one critical-mode stripe, plus the
-    recoverable verdict of each code under test."""
-
-    counts: tuple[int, ...]
-    recoverable: dict
-
-
 def stair_recoverable(cfg: StairConfig):
     """Vectorised coverage predicate on (trials, chunks) count arrays."""
     e_desc = sorted(cfg.e, reverse=True)

@@ -8,7 +8,9 @@ n-m-m'+l holds e_l of them).  Conceptually the stripe is extended to a
 row code (an (n+m', n-m) MDS code) and every column ends in column-code
 parities (an (r+e_max, r) MDS code); the outside global cells of that
 grid are pinned to zero so they never need storing.  Encoding and
-decoding are schedules of row/column MDS operations on that grid.
+decoding are schedules of row/column MDS operations on that grid.  A
+schedule depends only on which cells are known, never on their bytes, so
+each is planned once, cached, and run by the one executor ``_Codec.run``.
 
 Two reuse-based encoders are provided ("upstairs" recovers parities
 bottom-up and generalises to arbitrary decoding, "downstairs" sweeps
@@ -20,11 +22,12 @@ byte-identical parities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import UnrecoverableError
-from .gf import DEFAULT_POLY, Field, field_init
+from .gf import Field, field_init
 from .mds import GenMatrix
 
 METHODS = ("downstairs", "upstairs", "standard")   # also the tie-break order
@@ -273,7 +276,8 @@ def worst_case_pattern(cfg: StairConfig) -> FailurePattern:
 # ---------------------------------------------------------------------------
 
 class Step:
-    """One row/column MDS operation on the augmented grid.
+    """One linear operation on the augmented grid: a row or column MDS
+    step, or (kind "standard") one parity cell from its data cells.
 
     ``inputs``/``outputs`` are (row, col) grid cells; ``matrix`` maps the
     stacked input regions to the output regions.
@@ -304,44 +308,41 @@ class Step:
 
 
 class _Solver:
-    """Mutable decode/encode state: grid values, known mask, emitted steps."""
+    """Schedule planner: the known-cell mask of the augmented grid plus the
+    steps emitted so far.  It decides from the mask alone, so a schedule
+    depends on which cells are known and never on their bytes."""
 
-    __slots__ = ("codec", "grid", "known", "steps")
+    __slots__ = ("codec", "known", "steps")
 
-    def __init__(self, codec, grid, known):
+    def __init__(self, codec, known):
         self.codec = codec
-        self.grid = grid
         self.known = known
         self.steps: list[Step] = []
 
     def row_step(self, i: int, out_cells) -> None:
         cfg = self.codec.cfg
         kappa = cfg.n - cfg.m
-        avail = np.flatnonzero(self.known[i])
+        avail = self.known[i].nonzero()[0]
         if avail.size < kappa:
             raise UnrecoverableError(
                 f"row {i}: only {avail.size} symbols available, need {kappa}")
         in_cols = tuple(int(c) for c in avail[:kappa])
         out_cols = tuple(c for _, c in out_cells)
         mat = self.codec.row_code.decode_matrix(in_cols, out_cols)
-        st = Step("row", i, tuple((i, c) for c in in_cols), out_cells, mat)
-        st.apply(self.codec.field, self.grid)
         self.known[i, list(out_cols)] = True
-        self.steps.append(st)
+        self.steps.append(Step("row", i, tuple((i, c) for c in in_cols), out_cells, mat))
 
     def col_step(self, j: int, out_cells) -> None:
         cfg = self.codec.cfg
-        avail = np.flatnonzero(self.known[:, j])
+        avail = self.known[:, j].nonzero()[0]
         if avail.size < cfg.r:
             raise UnrecoverableError(
                 f"column {j}: only {avail.size} symbols available, need {cfg.r}")
         in_rows = tuple(int(i) for i in avail[:cfg.r])
         out_rows = tuple(i for i, _ in out_cells)
         mat = self.codec.col_code.decode_matrix(in_rows, out_rows)
-        st = Step("col", j, tuple((i, j) for i in in_rows), out_cells, mat)
-        st.apply(self.codec.field, self.grid)
         self.known[list(out_rows), j] = True
-        self.steps.append(st)
+        self.steps.append(Step("col", j, tuple((i, j) for i in in_rows), out_cells, mat))
 
 
 def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
@@ -379,79 +380,67 @@ def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
 # ---------------------------------------------------------------------------
 
 class _Codec:
-    def __init__(self, cfg: StairConfig, poly: int | None = None):
+    def __init__(self, cfg: StairConfig):
         self.cfg = cfg
-        self.field = field_init(cfg.w, poly)
+        self.field = field_init(cfg.w)
         self.row_code = GenMatrix(self.field, cfg.n - cfg.m, cfg.n + cfg.m_prime)
         self.col_code = (GenMatrix(self.field, cfg.r, cfg.r + cfg.e_max)
                          if cfg.m_prime else None)
         self._plans: dict[str, tuple[Step, ...]] = {}
         self._coef = None
-        dc = data_cells(cfg)
-        self.data_cell_list = dc
-        self.data_index = {cell: k for k, cell in enumerate(dc)}
-        self._data_rows = np.array([i for i, _ in dc], dtype=np.intp)
-        self._data_cols = np.array([j for _, j in dc], dtype=np.intp)
+        self.data_cell_list = data_cells(cfg)
+        self.data_index = {cell: k for k, cell in enumerate(self.data_cell_list)}
 
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.cfg.r + self.cfg.e_max, self.cfg.n + self.cfg.m_prime
 
     def base_known(self) -> np.ndarray:
-        """Known mask with only the pinned-to-zero outside global cells set."""
+        """Known mask with the stripe's cells and the pinned-to-zero outside
+        global cells set."""
         rows, cols = self.grid_shape
         known = np.zeros((rows, cols), dtype=bool)
+        known[:self.cfg.r, :self.cfg.n] = True
         for l, e_l in enumerate(self.cfg.e):
             known[self.cfg.r: self.cfg.r + e_l, self.cfg.n + l] = True
         return known
 
-    def blank_grid(self, symbol_size: int) -> np.ndarray:
+    def run(self, steps: tuple[Step, ...], cells: np.ndarray) -> np.ndarray:
+        """Execute a schedule: copy the (r, n, S) stripe cells into a fresh
+        augmented grid, apply every step in order and return the grid."""
+        cfg = self.cfg
         rows, cols = self.grid_shape
-        return np.zeros((rows, cols, symbol_size), dtype=np.uint8)
+        grid = np.zeros((rows, cols, cells.shape[2]), dtype=np.uint8)
+        grid[:cfg.r, :cfg.n] = cells
+        for st in steps:
+            st.apply(self.field, grid)
+        return grid
 
-    def gather_data(self, stripe: Stripe) -> np.ndarray:
-        if not self.data_cell_list:
-            return np.zeros((0, stripe.symbol_size), dtype=np.uint8)
-        return stripe.cells[self._data_rows, self._data_cols]
-
-    # -- encode plans -------------------------------------------------------
+    # -- schedules ------------------------------------------------------------
 
     def plan(self, method: str) -> tuple[Step, ...]:
+        """The cached encoding schedule of ``method``."""
         cached = self._plans.get(method)
         if cached is None:
-            if method == "upstairs":
-                cached = tuple(self._plan_upstairs())
-            elif method == "downstairs":
-                cached = tuple(self._plan_downstairs())
-            else:
-                raise ValueError(f"no step plan for method {method!r}")
-            self._plans[method] = cached
+            build = {"upstairs": self._plan_upstairs, "downstairs": self._plan_downstairs,
+                     "standard": self._plan_standard}.get(method)
+            if build is None:
+                raise ValueError(f"unknown encoding method {method!r}")
+            cached = self._plans[method] = tuple(build())
         return cached
 
-    def _encode_solver(self) -> tuple[_Solver, dict, dict]:
-        cfg = self.cfg
-        known = self.base_known()
-        known[:cfg.r, :cfg.n] = True
-        deferred = {j: set(range(cfg.r)) for j in range(cfg.n - cfg.m, cfg.n)}
-        for j in deferred:
-            known[:cfg.r, j] = False
-        lossy = {}
-        for l, e_l in enumerate(cfg.e):
-            j = stair_column_index(cfg, l)
-            rows = set(range(cfg.r - e_l, cfg.r))
-            lossy[j] = rows
-            known[cfg.r - e_l: cfg.r, j] = False
-        solver = _Solver(self, self.blank_grid(self.field.word_bytes), known)
-        return solver, deferred, lossy
-
-    def _plan_upstairs(self) -> list[Step]:
-        solver, deferred, lossy = self._encode_solver()
-        _run_upstairs(solver, deferred, lossy)
-        return solver.steps
+    def _plan_upstairs(self) -> tuple[Step, ...]:
+        """Encoding is decoding the layout's own erasures: the m parity
+        chunks and the stair of global-parity cells."""
+        worst = worst_case_pattern(self.cfg)
+        return _decode_plan(self.cfg, worst.failed_chunks,
+                            frozenset(worst.sector_failures.items()), False)
 
     def _plan_downstairs(self) -> list[Step]:
         cfg = self.cfg
-        solver, _, _ = self._encode_solver()
+        known = self.base_known()
+        known[:cfg.r, :cfg.n] &= ~parity_mask(cfg)
+        solver = _Solver(self, known)
         r, n, mp = cfg.r, cfg.n, cfg.m_prime
         col_done = [False] * mp
         for i in range(r):
@@ -468,14 +457,29 @@ class _Codec:
             solver.row_step(i, tuple((i, j) for j in sorted(out_cols)))
         return solver.steps
 
-    def apply_plan(self, stripe: Stripe, steps) -> Stripe:
+    def _plan_standard(self) -> list[Step]:
+        """One step per parity cell over only the data cells it depends on,
+        so the executed mult-XORs are exactly the nonzero coefficients."""
+        coef, dcells, pcells, nonzero = self.coefficients()
+        return [Step("standard", p, tuple(dcells[k] for k in nz), (cell,), coef[p:p + 1, nz])
+                for p, (cell, nz) in enumerate(zip(pcells, nonzero))]
+
+    @cached_property
+    def extension_plan(self) -> tuple[Step, ...]:
+        """Rows, then columns, of the augmented grid from the stored stripe."""
         cfg = self.cfg
-        grid = self.blank_grid(stripe.symbol_size)
-        grid[:cfg.r, :cfg.n] = stripe.cells
-        for st in steps:
-            st.apply(self.field, grid)
-        stripe.cells[:] = grid[:cfg.r, :cfg.n]
-        return stripe
+        if not cfg.m_prime:
+            return ()
+        data_cols, ext_cols = range(cfg.n - cfg.m), range(cfg.n, cfg.n + cfg.m_prime)
+        t_row = self.row_code.decode_matrix(tuple(data_cols), tuple(ext_cols))
+        steps = [Step("row", i, tuple((i, c) for c in data_cols),
+                      tuple((i, c) for c in ext_cols), t_row) for i in range(cfg.r)]
+        ext_rows = range(cfg.r, cfg.r + cfg.e_max)
+        t_col = self.col_code.decode_matrix(tuple(range(cfg.r)), tuple(ext_rows))
+        steps += [Step("col", c, tuple((i, c) for i in range(cfg.r)),
+                       tuple((i, c) for i in ext_rows), t_col)
+                  for c in range(cfg.n + cfg.m_prime)]
+        return tuple(steps)
 
     # -- flattened data -> parity coefficients --------------------------------
 
@@ -491,11 +495,10 @@ class _Codec:
             dcells = self.data_cell_list
             pcells = parity_cells(cfg)
             wb = self.field.word_bytes
-            grid = self.blank_grid(len(dcells) * wb)
+            unit = np.zeros((cfg.r, cfg.n, len(dcells) * wb), dtype=np.uint8)
             for k, (i, j) in enumerate(dcells):
-                grid[i, j, k * wb] = 1          # unit field element, little-endian
-            for st in self.plan("upstairs"):
-                st.apply(self.field, grid)
+                unit[i, j, k * wb] = 1          # unit field element, little-endian
+            grid = self.run(self.plan("upstairs"), unit)
             coef = np.zeros((len(pcells), len(dcells)), dtype=self.field.word_dtype)
             for p, (i, j) in enumerate(pcells):
                 coef[p] = grid[i, j].view(self.field.word_dtype)
@@ -504,15 +507,13 @@ class _Codec:
         return self._coef
 
 
-_CODEC_CACHE: dict[tuple[StairConfig, int], _Codec] = {}
+_CODEC_CACHE: dict[StairConfig, _Codec] = {}
 
 
-def _codec(cfg: StairConfig, poly: int | None = None) -> _Codec:
-    key = (cfg, DEFAULT_POLY[cfg.w] if poly is None else poly)
-    codec = _CODEC_CACHE.get(key)
+def _codec(cfg: StairConfig) -> _Codec:
+    codec = _CODEC_CACHE.get(cfg)
     if codec is None:
-        codec = _Codec(cfg, poly)
-        _CODEC_CACHE[key] = codec
+        codec = _CODEC_CACHE[cfg] = _Codec(cfg)
     return codec
 
 
@@ -527,106 +528,33 @@ def _check_stripe(cfg: StairConfig, stripe: Stripe) -> None:
 
 
 # ---------------------------------------------------------------------------
-# public encoders / decoder
+# decode schedules
 # ---------------------------------------------------------------------------
 
-def encode_upstairs(cfg: StairConfig, stripe: Stripe, poly: int | None = None) -> Stripe:
-    """Fill all parity cells by bottom-up recovery of the augmented grid."""
-    codec = _codec(cfg, poly)
-    _check_stripe(cfg, stripe)
-    return codec.apply_plan(stripe, codec.plan("upstairs"))
-
-
-def encode_downstairs(cfg: StairConfig, stripe: Stripe, poly: int | None = None) -> Stripe:
-    """Fill all parity cells sweeping rows top-down and columns right-to-left."""
-    codec = _codec(cfg, poly)
-    _check_stripe(cfg, stripe)
-    return codec.apply_plan(stripe, codec.plan("downstairs"))
-
-
-def encode_standard(cfg: StairConfig, stripe: Stripe, poly: int | None = None) -> Stripe:
-    """Fill each parity cell directly from its data-cell dependency set."""
-    codec = _codec(cfg, poly)
-    _check_stripe(cfg, stripe)
-    coef, _, pcells, nonzero = codec.coefficients()
-    data = codec.gather_data(stripe)
-    for p, cell in enumerate(pcells):
-        nz = nonzero[p]
-        out = codec.field.matmul_regions(coef[p:p + 1, nz], data[nz])
-        stripe.cells[cell] = out[0]
-    return stripe
-
-
-def encode(cfg: StairConfig, stripe: Stripe, method: str = "auto",
-           poly: int | None = None) -> Stripe:
-    if method == "auto":
-        method = choose_method(cfg)
-    if method == "standard":
-        return encode_standard(cfg, stripe, poly)
-    if method == "upstairs":
-        return encode_upstairs(cfg, stripe, poly)
-    if method == "downstairs":
-        return encode_downstairs(cfg, stripe, poly)
-    raise ValueError(f"unknown encoding method {method!r}")
-
-
-def encoding_steps(cfg: StairConfig, method: str, poly: int | None = None) -> tuple[Step, ...]:
-    """The cached step schedule of a reuse-based encoder (for inspection)."""
-    return _codec(cfg, poly).plan(method)
-
-
-def build_canonical(cfg: StairConfig, stripe: Stripe, poly: int | None = None) -> CanonicalStripe:
-    """Augment an encoded stripe with its intermediate and virtual parities."""
-    codec = _codec(cfg, poly)
-    _check_stripe(cfg, stripe)
-    grid = codec.blank_grid(stripe.symbol_size)
-    grid[:cfg.r, :cfg.n] = stripe.cells
-    if cfg.m_prime:
-        t_row = codec.row_code.decode_matrix(
-            tuple(range(cfg.n - cfg.m)), tuple(range(cfg.n, cfg.n + cfg.m_prime)))
-        for i in range(cfg.r):
-            grid[i, cfg.n:] = codec.field.matmul_regions(t_row, grid[i, :cfg.n - cfg.m])
-        t_col = codec.col_code.decode_matrix(
-            tuple(range(cfg.r)), tuple(range(cfg.r, cfg.r + cfg.e_max)))
-        for c in range(cfg.n + cfg.m_prime):
-            grid[cfg.r:, c] = codec.field.matmul_regions(t_col, grid[:cfg.r, c])
-    return CanonicalStripe(cfg, grid)
-
-
-def decode(cfg: StairConfig, stripe: Stripe, pattern: FailurePattern, *,
-           practical: bool = True, poly: int | None = None,
-           trace: list | None = None) -> Stripe:
-    """Restore the cells listed in ``pattern`` and return the repaired stripe.
-
-    With ``practical=True`` rows that lost at most m cells are repaired
-    locally first, then the (at most m) chunks with the most remaining
-    losses are set aside for final row-wise repair while the rest go
-    through the bottom-up schedule.  ``practical=False`` runs the pure
-    bottom-up schedule with exactly the pattern's failed chunks deferred.
-    Raises :class:`UnrecoverableError` instead of returning wrong data.
-    """
-    codec = _codec(cfg, poly)
-    _check_stripe(cfg, stripe)
-    pattern.validate_for(cfg)
-
-    grid = codec.blank_grid(stripe.symbol_size)
-    grid[:cfg.r, :cfg.n] = stripe.cells
+# Bounded: exhaustive sweeps decode hundreds of thousands of distinct
+# patterns, and a plan holds a few KB.
+@lru_cache(maxsize=1024)
+def _decode_plan(cfg: StairConfig, failed: frozenset, sectors: frozenset,
+                 practical: bool) -> tuple[Step, ...]:
+    """Schedule restoring the failed chunks and the (column, rows) sector
+    losses; raises :class:`UnrecoverableError` (never cached) if none does."""
+    codec = _codec(cfg)
     known = codec.base_known()
-    known[:cfg.r, :cfg.n] = True
-    for i, j in pattern.lost_cells(cfg):
-        known[i, j] = False
-        grid[i, j] = 0           # never trust erased bytes
+    for j in failed:
+        known[:cfg.r, j] = False
+    for j, rows in sectors:
+        known[list(rows), j] = False
 
-    solver = _Solver(codec, grid, known)
+    solver = _Solver(codec, known)
     if practical:
         for i in range(cfg.r):
-            miss = np.flatnonzero(~known[i, :cfg.n])
+            miss = (~known[i, :cfg.n]).nonzero()[0]
             if miss.size and miss.size <= cfg.m:
                 solver.row_step(i, tuple((i, int(j)) for j in miss))
 
     loss: dict[int, set[int]] = {}
     for j in range(cfg.n):
-        rows = np.flatnonzero(~known[:cfg.r, j])
+        rows = (~known[:cfg.r, j]).nonzero()[0]
         if rows.size:
             loss[j] = {int(i) for i in rows}
 
@@ -635,7 +563,7 @@ def decode(cfg: StairConfig, stripe: Stripe, pattern: FailurePattern, *,
             by_size = sorted(loss, key=lambda j: (len(loss[j]), j), reverse=True)
             defer_cols = by_size[:cfg.m]
         else:
-            defer_cols = sorted(pattern.failed_chunks)
+            defer_cols = sorted(failed)
             if len(defer_cols) > cfg.m:
                 raise UnrecoverableError(
                     f"{len(defer_cols)} whole-chunk failures exceed m={cfg.m}")
@@ -645,10 +573,72 @@ def decode(cfg: StairConfig, stripe: Stripe, pattern: FailurePattern, *,
             raise UnrecoverableError(
                 f"per-chunk sector losses {counts} exceed coverage e={cfg.e}")
         _run_upstairs(solver, deferred, loss)
+    return tuple(solver.steps)
 
+
+# ---------------------------------------------------------------------------
+# public encoders / decoder
+# ---------------------------------------------------------------------------
+
+def encode_upstairs(cfg: StairConfig, stripe: Stripe) -> Stripe:
+    """Fill all parity cells by bottom-up recovery of the augmented grid."""
+    return encode(cfg, stripe, "upstairs")
+
+
+def encode_downstairs(cfg: StairConfig, stripe: Stripe) -> Stripe:
+    """Fill all parity cells sweeping rows top-down and columns right-to-left."""
+    return encode(cfg, stripe, "downstairs")
+
+
+def encode_standard(cfg: StairConfig, stripe: Stripe) -> Stripe:
+    """Fill each parity cell directly from its data-cell dependency set."""
+    return encode(cfg, stripe, "standard")
+
+
+def encode(cfg: StairConfig, stripe: Stripe, method: str = "auto") -> Stripe:
+    """Fill the parity cells of ``stripe`` in place with ``method``'s schedule."""
+    if method == "auto":
+        method = choose_method(cfg)
+    codec = _codec(cfg)
+    steps = codec.plan(method)
+    _check_stripe(cfg, stripe)
+    stripe.cells[:] = codec.run(steps, stripe.cells)[:cfg.r, :cfg.n]
+    return stripe
+
+
+def encoding_steps(cfg: StairConfig, method: str) -> tuple[Step, ...]:
+    """The cached step schedule of an encoding method (for inspection)."""
+    return _codec(cfg).plan(method)
+
+
+def build_canonical(cfg: StairConfig, stripe: Stripe) -> CanonicalStripe:
+    """Augment an encoded stripe with its intermediate and virtual parities."""
+    codec = _codec(cfg)
+    _check_stripe(cfg, stripe)
+    return CanonicalStripe(cfg, codec.run(codec.extension_plan, stripe.cells))
+
+
+def decode(cfg: StairConfig, stripe: Stripe, pattern: FailurePattern, *,
+           practical: bool = True, trace: list | None = None) -> Stripe:
+    """Restore the cells listed in ``pattern`` and return the repaired stripe.
+
+    With ``practical=True`` rows that lost at most m cells are repaired
+    locally first, then the (at most m) chunks with the most remaining
+    losses are set aside for final row-wise repair while the rest go
+    through the bottom-up schedule.  ``practical=False`` runs the pure
+    bottom-up schedule with exactly the pattern's failed chunks deferred.
+    The schedule is planned from the pattern alone (erased bytes are never
+    read) and cached.  Raises :class:`UnrecoverableError` instead of
+    returning wrong data.
+    """
+    _check_stripe(cfg, stripe)
+    pattern.validate_for(cfg)
+    sectors = frozenset((j, frozenset(rows))
+                        for j, rows in pattern.sector_failures.items() if rows)
+    steps = _decode_plan(cfg, frozenset(pattern.failed_chunks), sectors, practical)
     if trace is not None:
-        trace.extend(solver.steps)
-    return Stripe(cfg, grid[:cfg.r, :cfg.n].copy())
+        trace.extend(steps)
+    return Stripe(cfg, _codec(cfg).run(steps, stripe.cells)[:cfg.r, :cfg.n].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,24 @@ def test_beyond_coverage_repair_exits_2(tmp_path, payload):
                      "-o", str(tmp_path / "f.stairc")]) == 2
 
 
+def test_foreign_polynomial_exits_1(tmp_path, payload):
+    # a header naming a field the codec does not run must not be decoded
+    from test_container import with_poly
+    from staircodes import container as cont
+    src, _ = payload
+    box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6",
+                     "--manifest", str(manifest)]) == 0
+    for path in (box, dmg):
+        blob = path.read_bytes()
+        header = cont.parse_header(blob)
+        path.write_bytes(with_poly(header, 0x11B) + blob[header.size:])
+    assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest),
+                     "-o", str(tmp_path / "f.stairc")]) == 1
+
+
 def test_inject_explicit_cells_and_seed(tmp_path, payload):
     src, _ = payload
     box, dmg = tmp_path / "c.stairc", tmp_path / "d.stairc"
@@ -202,12 +220,3 @@ def test_bad_flags_exit_1(tmp_path, payload):
     src, _ = payload
     assert cli.main(["encode", str(src), "-o", str(tmp_path / "x"),
                      "--n", "4", "--r", "4", "--m", "2", "--e", "1,1,1"]) == 1
-
-
-def test_threads_env_does_not_change_output(tmp_path, payload, monkeypatch):
-    src, _ = payload
-    a, b = tmp_path / "a.stairc", tmp_path / "b.stairc"
-    assert cli.main(["encode", str(src), "-o", str(a)] + CFG_FLAGS) == 0
-    monkeypatch.setenv("STAIR_THREADS", "4")
-    assert cli.main(["encode", str(src), "-o", str(b)] + CFG_FLAGS) == 0
-    assert a.read_bytes() == b.read_bytes()

@@ -21,6 +21,22 @@ def test_header_roundtrip_wide_fields():
         assert parsed.poly == header.poly      # w=32 polynomial survives truncation
 
 
+def with_poly(header, poly):
+    """The packed header with ``poly`` in its polynomial field."""
+    blob = bytearray(cont.pack_header(header))
+    blob[header.size - 12:header.size - 8] = poly.to_bytes(4, "little")
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("poly", [0x11B, 0x100], ids=hex)
+def test_foreign_polynomial_rejected(exemplar, poly):
+    # 0x11B is irreducible but not the codec's field; 0x100 is reducible
+    header = cont.header_for(exemplar, 512, 0)
+    assert cont.parse_header(with_poly(header, header.poly)) == header
+    with pytest.raises(ValueError, match="polynomial"):
+        cont.parse_header(with_poly(header, poly))
+
+
 def test_bad_magic_rejected(exemplar):
     blob = bytearray(cont.pack_header(cont.header_for(exemplar, 512, 0)))
     blob[0] ^= 0xFF

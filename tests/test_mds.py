@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircodes import UnrecoverableError
 from staircodes.gf import field_init
-from staircodes.mds import Codeword, check_codeword, decode, encode, systematic_generator
+from staircodes.mds import GenMatrix, check_codeword
 from oracles import matvec_parity
 
 
@@ -16,49 +15,71 @@ def field():
     return field_init(8)
 
 
+def encode(gen, data):
+    """Parity regions of (kappa, S) data regions."""
+    t = gen.decode_matrix(tuple(range(gen.kappa)), tuple(range(gen.kappa, gen.eta)))
+    return gen.field.matmul_regions(t, data)
+
+
+def codeword(gen, rng, size=8):
+    data = rng.integers(0, 256, (gen.kappa, size), dtype=np.uint8)
+    return np.concatenate([data, encode(gen, data)], axis=0)
+
+
+def assert_survivors_rebuild(gen, word, survivors):
+    """Any kappa survivors rebuild every other position of the codeword."""
+    survivors = tuple(survivors)
+    lost = tuple(p for p in range(gen.eta) if p not in survivors)
+    rebuilt = gen.field.matmul_regions(gen.decode_matrix(survivors, lost),
+                                       word[list(survivors)])
+    assert np.array_equal(rebuilt, word[list(lost)]), survivors
+
+
 def test_shape_validation(field):
     with pytest.raises(ValueError):
-        systematic_generator(4, 4, field)       # kappa == eta
+        GenMatrix(field, 4, 4)       # kappa == eta
     with pytest.raises(ValueError):
-        systematic_generator(6, 5, field)       # kappa > eta
+        GenMatrix(field, 6, 5)       # kappa > eta
     with pytest.raises(ValueError):
-        systematic_generator(100, 300, field)   # eta > 2^w
+        GenMatrix(field, 100, 300)   # eta > 2^w
 
 
 def test_generator_is_systematic_and_deterministic(field):
-    a = systematic_generator(6, 11, field)
-    b = systematic_generator(6, 11, field)
+    a = GenMatrix(field, 6, 11)
+    b = GenMatrix(field, 6, 11)
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.rows[:, :6], field.identity(6))
 
 
-def test_mds_property_exhaustive_4_6(field):
-    gen = systematic_generator(4, 6, field)
+def test_mds_property_exhaustive_4_6(field, rng):
+    gen = GenMatrix(field, 4, 6)
+    word = codeword(gen, rng)
     for cols in itertools.combinations(range(6), 4):
-        field.mat_inv(gen.rows[:, list(cols)])   # raises if singular
+        assert_survivors_rebuild(gen, word, cols)
 
 
-def test_mds_property_exhaustive_4_7(field):
-    gen = systematic_generator(4, 7, field)
+def test_mds_property_exhaustive_4_7(field, rng):
+    gen = GenMatrix(field, 4, 7)
+    word = codeword(gen, rng)
     for cols in itertools.combinations(range(7), 4):
-        field.mat_inv(gen.rows[:, list(cols)])
+        assert_survivors_rebuild(gen, word, cols)
 
 
 def test_mds_property_sampled_6_11(field, rng):
-    gen = systematic_generator(6, 11, field)
+    gen = GenMatrix(field, 6, 11)
+    word = codeword(gen, rng)
     for _ in range(60):
-        cols = sorted(rng.choice(11, size=6, replace=False))
-        field.mat_inv(gen.rows[:, cols])
+        assert_survivors_rebuild(gen, word, sorted(rng.choice(11, size=6, replace=False)))
 
 
 def test_encode_zero_data_gives_zero_parity(field):
-    gen = systematic_generator(4, 7, field)
+    gen = GenMatrix(field, 4, 7)
     parity = encode(gen, np.zeros((4, 16), dtype=np.uint8))
     assert not parity.any()
 
 
 def test_encode_unit_vector_scales_parity_row(field):
-    gen = systematic_generator(4, 7, field)
+    gen = GenMatrix(field, 4, 7)
     delta = 0x39
     data = np.zeros((4, 8), dtype=np.uint8)
     data[2, :] = delta
@@ -69,7 +90,7 @@ def test_encode_unit_vector_scales_parity_row(field):
 
 
 def test_encode_matches_naive_matvec(field, rng):
-    gen = systematic_generator(6, 11, field)
+    gen = GenMatrix(field, 6, 11)
     data = rng.integers(0, 256, (6, 32), dtype=np.uint8)
     parity = encode(gen, data)
     for byte in range(32):
@@ -78,48 +99,28 @@ def test_encode_matches_naive_matvec(field, rng):
         assert [int(p[byte]) for p in parity] == expect
 
 
-def test_decode_no_erasures_returns_input(field, rng):
-    gen = systematic_generator(4, 6, field)
-    data = rng.integers(0, 256, (4, 8), dtype=np.uint8)
-    parity = encode(gen, data)
-    word = Codeword(list(data) + list(parity))
-    assert decode(gen, word) is word
-
-
 def test_decode_reencodes_parity(field, rng):
-    gen = systematic_generator(4, 6, field)
-    data = rng.integers(0, 256, (4, 8), dtype=np.uint8)
-    parity = encode(gen, data)
-    word = Codeword(list(data) + [None, None])
-    restored = decode(gen, word)
-    for k in range(2):
-        assert np.array_equal(restored.symbols[4 + k], parity[k])
+    gen = GenMatrix(field, 4, 6)
+    word = codeword(gen, rng)
+    restored = field.matmul_regions(gen.decode_matrix((0, 1, 2, 3), (4, 5)), word[:4])
+    assert np.array_equal(restored, word[4:])
 
 
 def test_decode_exhaustive_erasure_sweep(field, rng):
-    gen = systematic_generator(4, 6, field)
-    data = rng.integers(0, 256, (4, 8), dtype=np.uint8)
-    parity = encode(gen, data)
-    full = list(data) + list(parity)
+    gen = GenMatrix(field, 4, 6)
+    word = codeword(gen, rng)
     for k in (1, 2):
         for gone in itertools.combinations(range(6), k):
-            word = Codeword([None if p in gone else full[p] for p in range(6)])
-            restored = decode(gen, word)
-            for p in range(6):
-                assert np.array_equal(restored.symbols[p], full[p]), (gone, p)
-
-
-def test_decode_below_kappa_raises(field, rng):
-    gen = systematic_generator(4, 6, field)
-    word = Codeword([np.zeros(4, np.uint8)] * 3 + [None] * 3)
-    with pytest.raises(UnrecoverableError):
-        decode(gen, word)
+            present = [p for p in range(6) if p not in gone]
+            survivors = tuple(present[:4])
+            restored = field.matmul_regions(gen.decode_matrix(survivors, gone),
+                                            word[list(survivors)])
+            assert np.array_equal(restored, word[list(gone)]), gone
 
 
 def test_check_codeword(field, rng):
-    gen = systematic_generator(4, 6, field)
-    data = rng.integers(0, 256, (4, 8), dtype=np.uint8)
-    word = np.concatenate([data, encode(gen, data)], axis=0)
+    gen = GenMatrix(field, 4, 6)
+    word = codeword(gen, rng)
     assert check_codeword(gen, word)
     word[5, 3] ^= 1
     assert not check_codeword(gen, word)
@@ -128,18 +129,13 @@ def test_check_codeword(field, rng):
 @given(st.integers(0, 2 ** 32 - 1), st.sets(st.integers(0, 6), max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_random_erasures(seed, gone):
-    field = field_init(8)
-    gen = systematic_generator(4, 7, field)
-    gen_rng = np.random.default_rng(seed)
-    data = gen_rng.integers(0, 256, (4, 4), dtype=np.uint8)
-    full = list(data) + list(encode(gen, data))
-    word = Codeword([None if p in gone else full[p] for p in range(7)])
-    restored = decode(gen, word)
-    for p in range(7):
-        assert np.array_equal(restored.symbols[p], full[p])
+    gen = GenMatrix(field_init(8), 4, 7)
+    word = codeword(gen, np.random.default_rng(seed), size=4)
+    survivors = [p for p in range(7) if p not in gone][:4]
+    assert_survivors_rebuild(gen, word, survivors)
 
 
 def test_decode_matrix_requires_kappa_survivors(field):
-    gen = systematic_generator(4, 6, field)
+    gen = GenMatrix(field, 4, 6)
     with pytest.raises(ValueError):
         gen.decode_matrix((0, 1, 2), (5,))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import staircodes as sc
-from staircodes.stair import data_cells, parity_mask
+from staircodes.stair import METHODS, data_cells, parity_mask
 from conftest import sweep_configs
 
 
@@ -44,6 +44,15 @@ def test_choose_method():
 def test_unknown_method_rejected(exemplar):
     with pytest.raises(ValueError):
         sc.xor_count(exemplar, "diagonal")
+
+
+def test_plans_execute_xor_count_mult_xors():
+    # each step multiplies every input region into every output region
+    for cfg in sweep_configs():
+        for method in METHODS:
+            executed = sum(len(st.outputs) * len(st.inputs)
+                           for st in sc.encoding_steps(cfg, method))
+            assert executed == sc.xor_count(cfg, method), (cfg, method)
 
 
 def test_standard_count_equals_dependency_total():

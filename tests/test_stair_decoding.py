@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import staircodes as sc
 from staircodes import UnrecoverableError, sim
+from staircodes.stair import _decode_plan
 from conftest import sweep_configs
 from test_stair_encoding import REFERENCE_UPSTAIRS
 
@@ -107,15 +110,49 @@ def test_pure_mode_rejects_too_many_failed(exemplar, rng):
         sc.decode(exemplar, sim.inject(stripe, pattern), pattern, practical=False)
 
 
+def test_failed_chunk_and_lost_column_plan_apart(exemplar, rng):
+    # both lose every cell of chunk 0, but only a failed chunk may be
+    # deferred in pure mode: the cached plan of one must not serve the other
+    stripe = _encoded(exemplar, rng)
+    chunk = sc.FailurePattern.make((0,))
+    column = sc.FailurePattern.make((), {0: range(exemplar.r)})
+    for order in ((chunk, column), (column, chunk)):
+        _decode_plan.cache_clear()
+        for pattern in order:
+            damaged = sim.inject(stripe, pattern)
+            if pattern is chunk:
+                restored = sc.decode(exemplar, damaged, pattern, practical=False)
+                assert np.array_equal(restored.cells, stripe.cells)
+            else:
+                with pytest.raises(UnrecoverableError):
+                    sc.decode(exemplar, damaged, pattern, practical=False)
+
+
+def test_decode_plan_cache_is_bounded(exemplar, rng):
+    from oracles import iter_within_coverage_patterns
+    cap = _decode_plan.cache_info().maxsize
+    stripe = _encoded(exemplar, rng, symbol_size=1)
+    for pattern in itertools.islice(iter_within_coverage_patterns(exemplar), cap + 10):
+        restored = sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
+        assert np.array_equal(restored.cells, stripe.cells), pattern
+    assert _decode_plan.cache_info().currsize == cap
+
+
 def test_exhaustive_roundtrip_tiny_config(rng):
     """Every within-coverage pattern for n=4, r=2, m=1, e=(1,1)."""
     from oracles import iter_within_coverage_patterns
     cfg = sc.config_new(4, 2, 1, (1, 1))
     stripe = _encoded(cfg, rng, symbol_size=2)
+    _decode_plan.cache_clear()
     seen = 0
     for pattern in iter_within_coverage_patterns(cfg):
-        restored = sc.decode(cfg, sim.inject(stripe, pattern), pattern)
+        damaged = sim.inject(stripe, pattern)
+        cold, warm = [], []          # planned, then served from the plan cache
+        restored = sc.decode(cfg, damaged, pattern, trace=cold)
+        again = sc.decode(cfg, damaged, pattern, trace=warm)
         assert np.array_equal(restored.cells, stripe.cells), pattern
+        assert np.array_equal(again.cells, restored.cells), pattern
+        assert [s.signature for s in warm] == [s.signature for s in cold], pattern
         seen += 1
     assert seen > 100
 
