@@ -23,9 +23,6 @@ from .stair import (
     data_cells,
     decode,
     encode,
-    encode_downstairs,
-    encode_standard,
-    encode_upstairs,
     encoding_steps,
     parity_cells,
     parity_dependents,
@@ -52,9 +49,6 @@ __all__ = [
     "data_cells",
     "decode",
     "encode",
-    "encode_downstairs",
-    "encode_standard",
-    "encode_upstairs",
     "encoding_steps",
     "field_init",
     "parity_cells",

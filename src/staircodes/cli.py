@@ -75,70 +75,22 @@ def _open_out(path: str | None):
 # encode / decode
 # ---------------------------------------------------------------------------
 
-def _encode_payload(header: cont.ContainerHeader, data: bytes, method: str) -> list[bytes]:
-    cfg = header.config()
-    per = header.data_bytes_per_stripe
-    count = header.stripe_count
-    padded = data.ljust(count * per, b"\x00")
-    out = []
-    for idx in range(count):
-        stripe = Stripe.zeros(cfg, header.symbol_size)
-        cont.fill_data(stripe, padded[idx * per:(idx + 1) * per])
-        stair_encode(cfg, stripe, method)
-        out.append(cont.stripe_to_bytes(stripe))
-    return out
-
-
 def cmd_encode(args) -> int:
+    if not args.output and not args.devices:
+        raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
     data = Path(args.input).read_bytes()
     header = cont.header_for(cfg, args.symbol_size, len(data))
-    stripes = _encode_payload(header, data, args.method)
-    blob = cont.pack_header(header) + b"".join(stripes)
-    if args.output:
-        Path(args.output).write_bytes(blob)
-    if args.devices:
-        devdir = Path(args.devices)
-        devdir.mkdir(parents=True, exist_ok=True)
-        (devdir / "header.stairc").write_bytes(cont.pack_header(header))
-        chunk = cfg.r * header.symbol_size
-        for j in range(cfg.n):
-            parts = [s[j * chunk:(j + 1) * chunk] for s in stripes]
-            (devdir / f"device_{j:02d}.bin").write_bytes(b"".join(parts))
-    if not args.output and not args.devices:
-        raise ValueError("need -o and/or --devices")
+    body = cont.fill_data(header, data)
+    for k in range(header.stripe_count):
+        stair_encode(cfg, cont.stripe_view(cfg, body, k), args.method)
+    cont.write(header, body, args.output, args.devices)
     return 0
 
 
-def _read_container(path: str | None, devices: str | None):
-    if devices:
-        devdir = Path(devices)
-        header = cont.parse_header((devdir / "header.stairc").read_bytes())
-        cfg = header.config()
-        chunk = cfg.r * header.symbol_size
-        per_dev = [(devdir / f"device_{j:02d}.bin").read_bytes() for j in range(cfg.n)]
-        stripes = []
-        for idx in range(header.stripe_count):
-            stripes.append(b"".join(d[idx * chunk:(idx + 1) * chunk] for d in per_dev))
-        return header, stripes
-    blob = Path(path).read_bytes()
-    header = cont.parse_header(blob)
-    body = blob[header.size:]
-    sb = header.stripe_bytes
-    if len(body) != header.stripe_count * sb:
-        raise ValueError(
-            f"container body is {len(body)} bytes, expected {header.stripe_count * sb}")
-    return header, [body[i * sb:(i + 1) * sb] for i in range(header.stripe_count)]
-
-
 def cmd_decode(args) -> int:
-    header, stripes = _read_container(args.input, args.devices)
-    cfg = header.config()
-    out = bytearray()
-    for raw in stripes:
-        stripe = cont.stripe_from_bytes(cfg, header.symbol_size, raw)
-        out += cont.extract_data(stripe)
-    Path(args.output).write_bytes(bytes(out[:header.data_length]))
+    header, body = cont.read(args.input, args.devices)
+    Path(args.output).write_bytes(cont.extract_data(header, body))
     return 0
 
 
@@ -206,21 +158,20 @@ def _pattern_from_json(obj: dict) -> FailurePattern:
 
 
 def cmd_inject(args) -> int:
-    header, stripes = _read_container(args.input, None)
+    header, body = cont.read(args.input)
     cfg = header.config()
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     targets = (list(range(header.stripe_count)) if args.stripes == "all"
                else [int(x) for x in args.stripes.split(",") if x.strip()])
     patterns = []
-    damaged = list(stripes)
     within = True
     for idx in targets:
+        stripe = cont.stripe_view(cfg, body, idx)
         pattern = parse_pattern_spec(args.spec, cfg, rng)
         within = within and pattern_within_coverage(cfg, pattern)
-        stripe = cont.stripe_from_bytes(cfg, header.symbol_size, damaged[idx])
-        damaged[idx] = cont.stripe_to_bytes(sim.inject(stripe, pattern))
+        stripe.cells[:] = sim.inject(stripe, pattern).cells
         patterns.append({"stripe": idx, **_pattern_to_json(pattern)})
-    Path(args.output).write_bytes(cont.pack_header(header) + b"".join(damaged))
+    cont.write(header, body, args.output)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
@@ -232,19 +183,16 @@ def cmd_inject(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    header, stripes = _read_container(args.input, None)
+    header, body = cont.read(args.input)
     cfg = header.config()
     manifest = json.loads(Path(args.manifest).read_text())
     mc = manifest["config"]
     if config_new(mc["n"], mc["r"], mc["m"], mc["e"], mc["w"]) != cfg:
         raise ValueError("manifest config does not match the container header")
-    repaired = list(stripes)
     for entry in manifest.get("patterns", []):
-        idx = entry["stripe"]
-        stripe = cont.stripe_from_bytes(cfg, header.symbol_size, stripes[idx])
-        restored = stair_decode(cfg, stripe, _pattern_from_json(entry))
-        repaired[idx] = cont.stripe_to_bytes(restored)
-    Path(args.output).write_bytes(cont.pack_header(header) + b"".join(repaired))
+        stripe = cont.stripe_view(cfg, body, entry.get("stripe"))
+        stripe.cells[:] = stair_decode(cfg, stripe, _pattern_from_json(entry)).cells
+    cont.write(header, body, args.output)
     return 0
 
 
@@ -532,10 +480,8 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .gf import field_init
-    from .stair import (build_canonical, encode_downstairs, encode_standard,
-                        encode_upstairs)
     from .mds import check_codeword
-    from .stair import _codec
+    from .stair import _codec, build_canonical
 
     checks: list[tuple[str, bool]] = []
     rng = np.random.default_rng(7)
@@ -565,10 +511,7 @@ def cmd_selftest(args) -> int:
     for cfg in configs:
         for _ in range(2 if args.quick else 8):
             stripe = Stripe.random(cfg, 8, rng)
-            a, b, c = stripe.copy(), stripe.copy(), stripe.copy()
-            encode_upstairs(cfg, a)
-            encode_downstairs(cfg, b)
-            encode_standard(cfg, c)
+            a, b, c = (stair_encode(cfg, stripe.copy(), meth) for meth in METHODS)
             ok_eq &= bool(np.array_equal(a.cells, b.cells) and np.array_equal(a.cells, c.cells))
             pattern = worst_case_pattern(cfg)
             restored = stair_decode(cfg, sim.inject(a, pattern), pattern)

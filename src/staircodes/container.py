@@ -1,10 +1,11 @@
-"""Bit-exact single-file container format.
+"""Bit-exact container format: the one owner of the on-disk stripe layout.
 
 Layout: a little-endian header followed by the encoded stripes, each
 stored chunk-major (chunk 0..n-1, each r * symbol_size bytes).  Input
 data fills the data cells of each stripe in the same chunk-major order
 and is zero-padded to a whole number of stripes; the true byte length is
-kept in the header.
+kept in the header.  Split across devices, the header goes to its own
+file and device j's file holds chunk j of every stripe, back to back.
 
 Header fields, in order: magic "STAIRC1\\0" (8 bytes), version u16,
 w u8, n u16, r u16, m u16, m' u16, then m' coverage entries (u16 each),
@@ -15,9 +16,11 @@ polynomial of each width (``gf.DEFAULT_POLY``) is accepted.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -51,20 +54,13 @@ class ContainerHeader:
         return _FIXED.size + 2 * len(self.e) + _TRAILER.size
 
     @property
-    def stripe_bytes(self) -> int:
-        return self.n * self.r * self.symbol_size
-
-    @property
     def data_bytes_per_stripe(self) -> int:
-        cfg = self.config()
-        return cfg.data_cell_count * self.symbol_size
+        return self.config().data_cell_count * self.symbol_size
 
     @property
     def stripe_count(self) -> int:
         per = self.data_bytes_per_stripe
-        if per == 0:
-            return 0
-        return -(-self.data_length // per)
+        return -(-self.data_length // per) if per else 0
 
 
 def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
@@ -109,41 +105,99 @@ def parse_header(buf: bytes) -> ContainerHeader:
 
 
 # ---------------------------------------------------------------------------
-# stripe <-> bytes
+# the stripe body: every stripe as one (stripes, n, r, symbol_size) uint8
+# array in the on-disk order, so body[:, j] is what device j stores
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _data_idx(cfg: StairConfig):
-    cells = data_cells(cfg)
-    return (np.array([i for i, _ in cells], dtype=np.intp),
-            np.array([j for _, j in cells], dtype=np.intp))
+def _device_file(devdir: Path, j: int) -> Path:
+    return devdir / f"device_{j:02d}.bin"
+
+
+def _body_shape(header: ContainerHeader) -> tuple[int, int, int, int]:
+    return header.stripe_count, header.n, header.r, header.symbol_size
+
+
+def _exact(raw: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    if raw.size != math.prod(shape):
+        raise ValueError(f"{what} is {raw.size} bytes, expected {math.prod(shape)}")
+    return raw.reshape(shape)
+
+
+def read(path=None, devices=None) -> tuple[ContainerHeader, np.ndarray]:
+    """The header and a writable body, from a single container file at
+    ``path`` or from a ``devices`` directory (a header file plus one file
+    per device).  Raises ValueError unless every length is exact."""
+    if devices:
+        devdir = Path(devices)
+        header = parse_header((devdir / "header.stairc").read_bytes())
+        body = np.empty(_body_shape(header), dtype=np.uint8)
+        for j in range(header.n):
+            raw = np.fromfile(_device_file(devdir, j), dtype=np.uint8)
+            body[:, j] = _exact(raw, body[:, j].shape, f"device file {j}")
+        return header, body
+    if not path:
+        raise ValueError("need a container file or a devices directory")
+    blob = np.fromfile(path, dtype=np.uint8)
+    header = parse_header(blob.data)
+    return header, _exact(blob[header.size:], _body_shape(header), "container body")
+
+
+def write(header: ContainerHeader, body: np.ndarray, path=None, devices=None) -> None:
+    """Store ``body`` as a single container file at ``path`` and/or as a
+    ``devices`` directory."""
+    if path:
+        with open(path, "wb") as f:
+            f.write(pack_header(header))
+            body.tofile(f)
+    if devices:
+        devdir = Path(devices)
+        devdir.mkdir(parents=True, exist_ok=True)
+        (devdir / "header.stairc").write_bytes(pack_header(header))
+        for j in range(header.n):
+            body[:, j].tofile(_device_file(devdir, j))
+
+
+def stripe_view(cfg: StairConfig, body: np.ndarray, k) -> Stripe:
+    """Stripe ``k`` of ``body``; writing its cells writes the body."""
+    if type(k) is not int or not 0 <= k < len(body):
+        raise ValueError(f"stripe index {k!r} is not in 0..{len(body) - 1}")
+    return Stripe(cfg, body[k].transpose(1, 0, 2))
 
 
 def stripe_to_bytes(stripe: Stripe) -> bytes:
-    """Chunk-major serialisation: whole chunks back to back."""
+    """One stripe in the body layout: whole chunks back to back."""
     return stripe.cells.transpose(1, 0, 2).tobytes()
 
 
 def stripe_from_bytes(cfg: StairConfig, symbol_size: int, buf: bytes) -> Stripe:
-    expected = cfg.n * cfg.r * symbol_size
-    if len(buf) != expected:
-        raise ValueError(f"stripe payload is {len(buf)} bytes, expected {expected}")
-    cells = (np.frombuffer(buf, dtype=np.uint8)
-             .reshape(cfg.n, cfg.r, symbol_size).transpose(1, 0, 2).copy())
-    return Stripe(cfg, cells)
+    """The inverse of :func:`stripe_to_bytes`: ``buf`` read as a one-stripe body."""
+    body = _exact(np.frombuffer(buf, dtype=np.uint8), (1, cfg.n, cfg.r, symbol_size),
+                  "stripe payload")
+    return Stripe(cfg, stripe_view(cfg, body, 0).cells.copy())
 
 
-def fill_data(stripe: Stripe, block: bytes) -> None:
-    """Write one stripe's worth of (padded) user bytes into the data cells."""
-    cfg = stripe.cfg
-    rows, cols = _data_idx(cfg)
-    want = len(rows) * stripe.symbol_size
-    if len(block) != want:
-        raise ValueError(f"data block is {len(block)} bytes, expected {want}")
-    arr = np.frombuffer(block, dtype=np.uint8).reshape(len(rows), stripe.symbol_size)
-    stripe.cells[rows, cols] = arr
+@lru_cache(maxsize=None)
+def _data_idx(cfg: StairConfig):
+    """Data cells as (chunk, row) index arrays, in the container fill order."""
+    cells = data_cells(cfg)
+    return (np.array([j for _, j in cells], dtype=np.intp),
+            np.array([i for i, _ in cells], dtype=np.intp))
 
 
-def extract_data(stripe: Stripe) -> bytes:
-    rows, cols = _data_idx(stripe.cfg)
-    return stripe.cells[rows, cols].tobytes()
+def fill_data(header: ContainerHeader, data: bytes) -> np.ndarray:
+    """A new body holding ``data``, zero-padded to whole stripes, in the
+    data cells of its stripes; every parity cell is zero."""
+    if len(data) != header.data_length:
+        raise ValueError(f"data is {len(data)} bytes, the header says {header.data_length}")
+    body = np.zeros(_body_shape(header), dtype=np.uint8)
+    chunks, rows = _data_idx(header.config())
+    padded = np.zeros((len(body), len(chunks), header.symbol_size), dtype=np.uint8)
+    padded.reshape(-1)[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    body[:, chunks, rows] = padded
+    return body
+
+
+def extract_data(header: ContainerHeader, body: np.ndarray) -> bytes:
+    """The user bytes held in the data cells of ``body``."""
+    chunks, rows = _data_idx(header.config())
+    return body[:, chunks, rows].reshape(-1)[:header.data_length].tobytes()

@@ -26,64 +26,6 @@ _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(2), elements as python ints
-# ---------------------------------------------------------------------------
-
-def _pmod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _pmulmod(a: int, b: int, m: int) -> int:
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-    return _pmod(res, m)
-
-
-def _pgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
-def _prime_factors(n: int) -> set[int]:
-    out, p = set(), 2
-    while p * p <= n:
-        while n % p == 0:
-            out.add(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def is_irreducible(poly: int, w: int) -> bool:
-    """Rabin irreducibility test for a degree-w polynomial over GF(2)."""
-    if poly.bit_length() != w + 1:
-        return False
-
-    def x_to_pow2(k: int) -> int:
-        h = 2
-        for _ in range(k):
-            h = _pmulmod(h, h, poly)
-        return h
-
-    if x_to_pow2(w) != 2:
-        return False
-    for q in _prime_factors(w):
-        if _pgcd(x_to_pow2(w // q) ^ 2, poly) != 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
 
@@ -94,15 +36,11 @@ class Field:
     ``mult_xor`` only requires exclusive access to its destination buffer.
     """
 
-    def __init__(self, w: int = 8, poly: int | None = None):
+    def __init__(self, w: int = 8):
         if w not in SUPPORTED_WIDTHS:
             raise ValueError(f"unsupported field width w={w}; supported: {SUPPORTED_WIDTHS}")
-        if poly is None:
-            poly = DEFAULT_POLY[w]
-        if not is_irreducible(poly, w):
-            raise ValueError(f"0x{poly:X} is not an irreducible polynomial of degree {w}")
         self.w = w
-        self.poly = poly
+        self.poly = DEFAULT_POLY[w]
         self.order = 1 << w
         self.word_bytes = w // 8
         self.word_dtype = _WORD_DTYPE[w]
@@ -166,9 +104,6 @@ class Field:
         if self.w == 8:
             return int(self._inv_table[a])
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inverse(b))
 
     # -- region kernels -----------------------------------------------------
 
@@ -288,14 +223,12 @@ class Field:
         return np.eye(n, dtype=self.word_dtype)
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
+_FIELD_CACHE: dict[int, Field] = {}
 
 
-def field_init(w: int = 8, poly: int | None = None) -> Field:
-    """Construct (or fetch a cached) GF(2^w); rejects reducible polynomials."""
-    key = (w, DEFAULT_POLY.get(w, 0) if poly is None else poly)
-    fld = _FIELD_CACHE.get(key)
+def field_init(w: int = 8) -> Field:
+    """Construct (or fetch the cached) GF(2^w) over ``DEFAULT_POLY[w]``."""
+    fld = _FIELD_CACHE.get(w)
     if fld is None:
-        fld = Field(w, poly)
-        _FIELD_CACHE[key] = fld
+        fld = _FIELD_CACHE[w] = Field(w)
     return fld

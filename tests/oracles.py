@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose, and stays
 independent of the code paths it verifies: bitwise field arithmetic,
-brute-force assignment search for the coverage rule, direct enumeration
-of stripe-loss probabilities, and the published closed forms.
+Rabin's irreducibility test, brute-force assignment search for the
+coverage rule, direct enumeration of stripe-loss probabilities, and the
+published closed forms.
 """
 
 from __future__ import annotations
@@ -28,6 +29,60 @@ def peasant_mul(a: int, b: int, poly: int = 0x11D, w: int = 8) -> int:
         if a & top:
             a ^= poly
     return res
+
+
+def _pmod(a: int, m: int) -> int:
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
+
+
+def _pmulmod(a: int, b: int, m: int) -> int:
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+    return _pmod(res, m)
+
+
+def _pgcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _pmod(a, b)
+    return a
+
+
+def _prime_factors(n: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def is_irreducible(poly: int, w: int) -> bool:
+    """Rabin irreducibility test for a degree-w polynomial over GF(2)."""
+    if poly.bit_length() != w + 1:
+        return False
+
+    def x_to_pow2(k: int) -> int:
+        h = 2
+        for _ in range(k):
+            h = _pmulmod(h, h, poly)
+        return h
+
+    if x_to_pow2(w) != 2:
+        return False
+    for q in _prime_factors(w):
+        if _pgcd(x_to_pow2(w // q) ^ 2, poly) != 1:
+            return False
+    return True
 
 
 def matvec_parity(data: list[int], parity_block, field_mul) -> list[int]:

@@ -32,9 +32,9 @@ def test_criterion_01_encoder_equivalence():
         for _ in range(48):
             stripe = sc.Stripe.random(cfg, 8, rng)
             up, down, std = stripe.copy(), stripe.copy(), stripe.copy()
-            sc.encode_upstairs(cfg, up)
-            sc.encode_downstairs(cfg, down)
-            sc.encode_standard(cfg, std)
+            sc.encode(cfg, up, "upstairs")
+            sc.encode(cfg, down, "downstairs")
+            sc.encode(cfg, std, "standard")
             assert np.array_equal(up.cells, down.cells), cfg
             assert np.array_equal(up.cells, std.cells), cfg
             stripes += 1

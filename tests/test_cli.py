@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from staircodes import cli
+from staircodes import container as cont
 
 
 CFG_FLAGS = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--symbol-size", "32"]
@@ -32,7 +33,6 @@ def test_empty_file(tmp_path):
     box = tmp_path / "c.stairc"
     out = tmp_path / "out.bin"
     assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
-    from staircodes import container as cont
     header = cont.parse_header(box.read_bytes())
     assert header.data_length == 0
     assert box.stat().st_size == header.size        # header-only container
@@ -97,7 +97,6 @@ def test_beyond_coverage_repair_exits_2(tmp_path, payload):
 def test_foreign_polynomial_exits_1(tmp_path, payload):
     # a header naming a field the codec does not run must not be decoded
     from test_container import with_poly
-    from staircodes import container as cont
     src, _ = payload
     box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
     assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
@@ -108,6 +107,32 @@ def test_foreign_polynomial_exits_1(tmp_path, payload):
         header = cont.parse_header(blob)
         path.write_bytes(with_poly(header, 0x11B) + blob[header.size:])
     assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest),
+                     "-o", str(tmp_path / "f.stairc")]) == 1
+
+
+@pytest.mark.parametrize("stripes", ["99", "-1"])
+def test_inject_bad_stripe_index_exits_1(tmp_path, payload, stripes):
+    src, data = payload
+    src.write_bytes(data[:1000])                     # two stripes
+    box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cont.parse_header(box.read_bytes()).stripe_count == 2
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6",
+                     "--stripes", stripes, "--manifest", str(manifest)]) == 1
+    assert not dmg.exists() and not manifest.exists()
+
+
+@pytest.mark.parametrize("stripe", [50, "x"])
+def test_repair_bad_stripe_index_exits_1(tmp_path, payload, stripe):
+    src, _ = payload
+    box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6",
+                     "--stripes", "1", "--manifest", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    doc["patterns"][0]["stripe"] = stripe
+    manifest.write_text(json.dumps(doc))
     assert cli.main(["repair", str(dmg), "--manifest", str(manifest),
                      "-o", str(tmp_path / "f.stairc")]) == 1
 
@@ -133,6 +158,44 @@ def test_devices_mode_roundtrip(tmp_path, payload):
     assert (devdir / "device_07.bin").exists()
     assert cli.main(["decode", "--devices", str(devdir), "-o", str(out)]) == 0
     assert out.read_bytes() == data
+
+
+def test_file_and_devices_hold_the_same_chunks(tmp_path, payload):
+    src, _ = payload
+    box, devdir = tmp_path / "c.stairc", tmp_path / "devices"
+    assert cli.main(["encode", str(src), "-o", str(box), "--devices", str(devdir)]
+                    + CFG_FLAGS) == 0
+    blob = box.read_bytes()
+    header = cont.parse_header(blob)
+    assert (devdir / "header.stairc").read_bytes() == blob[:header.size]
+    chunk = header.r * header.symbol_size
+    chunks = [blob[off:off + chunk] for off in range(header.size, len(blob), chunk)]
+    for j in range(header.n):
+        assert (devdir / f"device_{j:02d}.bin").read_bytes() == b"".join(chunks[j::header.n])
+
+
+@pytest.mark.parametrize("damage", ["missing", "short", "long"])
+def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
+    src, _ = payload
+    devdir = tmp_path / "devices"
+    assert cli.main(["encode", str(src), "--devices", str(devdir)] + CFG_FLAGS) == 0
+    dev = devdir / "device_03.bin"
+    if damage == "missing":
+        dev.unlink()
+    else:
+        raw = dev.read_bytes()
+        dev.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
+    assert cli.main(["decode", "--devices", str(devdir), "-o", str(tmp_path / "o.bin")]) == 1
+
+
+@pytest.mark.parametrize("damage", ["short", "long"])
+def test_decode_wrong_length_container_exits_1(tmp_path, payload, damage):
+    src, _ = payload
+    box = tmp_path / "c.stairc"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    raw = box.read_bytes()
+    box.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
+    assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
 
 
 def test_cost_report(tmp_path, capsys):
@@ -220,3 +283,4 @@ def test_bad_flags_exit_1(tmp_path, payload):
     src, _ = payload
     assert cli.main(["encode", str(src), "-o", str(tmp_path / "x"),
                      "--n", "4", "--r", "4", "--m", "2", "--e", "1,1,1"]) == 1
+    assert cli.main(["encode", str(src)] + CFG_FLAGS) == 1      # neither -o nor --devices

@@ -82,19 +82,26 @@ def test_stripe_packing_roundtrip(exemplar, rng):
 
 
 def test_data_fill_and_extract_roundtrip(exemplar, rng):
-    stripe = sc.Stripe.zeros(exemplar, 4)
-    payload = rng.integers(0, 256, exemplar.data_cell_count * 4, dtype=np.uint8).tobytes()
-    cont.fill_data(stripe, payload)
-    assert cont.extract_data(stripe) == payload
-    # parity cells stay untouched by data fill
+    per = exemplar.data_cell_count * 4
+    payload = rng.integers(0, 256, 2 * per + 5, dtype=np.uint8).tobytes()
+    header = cont.header_for(exemplar, 4, len(payload))
+    body = cont.fill_data(header, payload)
+    assert body.shape == (3, exemplar.n, exemplar.r, 4)   # stripes, chunks, rows, bytes
+    assert cont.extract_data(header, body) == payload
+    # stripe k holds bytes k*per.. of the input, chunk-major from its cell (0, 0)
+    assert body[1, 0, 0].tobytes() == payload[per:per + 4]
+    assert body[1, 0, 1].tobytes() == payload[per + 4:per + 8]
+    # parity cells stay zero, and so does the padding of the last stripe
     from staircodes.stair import parity_mask
-    assert not stripe.cells[parity_mask(exemplar)].any()
+    for k in range(3):
+        assert not cont.stripe_view(exemplar, body, k).cells[parity_mask(exemplar)].any()
+    assert not body[2, 0, 2:].any() and not body[2, 1:].any()
 
 
 def test_fill_data_length_checked(exemplar):
-    stripe = sc.Stripe.zeros(exemplar, 4)
+    header = cont.header_for(exemplar, 4, 8)
     with pytest.raises(ValueError):
-        cont.fill_data(stripe, b"\x00" * 7)
+        cont.fill_data(header, b"\x00" * 7)
 
 
 def test_stripe_counts(exemplar):

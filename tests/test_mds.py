@@ -139,3 +139,14 @@ def test_decode_matrix_requires_kappa_survivors(field):
     gen = GenMatrix(field, 4, 6)
     with pytest.raises(ValueError):
         gen.decode_matrix((0, 1, 2), (5,))
+
+
+def test_decode_matrix_cache_is_bounded(field):
+    cap = GenMatrix.decode_matrix.cache_info().maxsize
+    gen = GenMatrix(field, 3, 24)
+    pairs = ((survivors, (t,)) for survivors in itertools.combinations(range(gen.eta), 3)
+             for t in range(gen.eta))
+    for survivors, targets in itertools.islice(pairs, cap + 10):
+        gen.decode_matrix(survivors, targets)
+    assert GenMatrix.decode_matrix.cache_info().currsize == cap
+    assert_survivors_rebuild(gen, codeword(gen, np.random.default_rng(1)), survivors)

@@ -9,11 +9,11 @@ from conftest import sweep_configs
 def perturbation_dependents(cfg, cell, rng):
     """Oracle: flip one data cell, re-encode top-down, diff the parities."""
     base = sc.Stripe.zeros(cfg, 2)
-    sc.encode_downstairs(cfg, base)
+    sc.encode(cfg, base, "downstairs")
     bumped = sc.Stripe.zeros(cfg, 2)
     delta = int(rng.integers(1, 256))
     bumped.cells[cell][0] = delta
-    sc.encode_downstairs(cfg, bumped)
+    sc.encode(cfg, bumped, "downstairs")
     mask = parity_mask(cfg)
     changed = np.argwhere((base.cells != bumped.cells).any(axis=2) & mask)
     return frozenset((int(i), int(j)) for i, j in changed)

@@ -56,9 +56,9 @@ def test_downstairs_schedule_matches_reference(exemplar):
 
 
 def test_all_zero_data_encodes_to_all_zero(exemplar):
-    for encoder in (sc.encode_standard, sc.encode_upstairs, sc.encode_downstairs):
+    for method in ("standard", "upstairs", "downstairs"):
         stripe = sc.Stripe.zeros(exemplar, 16)
-        encoder(exemplar, stripe)
+        sc.encode(exemplar, stripe, method)
         assert not stripe.cells.any()
 
 
@@ -66,9 +66,9 @@ def test_encoders_agree_across_sweep(rng):
     for cfg in sweep_configs():
         stripe = sc.Stripe.random(cfg, 8, rng)
         up, down, std = stripe.copy(), stripe.copy(), stripe.copy()
-        sc.encode_upstairs(cfg, up)
-        sc.encode_downstairs(cfg, down)
-        sc.encode_standard(cfg, std)
+        sc.encode(cfg, up, "upstairs")
+        sc.encode(cfg, down, "downstairs")
+        sc.encode(cfg, std, "standard")
         assert np.array_equal(up.cells, down.cells), cfg
         assert np.array_equal(up.cells, std.cells), cfg
 
@@ -77,7 +77,7 @@ def test_encoding_preserves_data_cells(exemplar, rng):
     stripe = sc.Stripe.random(exemplar, 8, rng)
     mask = parity_mask(exemplar)
     before = stripe.cells[~mask].copy()
-    sc.encode_upstairs(exemplar, stripe)
+    sc.encode(exemplar, stripe, "upstairs")
     assert np.array_equal(stripe.cells[~mask], before)
 
 
@@ -88,8 +88,8 @@ def test_encoder_equivalence_randomised(seed, pick):
     gen = np.random.default_rng(seed)
     stripe = sc.Stripe.random(cfg, 4, gen)
     up, down = stripe.copy(), stripe.copy()
-    sc.encode_upstairs(cfg, up)
-    sc.encode_downstairs(cfg, down)
+    sc.encode(cfg, up, "upstairs")
+    sc.encode(cfg, down, "downstairs")
     assert np.array_equal(up.cells, down.cells)
 
 
@@ -141,7 +141,7 @@ def test_stripe_shape_checked(exemplar):
     other = sc.config_new(6, 3, 1, (1, 2))
     stripe = sc.Stripe.zeros(other, 8)
     with pytest.raises(ValueError):
-        sc.encode_upstairs(exemplar, stripe)
+        sc.encode(exemplar, stripe, "upstairs")
 
 
 def test_symbol_size_must_fit_field():
@@ -156,9 +156,9 @@ def test_wide_field_codec_end_to_end(w, rng):
     cfg = sc.config_new(6, 4, 1, (1, 2), w=w)
     stripe = sc.Stripe.random(cfg, 2 * (w // 8), rng)
     up, down, std = stripe.copy(), stripe.copy(), stripe.copy()
-    sc.encode_upstairs(cfg, up)
-    sc.encode_downstairs(cfg, down)
-    sc.encode_standard(cfg, std)
+    sc.encode(cfg, up, "upstairs")
+    sc.encode(cfg, down, "downstairs")
+    sc.encode(cfg, std, "standard")
     assert np.array_equal(up.cells, down.cells)
     assert np.array_equal(up.cells, std.cells)
     pattern = sc.worst_case_pattern(cfg)
