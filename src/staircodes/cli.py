@@ -182,16 +182,29 @@ def cmd_inject(args) -> int:
     return 0
 
 
+def _read_manifest(path: str, cfg: StairConfig) -> list[tuple[object, FailurePattern]]:
+    """The (stripe, pattern) entries of a repair manifest written for cfg;
+    ValueError when the manifest is malformed or for another config."""
+    manifest = json.loads(Path(path).read_text())
+    try:
+        mc = manifest["config"]
+        same = config_new(mc["n"], mc["r"], mc["m"], mc["e"], mc["w"]) == cfg
+        entries = [(entry.get("stripe"), _pattern_from_json(entry))
+                   for entry in manifest.get("patterns", [])]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed repair manifest: {type(exc).__name__}: {exc}") from None
+    if not same:
+        raise ValueError("manifest config does not match the container header")
+    return entries
+
+
 def cmd_repair(args) -> int:
     header, body = cont.read(args.input)
     cfg = header.config()
-    manifest = json.loads(Path(args.manifest).read_text())
-    mc = manifest["config"]
-    if config_new(mc["n"], mc["r"], mc["m"], mc["e"], mc["w"]) != cfg:
-        raise ValueError("manifest config does not match the container header")
-    for entry in manifest.get("patterns", []):
-        stripe = cont.stripe_view(cfg, body, entry.get("stripe"))
-        stripe.cells[:] = stair_decode(cfg, stripe, _pattern_from_json(entry)).cells
+    entries = [(cont.stripe_view(cfg, body, k), pattern)
+               for k, pattern in _read_manifest(args.manifest, cfg)]
+    for stripe, pattern in entries:
+        stripe.cells[:] = stair_decode(cfg, stripe, pattern).cells
     cont.write(header, body, args.output)
     return 0
 
@@ -275,6 +288,11 @@ def _parse_code(token: str) -> tuple[str, tuple[int, ...]]:
     raise ValueError(f"unknown code token {token!r}")
 
 
+def _label(kind: str, e: tuple[int, ...], open_: str, sep: str, close: str) -> str:
+    """A code's name in a report: bare for rs, else kind, open_, e, close."""
+    return kind if kind == "rs" else f"{kind}{open_}{sep.join(str(x) for x in e)}{close}"
+
+
 def _scenario_codes(opts: dict) -> tuple[int, int, list]:
     """A scenario's (r, n - m, [(kind, e, config)]), codes in file order.
 
@@ -314,10 +332,9 @@ def reliability_rows(opts: dict) -> list[dict]:
         params = _scenario_params(opts, p_bit)
         for kind, e, cfg in codes:
             report = rel.mttdl(params, cfg, code=kind)
-            label = kind if kind == "rs" else f"{kind}({','.join(str(x) for x in e)})"
             rows.append({
                 "p_bit": p_bit,
-                "code": label,
+                "code": _label(kind, e, "(", ",", ")"),
                 "e": ",".join(str(x) for x in e) or "-",
                 "efficiency": report.efficiency,
                 "n_arrays": report.num_arrays,
@@ -337,23 +354,13 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
     distribution, so the comparison is valid at any operating point)."""
     r, chunks, codes = _scenario_codes(opts)
     p_inflated = float(opts.get("validate_p_sec", "1e-3"))
-    if opts.get("model", "independent") == "correlated":
-        dist = rel.p_chk_correlated(r, p_inflated, float(opts.get("b1", "0.98")),
-                                    float(opts.get("alpha", "1.79")))
-    else:
-        dist = rel.p_chk_independent(r, p_inflated)
+    # the scenario's sector-failure model at p_inflated; p_bit plays no part
+    dist = rel.chunk_dist(_scenario_params(opts, 0.0), r, p_inflated)
     out = []
     for i, (kind, e, cfg) in enumerate(codes):
-        if kind == "rs":
-            analytic = rel.p_str_rs(cfg, dist)
-            pred = sim.rs_recoverable()
-        elif kind == "sd":
-            analytic = rel.p_str_sd(e[0], cfg, dist)
-            pred = sim.sd_recoverable(e[0])
-        else:
-            analytic = rel.p_str_stair(cfg, dist)
-            pred = sim.stair_recoverable(cfg)
-        est = sim.monte_carlo_p_str(pred, chunks, dist, trials=trials, seed=seed + i)
+        analytic = rel.p_str(kind, cfg, dist)
+        est = sim.monte_carlo_p_str(sim.recoverable(kind, cfg), chunks, dist,
+                                    trials=trials, seed=seed + i)
         sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / trials)
         ok = abs(est.p_failure - analytic) <= 3 * sigma
         out.append({
@@ -367,16 +374,9 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
 
 def _histogram_rows(opts: dict, trials: int, seed: int) -> list[dict]:
     r, chunks, codes = _scenario_codes(opts)
-    p_inflated = float(opts.get("validate_p_sec", "1e-3"))
-    dist = rel.p_chk_independent(r, p_inflated)
-    predicates = {}
-    for kind, e, cfg in codes:
-        if kind == "rs":
-            predicates["rs"] = sim.rs_recoverable()
-        elif kind == "sd":
-            predicates[f"sd_{e[0]}"] = sim.sd_recoverable(e[0])
-        else:
-            predicates["stair_" + "_".join(str(x) for x in e)] = sim.stair_recoverable(cfg)
+    dist = rel.p_chk_independent(r, float(opts.get("validate_p_sec", "1e-3")))
+    predicates = {_label(kind, e, "_", "_", ""): sim.recoverable(kind, cfg)
+                  for kind, e, cfg in codes}
     return sim.outcome_histogram(predicates, chunks, dist, trials=trials, seed=seed)
 
 

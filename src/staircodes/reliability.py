@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -166,29 +167,28 @@ def p_chk_correlated(r: int, sector_prob: float, b1: float, alpha: float) -> Chu
     return ChunkFailureDist(tuple(probs), tail)
 
 
-def chunk_dist(params: ReliabilityParams, cfg: StairConfig) -> ChunkFailureDist:
-    sector_prob = p_sec(params.p_bit, params.sector_bytes)
+def chunk_dist(params: ReliabilityParams, r: int, sector_prob: float) -> ChunkFailureDist:
+    """The failure counts of an r-sector chunk under the params' model."""
     if params.model == "independent":
-        return p_chk_independent(cfg.r, sector_prob)
-    return p_chk_correlated(cfg.r, sector_prob, params.b1, params.alpha)
+        return p_chk_independent(r, sector_prob)
+    return p_chk_correlated(r, sector_prob, params.b1, params.alpha)
 
 
 # ---------------------------------------------------------------------------
 # stripe-loss probabilities in critical mode
 # ---------------------------------------------------------------------------
 
-def p_str_stair(cfg: StairConfig, dist: ChunkFailureDist) -> float:
-    """P(an n-m chunk stripe in critical mode is unrecoverable) for the
-    stair coverage e.  DP over chunks; the state is the sorted multiset of
-    nonzero failure counts seen so far (a non-dominated prefix can never
-    become dominated again, so failure mass is final when it leaves)."""
+def _p_str_dp(n_chunks: int, dist: ChunkFailureDist, start, step) -> float:
+    """P(a stripe of ``n_chunks`` i.i.d. chunks is unrecoverable), by DP
+    over chunks.  ``step(state, c)`` is the state after a chunk with c > 0
+    failures, or None when that chunk makes the stripe unrecoverable.  Mass
+    that fails never recovers, so it is summed as it leaves the states."""
     probs = dist.probs
-    n_chunks = cfg.n - cfg.m
     p0 = probs[0]
-    states: dict[tuple[int, ...], float] = {(): 1.0}
+    states = {start: 1.0}
     p_fail = 0.0
     for _ in range(n_chunks):
-        nxt: dict[tuple[int, ...], float] = {}
+        nxt = {}
         for state, pr in states.items():
             nxt[state] = nxt.get(state, 0.0) + pr * p0
             fail_mass = 0.0
@@ -196,14 +196,29 @@ def p_str_stair(cfg: StairConfig, dist: ChunkFailureDist) -> float:
                 pc = probs[c]
                 if pc == 0.0:
                     continue
-                new = tuple(sorted(state + (c,)))
-                if counts_within_coverage(cfg, new):
-                    nxt[new] = nxt.get(new, 0.0) + pr * pc
-                else:
+                new = step(state, c)
+                if new is None:
                     fail_mass += pc
+                else:
+                    nxt[new] = nxt.get(new, 0.0) + pr * pc
             p_fail += pr * fail_mass
         states = nxt
     return p_fail
+
+
+def p_str_stair(cfg: StairConfig, dist: ChunkFailureDist) -> float:
+    """P(an n-m chunk stripe in critical mode is unrecoverable) for the
+    stair coverage e.  The DP state is the sorted multiset of nonzero
+    failure counts seen so far (a non-dominated prefix can never become
+    dominated again); every chunk meets the same transitions, so they are
+    cached."""
+
+    @cache
+    def step(state: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+        new = tuple(sorted(state + (c,)))
+        return new if counts_within_coverage(cfg, new) else None
+
+    return _p_str_dp(cfg.n - cfg.m, dist, (), step)
 
 
 def p_str_rs(cfg: StairConfig, dist: ChunkFailureDist) -> float:
@@ -218,26 +233,20 @@ def p_str_sd(s: int, cfg: StairConfig, dist: ChunkFailureDist) -> float:
     Known constructions exist for s <= 3 only."""
     if s not in (1, 2, 3):
         raise ValueError(f"sector-disk coverage is only defined for s in 1..3, got {s}")
-    probs = dist.probs
-    p0 = probs[0]
-    states: dict[int, float] = {0: 1.0}
-    p_fail = 0.0
-    for _ in range(cfg.n - cfg.m):
-        nxt: dict[int, float] = {}
-        for total, pr in states.items():
-            nxt[total] = nxt.get(total, 0.0) + pr * p0
-            fail_mass = 0.0
-            for c in range(1, dist.r + 1):
-                pc = probs[c]
-                if pc == 0.0:
-                    continue
-                if total + c <= s:
-                    nxt[total + c] = nxt.get(total + c, 0.0) + pr * pc
-                else:
-                    fail_mass += pc
-            p_fail += pr * fail_mass
-        states = nxt
-    return p_fail
+    return _p_str_dp(cfg.n - cfg.m, dist, 0,
+                     lambda total, c: total + c if total + c <= s else None)
+
+
+def p_str(code: str, cfg: StairConfig, dist: ChunkFailureDist) -> float:
+    """Stripe loss of a code family on cfg: "stair" (the coverage of cfg.e),
+    "rs" (no sector tolerance) or "sd" (total-count coverage, s = cfg.s)."""
+    if code == "stair":
+        return p_str_stair(cfg, dist)
+    if code == "rs":
+        return p_str_rs(cfg, dist)
+    if code == "sd":
+        return p_str_sd(cfg.s, cfg, dist)
+    raise ValueError(f"unknown code kind {code!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +256,13 @@ def p_str_sd(s: int, cfg: StairConfig, dist: ChunkFailureDist) -> float:
 def mttdl(params: ReliabilityParams, cfg: StairConfig, code: str = "stair") -> ReliabilityReport:
     """Critical-mode Markov model: healthy -> one device down -> data loss.
 
-    Only m=1 is modelled.  ``code`` selects the stripe-loss expression:
-    "stair" (the coverage of cfg.e), "rs" (no sector tolerance) or "sd"
-    (total-count coverage with s = cfg.s).
+    Only m=1 is modelled.  ``code`` selects the stripe-loss expression,
+    as in :func:`p_str`.
     """
     if cfg.m != 1:
         raise ValueError(f"the MTTDL model covers m=1 only, got m={cfg.m}")
     sector_prob = p_sec(params.p_bit, params.sector_bytes)
-    dist = chunk_dist(params, cfg)
-    if code == "stair":
-        stripe_loss = p_str_stair(cfg, dist)
-    elif code == "rs":
-        stripe_loss = p_str_rs(cfg, dist)
-    elif code == "sd":
-        stripe_loss = p_str_sd(cfg.s, cfg, dist)
-    else:
-        raise ValueError(f"unknown code kind {code!r}")
+    stripe_loss = p_str(code, cfg, chunk_dist(params, cfg.r, sector_prob))
 
     stripes = params.device_bytes // (params.sector_bytes * cfg.r)
     if stripe_loss >= 1:

@@ -10,6 +10,7 @@ reproducible regardless of how blocks are batched.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,18 @@ def sd_recoverable(s: int):
     return predicate
 
 
+def recoverable(code: str, cfg: StairConfig):
+    """The predicate of a code family on cfg, the families of
+    :func:`staircodes.reliability.p_str`."""
+    if code == "stair":
+        return stair_recoverable(cfg)
+    if code == "rs":
+        return rs_recoverable()
+    if code == "sd":
+        return sd_recoverable(cfg.s)
+    raise ValueError(f"unknown code kind {code!r}")
+
+
 def _count_blocks(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
     """Fixed 64Ki trial blocks with spawned seeds; the block layout (and so
     every estimate) is identical however the blocks are scheduled."""
@@ -147,13 +160,9 @@ def outcome_histogram(predicates: dict, n_chunks: int, dist: ChunkFailureDist,
     """
     if trials < 10 ** 4:
         raise ValueError(f"need at least 10^4 trials for a meaningful histogram, got {trials}")
-    buckets: dict[tuple[int, ...], int] = {}
+    buckets: Counter[tuple[int, ...]] = Counter()
     for counts in _count_blocks(n_chunks, dist, trials, seed):
-        ranked = np.sort(counts, axis=1)[:, ::-1]
-        keys, freq = np.unique(ranked, axis=0, return_counts=True)
-        for key, f in zip(keys, freq):
-            tup = tuple(int(x) for x in key)
-            buckets[tup] = buckets.get(tup, 0) + int(f)
+        buckets.update(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
     rows = []
     for key, count in sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0])):
         sample = np.array([key])

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,33 @@ def test_repair_bad_stripe_index_exits_1(tmp_path, payload, stripe):
                      "-o", str(tmp_path / "f.stairc")]) == 1
 
 
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+MALFORMED_MANIFESTS = {
+    "no-config": lambda doc: _without(doc, "config"),
+    "pattern-not-object": lambda doc: {**doc, "patterns": [3]},
+    "config-without-w": lambda doc: {**doc, "config": _without(doc["config"], "w")},
+    "sector-rows-not-list": lambda doc: {
+        **doc, "patterns": [{**doc["patterns"][0], "sector_failures": {"3": 5}}]},
+    "manifest-is-list": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS.keys())
+def test_malformed_manifest_exits_1(tmp_path, payload, malform):
+    src, _ = payload
+    box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6;sectors=3:1",
+                     "--stripes", "1", "--manifest", str(manifest)]) == 0
+    manifest.write_text(json.dumps(malform(json.loads(manifest.read_text()))))
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 1
+    assert not fixed.exists()
+
+
 def test_inject_explicit_cells_and_seed(tmp_path, payload):
     src, _ = payload
     box, dmg = tmp_path / "c.stairc", tmp_path / "d.stairc"
@@ -263,6 +292,53 @@ def test_reliability_histogram(tmp_path):
     hist = doc["histogram"]
     assert sum(row["stripes"] for row in hist) == 20000
     assert {"recoverable_rs", "recoverable_stair_1", "recoverable_sd_2"} <= set(hist[0])
+
+
+# The benchmark's checked-in goldens (stairbench/data/, read only).
+BENCH_DATA = Path(__file__).resolve().parent.parent / "stairbench" / "data"
+
+
+def test_reliability_report_matches_benchmark_golden(tmp_path):
+    out = tmp_path / "rows.json"
+    assert cli.main(["reliability", str(BENCH_DATA / "scenario.txt"), "--format", "json",
+                     "-o", str(out)]) == 0
+    assert out.read_bytes() == (BENCH_DATA / "reliability_rows.json").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["downstairs", "upstairs", "standard"])
+def test_encode_matches_benchmark_golden_containers(tmp_path, method):
+    for label, golden in json.loads((BENCH_DATA / "containers.json").read_text()).items():
+        g = golden["geometry"]
+        assert label == (f"n{g['n']}_r{g['r']}_m{g['m']}_e{'-'.join(map(str, g['e']))}"
+                         f"_s{g['symbol_size']}")
+        # the input is SHAKE-256 of the label, filling all stripes but a third of the last
+        per = (g["r"] * (g["n"] - g["m"]) - sum(g["e"])) * g["symbol_size"]
+        src, box = tmp_path / "golden.bin", tmp_path / "golden.stairc"
+        src.write_bytes(hashlib.shake_256(f"stairbench golden {label}".encode())
+                        .digest(golden["stripes"] * per - per // 3))
+        assert cli.main(["encode", str(src), "-o", str(box), "--method", method,
+                         "--n", str(g["n"]), "--r", str(g["r"]), "--m", str(g["m"]),
+                         "--e", ",".join(map(str, g["e"])),
+                         "--symbol-size", str(g["symbol_size"])]) == 0
+        blob = box.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (golden["size"], golden["sha256"])
+
+
+def test_reliability_tables_scenario():
+    """scripts/reliability_10pb.txt: array counts for s = 0..12 and MTTDL."""
+    opts = cli.parse_scenario((Path(__file__).resolve().parent.parent / "scripts"
+                               / "reliability_10pb.txt").read_text())
+    rows = cli.reliability_rows(opts)
+    first = rows[:13]
+    assert [r["code"] for r in first] == ["rs"] + [f"stair({s})" for s in range(1, 13)]
+    assert [r["n_arrays"] for r in first] == [4994, 5039, 5085, 5131, 5179, 5227, 5276,
+                                              5327, 5378, 5430, 5483, 5538, 5593]
+    mttdl = {r["code"]: f"{r['mttdl_sys_hours']:.6e}" for r in rows if r["p_bit"] == 1e-10}
+    assert {code: mttdl[code] for code in ("rs", "stair(1)", "stair(3)", "stair(1,2)",
+                                           "stair(1,1,1)", "sd(2)", "sd(3)")} == {
+        "rs": "1.251858e+01", "stair(1)": "3.069779e+02", "stair(3)": "3.472923e+02",
+        "stair(1,2)": "4.882799e+04", "stair(1,1,1)": "2.110224e+03",
+        "sd(2)": "4.922672e+04", "sd(3)": "4.890596e+04"}
 
 
 def test_bench_smoke(tmp_path):

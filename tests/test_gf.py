@@ -149,6 +149,15 @@ def test_matmul_regions_matches_mult_xor_loop(rng):
 
 # -- matrix algebra -----------------------------------------------------------
 
+def test_const_table_cache_is_bounded():
+    cap = Field._const_table.cache_info().maxsize
+    fld = field_init(16)
+    for a in range(2, cap + 12):
+        fld._const_table(a)
+    assert Field._const_table.cache_info().currsize == cap
+    assert all(fld._const_table(7)[1] == [fld.mul(7, b << 8) for b in range(256)])
+
+
 def test_mat_inv_identity():
     fld = field_init(8)
     eye = fld.identity(4)

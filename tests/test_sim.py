@@ -134,3 +134,22 @@ def test_predicates_agree_with_scalar_rules():
     assert np.array_equal(got, want)
     assert np.array_equal(sim.rs_recoverable()(counts), ~counts.any(axis=1))
     assert np.array_equal(sim.sd_recoverable(3)(counts), counts.sum(axis=1) <= 3)
+
+
+def test_code_family_dispatch():
+    # one name per family picks both the analytic stripe loss and the predicate
+    dist = rel.p_chk_independent(16, 1e-3)
+    counts = np.random.default_rng(3).integers(0, 4, size=(500, 7))
+    stair_cfg, sd_cfg = sc.config_new(8, 16, 1, (1, 2)), sc.config_new(8, 16, 1, (3,))
+    families = [
+        ("stair", stair_cfg, rel.p_str_stair(stair_cfg, dist), sim.stair_recoverable(stair_cfg)),
+        ("rs", stair_cfg, rel.p_str_rs(stair_cfg, dist), sim.rs_recoverable()),
+        ("sd", sd_cfg, rel.p_str_sd(3, sd_cfg, dist), sim.sd_recoverable(3)),
+    ]
+    for kind, cfg, p_str, predicate in families:
+        assert rel.p_str(kind, cfg, dist) == p_str
+        assert np.array_equal(sim.recoverable(kind, cfg)(counts), predicate(counts))
+    with pytest.raises(ValueError):
+        rel.p_str("lrc", stair_cfg, dist)
+    with pytest.raises(ValueError):
+        sim.recoverable("lrc", stair_cfg)
