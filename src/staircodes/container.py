@@ -63,9 +63,13 @@ class ContainerHeader:
         return -(-self.data_length // per) if per else 0
 
 
+def _check_symbol_size(symbol_size: int, w: int) -> None:
+    if symbol_size < 1 or symbol_size % (w // 8):
+        raise ValueError(f"symbol size {symbol_size} is not a positive multiple of {w // 8}")
+
+
 def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
-    if symbol_size < 1 or symbol_size % (cfg.w // 8):
-        raise ValueError(f"symbol size {symbol_size} is not a positive multiple of {cfg.w // 8}")
+    _check_symbol_size(symbol_size, cfg.w)
     return ContainerHeader(cfg.w, cfg.n, cfg.r, cfg.m, cfg.e, symbol_size,
                            DEFAULT_POLY[cfg.w], data_length)
 
@@ -97,6 +101,7 @@ def parse_header(buf: bytes) -> ContainerHeader:
     poly = poly32 | (1 << 32) if w == 32 else poly32
     header = ContainerHeader(w, n, r, m, tuple(e), symbol_size, poly, data_length)
     header.config()   # validates the geometry
+    _check_symbol_size(symbol_size, w)
     if poly != DEFAULT_POLY[w]:
         # the codec only runs the default field of each width
         raise ValueError(f"unsupported field polynomial {poly:#x} for w={w}, "

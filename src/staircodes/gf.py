@@ -1,12 +1,13 @@
-"""GF(2^w) arithmetic and the bulk region kernels everything else reduces to.
+"""GF(2^w) arithmetic and the bulk region kernel everything else reduces to.
 
 Field elements are integers whose bits are the coefficients of a binary
 polynomial; arithmetic is modulo an irreducible polynomial of degree w.
 Symbol regions are contiguous ``numpy.uint8`` buffers whose length is a
 multiple of the element width.  The coding layers only ever need two
-primitives from here: "multiply a region by a constant and XOR it into a
-target" (:func:`Field.mult_xor`) and small dense matrix algebra over the
-field.  Multi-byte elements are interpreted little-endian.
+primitives from here: "multiply regions by constants and XOR the products
+together" (:func:`Field.matmul_regions`, of which :func:`Field.mult_xor` is
+the 1x1 case) and small dense matrix algebra over the field.  Multi-byte
+elements are interpreted little-endian.
 """
 
 from __future__ import annotations
@@ -27,12 +28,25 @@ DEFAULT_POLY = {
 _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
 
+# cached: every kernel call needs one, and building it costs a call on
+# 2-byte symbols about a tenth of its time
+@lru_cache(maxsize=256)
+def _plane_offsets(planes: int) -> np.ndarray:
+    """(planes, 1) start of each byte plane's 256-entry table in a table row."""
+    return np.arange(0, planes * 256, 256)[:, None]
+
+
 # ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
 
 class Field:
-    """GF(2^w) for w in {8, 16, 32}, with table-driven region kernels.
+    """GF(2^w) for w in {8, 16, 32}, with one split-table region kernel.
+
+    A w-bit word is w/8 byte lanes, and a constant ``a`` has one 256-entry
+    table per lane, T[k][b] = a * (b << 8k), so a product is the XOR of
+    w/8 lookups (the SPLIT tables of Plank, Greenan and Miller, FAST 2013).
+    At w=8 the tables of all 256 constants are one product table.
 
     Immutable after construction and safe to share across threads;
     ``mult_xor`` only requires exclusive access to its destination buffer.
@@ -47,7 +61,7 @@ class Field:
         self.word_bytes = w // 8
         self.word_dtype = _WORD_DTYPE[w]
         if w == 8:
-            self._mul_table = self._build_mul_table_8()
+            self._mul_table = self._split_tables(np.arange(256))[:, 0]
             inv = np.zeros(256, dtype=np.uint8)
             rows, cols = np.nonzero(self._mul_table == 1)
             inv[rows] = cols
@@ -59,17 +73,20 @@ class Field:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Field(w={self.w}, poly=0x{self.poly:X})"
 
-    def _build_mul_table_8(self) -> np.ndarray:
-        b = np.arange(256, dtype=np.uint16)
-        cur = np.arange(256, dtype=np.uint16)      # x^k * a, reduced
-        acc = np.zeros((256, 256), dtype=np.uint16)
-        for k in range(8):
-            mask = ((b >> k) & 1).astype(bool)
-            acc[:, mask] ^= cur[:, None]
-            cur = cur << 1
-            over = (cur & 0x100).astype(bool)
-            cur[over] ^= self.poly
-        return acc.astype(np.uint8)
+    def _split_tables(self, consts) -> np.ndarray:
+        """(N, w/8, 256) split tables of N constants: each constant's w
+        doublings a * x^i, XORed for each set bit of the lane's byte."""
+        x = np.asarray(consts, dtype=self.word_dtype)
+        low_poly = self.poly & (self.order - 1)
+        doublings = []
+        for _ in range(self.w):
+            doublings.append(x)
+            x = (x << 1) ^ ((x >> (self.w - 1)) * low_poly)
+        lane_bits = np.stack(doublings, axis=-1).reshape(len(x), self.word_bytes, 8, 1)
+        tbl = np.zeros((len(x), self.word_bytes, 1), dtype=self.word_dtype)
+        for bit in range(8):     # entries b < 2^bit are done; add those with this bit set
+            tbl = np.concatenate([tbl, tbl ^ lane_bits[:, :, bit]], axis=2)
+        return tbl
 
     # -- scalar arithmetic --------------------------------------------------
 
@@ -115,18 +132,21 @@ class Field:
             raise ValueError(
                 f"region length {buf.size} is not a multiple of the element width {self.word_bytes}")
 
-    # Bounded and shared by every field: a table is 4 KiB at w=32 and takes
-    # about 3 ms to build; standard encoding of n=16, r=16, m=2,
-    # e=(1,1,2,4) uses 2,180 constants.
+    # Bounded and shared by every field: a table is 2 KiB at w=16 and 4 KiB
+    # at w=32; standard encoding of n=16, r=16, m=2, e=(1,1,2,4) uses 2,180
+    # constants.
     @lru_cache(maxsize=4096)
     def _const_table(self, a: int) -> np.ndarray:
-        """Split tables for w > 8: T[k][b] = a * (b << 8k), one per byte lane."""
-        nb = self.word_bytes
-        tbl = np.zeros((nb, 256), dtype=self.word_dtype)
-        for k in range(nb):
-            for byte in range(256):
-                tbl[k, byte] = self.mul(a, byte << (8 * k))
-        return tbl
+        """Split tables of one constant for w > 8: (w/8, 256) words."""
+        return self._split_tables([a])[0]
+
+    def _table_rows(self, coef: np.ndarray) -> np.ndarray:
+        """(O, K) coefficients -> (O, K * w/8 * 256) split tables, row-major."""
+        if self.w == 8:
+            tables = self._mul_table.take(coef, 0)
+        else:
+            tables = np.stack([self._const_table(int(a)) for a in coef.flat])
+        return tables.reshape(len(coef), -1)
 
     def mult_xor(self, dst: np.ndarray, src: np.ndarray, a: int) -> np.ndarray:
         """dst ^= a * src, elementwise over the field.  Returns dst."""
@@ -134,65 +154,40 @@ class Field:
         self.check_region(src)
         if dst.size != src.size:
             raise ValueError(f"region length mismatch: dst={dst.size} src={src.size}")
-        if a == 0:
-            return dst
-        if a == 1:
-            np.bitwise_xor(dst, src, out=dst)
-            return dst
-        if self.w == 8:
-            np.bitwise_xor(dst, self._mul_table[a][src], out=dst)
-            return dst
-        words_src = src.view(self.word_dtype)
-        words_dst = dst.view(self.word_dtype)
-        tbl = self._const_table(a)
-        acc = tbl[0][words_src & 0xFF]
-        for k in range(1, self.word_bytes):
-            acc ^= tbl[k][(words_src >> (8 * k)) & 0xFF]
-        np.bitwise_xor(words_dst, acc, out=words_dst)
+        dst ^= self.matmul_regions([[a]], src[None])[0]
         return dst
 
     def matmul_regions(self, coef: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """Apply an (O, K) coefficient matrix to K stacked regions.
 
         ``regions`` is (K, S) uint8; returns (O, S) with
-        out[o] = XOR_k coef[o, k] * regions[k].
+        out[o] = XOR_k coef[o, k] * regions[k].  The K regions are read as
+        K * w/8 byte planes, and plane p looks its bytes up in the p-th
+        256-entry table of every output's table row.
         """
         coef = np.asarray(coef)
         out_n, k_n = coef.shape
-        s = regions.shape[1] if regions.ndim == 2 else 0
-        out = np.zeros((out_n, s), dtype=np.uint8)
-        if k_n == 0 or s == 0:
-            return out
-        if self.w == 8:
-            coef8 = coef.astype(np.uint8, copy=False)
-            # block over K to bound the (O, kb, S) intermediate at ~4 MiB
-            kb = max(1, (1 << 22) // max(out_n * s, 1))
-            for k0 in range(0, k_n, kb):
-                blk = self._mul_table[coef8[:, k0:k0 + kb, None], regions[None, k0:k0 + kb, :]]
-                out ^= np.bitwise_xor.reduce(blk, axis=1)
-            return out
-        for o in range(out_n):
-            row = out[o]
-            for k in range(k_n):
-                self.mult_xor(row, regions[k], int(coef[o, k]))
-        return out
+        lanes, s = self.word_bytes, regions.shape[-1]
+        if coef.size == 0 or s == 0:
+            return np.zeros((out_n, s), dtype=np.uint8)
+        rows = self._table_rows(coef)
+        planes = regions.reshape(k_n, -1, lanes).transpose(0, 2, 1).reshape(k_n * lanes, -1)
+        offsets = _plane_offsets(len(planes))
+        # block the planes so that the intp index and the product stay within ~4 MiB
+        pb = ((1 << 22) // (max(out_n, 8) * s * lanes) or 1) * lanes
+        for p in range(0, len(planes), pb):
+            part = np.bitwise_xor.reduce(rows.take(planes[p:p + pb] + offsets[p:p + pb], 1), 1)
+            if p:
+                out ^= part
+            else:
+                out = part
+        return out.view(np.uint8)
 
     # -- small dense matrices over the field ---------------------------------
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self.w == 8:
-            prod = self._mul_table[a[:, :, None].astype(np.uint8), b[None, :, :].astype(np.uint8)]
-            return np.bitwise_xor.reduce(prod, axis=1).astype(self.word_dtype)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.word_dtype)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[1]):
-                acc = 0
-                for k in range(a.shape[1]):
-                    acc ^= self.mul(int(a[i, k]), int(b[k, j]))
-                out[i, j] = acc
-        return out
+        b = np.ascontiguousarray(b, dtype=self.word_dtype)
+        return self.matmul_regions(a, b.view(np.uint8)).view(self.word_dtype)
 
     def mat_inv(self, m: np.ndarray) -> np.ndarray:
         """Gauss-Jordan inverse; raises ValueError on singular input."""

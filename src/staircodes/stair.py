@@ -634,8 +634,10 @@ def xor_count(cfg: StairConfig, method: str) -> int:
     raise ValueError(f"unknown encoding method {method!r}")
 
 
+@lru_cache(maxsize=1024)
 def choose_method(cfg: StairConfig) -> str:
-    """Cheapest encoding method; ties go downstairs < upstairs < standard."""
+    """Cheapest encoding method; ties go downstairs < upstairs < standard.
+    Cached per config, since ``auto`` encoding asks once per stripe."""
     return min(METHODS, key=lambda meth: (xor_count(cfg, meth), METHODS.index(meth)))
 
 

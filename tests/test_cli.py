@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from staircodes import cli
+from staircodes import cli, config_new
 from staircodes import container as cont
 
 
@@ -305,23 +306,63 @@ def test_reliability_report_matches_benchmark_golden(tmp_path):
     assert out.read_bytes() == (BENCH_DATA / "reliability_rows.json").read_bytes()
 
 
+def encode_golden(tmp_path, label, golden, method):
+    """Size and SHA-256 of the container ``method`` makes of the golden's
+    input: SHAKE-256 of the label, filling all stripes but a third of the last."""
+    g = golden["geometry"]
+    per = (g["r"] * (g["n"] - g["m"]) - sum(g["e"])) * g["symbol_size"]
+    src, box = tmp_path / "golden.bin", tmp_path / "golden.stairc"
+    src.write_bytes(hashlib.shake_256(f"stairbench golden {label}".encode())
+                    .digest(golden["stripes"] * per - per // 3))
+    assert cli.main(["encode", str(src), "-o", str(box), "--method", method,
+                     "--n", str(g["n"]), "--r", str(g["r"]), "--m", str(g["m"]),
+                     "--e", ",".join(map(str, g["e"])), "--w", str(g.get("w", 8)),
+                     "--symbol-size", str(g["symbol_size"])]) == 0
+    blob = box.read_bytes()
+    return len(blob), hashlib.sha256(blob).hexdigest()
+
+
 @pytest.mark.parametrize("method", ["downstairs", "upstairs", "standard"])
 def test_encode_matches_benchmark_golden_containers(tmp_path, method):
     for label, golden in json.loads((BENCH_DATA / "containers.json").read_text()).items():
         g = golden["geometry"]
         assert label == (f"n{g['n']}_r{g['r']}_m{g['m']}_e{'-'.join(map(str, g['e']))}"
                          f"_s{g['symbol_size']}")
-        # the input is SHAKE-256 of the label, filling all stripes but a third of the last
-        per = (g["r"] * (g["n"] - g["m"]) - sum(g["e"])) * g["symbol_size"]
-        src, box = tmp_path / "golden.bin", tmp_path / "golden.stairc"
-        src.write_bytes(hashlib.shake_256(f"stairbench golden {label}".encode())
-                        .digest(golden["stripes"] * per - per // 3))
-        assert cli.main(["encode", str(src), "-o", str(box), "--method", method,
-                         "--n", str(g["n"]), "--r", str(g["r"]), "--m", str(g["m"]),
-                         "--e", ",".join(map(str, g["e"])),
-                         "--symbol-size", str(g["symbol_size"])]) == 0
-        blob = box.read_bytes()
-        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (golden["size"], golden["sha256"])
+        assert encode_golden(tmp_path, label, golden, method) == (golden["size"],
+                                                                  golden["sha256"])
+
+
+# The benchmark's goldens are all w=8; these pin w=16 and w=32 containers,
+# recorded in the same form.
+WIDE_GOLDENS = {
+    "n8_r4_m2_e1-1-2_s64_w16": {
+        "geometry": {"n": 8, "r": 4, "m": 2, "e": [1, 1, 2], "symbol_size": 64, "w": 16},
+        "stripes": 3, "size": 6185,
+        "sha256": "bf0fba1147b6766130eea4dc3522b4162a8738622a0dc4e74b089cf03e760752"},
+    "n6_r4_m1_e1-2_s128_w32": {
+        "geometry": {"n": 6, "r": 4, "m": 1, "e": [1, 2], "symbol_size": 128, "w": 32},
+        "stripes": 2, "size": 6183,
+        "sha256": "4f1b3f2b416ff848a3397d281f23bcd37fc18a65c9f5ef19665917a0adbbecf3"},
+}
+
+
+@pytest.mark.parametrize("method", ["downstairs", "upstairs", "standard"])
+@pytest.mark.parametrize("label", sorted(WIDE_GOLDENS))
+def test_encode_matches_wide_field_goldens(tmp_path, label, method):
+    golden = WIDE_GOLDENS[label]
+    assert encode_golden(tmp_path, label, golden, method) == (golden["size"], golden["sha256"])
+
+
+@pytest.mark.parametrize("w, symbol_size", [(8, 0), (16, 3)])
+def test_decode_refuses_header_symbol_size(tmp_path, w, symbol_size):
+    # a header whose symbol size encode refuses, followed by the body it
+    # describes, must not be decoded
+    cfg = config_new(8, 4, 2, (1, 1, 2), w)
+    header = dataclasses.replace(cont.header_for(cfg, w // 8, 100), symbol_size=symbol_size)
+    box = tmp_path / "c.stairc"
+    box.write_bytes(cont.pack_header(header)
+                    + bytes(header.stripe_count * header.n * header.r * symbol_size))
+    assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
 
 
 def test_reliability_tables_scenario():

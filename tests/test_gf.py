@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from staircodes.gf import DEFAULT_POLY, Field, field_init
 from oracles import is_irreducible, peasant_mul
@@ -135,16 +136,33 @@ def test_wide_region_ops_match_scalar(w, rng):
         fld.mult_xor(np.zeros(nb + 1, np.uint8), np.zeros(nb + 1, np.uint8), a)
 
 
-def test_matmul_regions_matches_mult_xor_loop(rng):
-    fld = field_init(8)
-    coef = rng.integers(0, 256, (3, 5), dtype=np.uint8)
-    regions = rng.integers(0, 256, (5, 32), dtype=np.uint8)
-    out = fld.matmul_regions(coef, regions)
-    expect = np.zeros((3, 32), dtype=np.uint8)
-    for o in range(3):
-        for k in range(5):
-            fld.mult_xor(expect[o], regions[k], int(coef[o, k]))
-    assert np.array_equal(out, expect)
+# a region this long spans more than one block of the kernel's loop over K
+LONG_REGION = 1 << 19
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+@given(coef=arrays(np.uint32, st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                   elements=st.sampled_from((0, 1)) | st.integers(0, 2 ** 32 - 1)),
+       words=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), long=st.booleans())
+@example(coef=np.array([[0, 1, 0x9E3779B9], [1, 0, 0xFFFFFFFF]], np.uint32),
+         words=1, seed=0, long=True)
+@settings(max_examples=30, deadline=None)
+def test_matmul_regions_matches_peasant_mul(w, coef, words, seed, long):
+    fld = field_init(w)
+    coef = coef & (fld.order - 1)
+    out_n, k_n = coef.shape
+    short = np.random.default_rng(seed).integers(0, 256, (k_n, words * fld.word_bytes),
+                                                 dtype=np.uint8)
+    # a long region repeats the short one, so its products repeat too
+    repeats = -(-LONG_REGION // short.shape[1]) if long else 1
+    out = fld.matmul_regions(coef, np.tile(short, repeats))
+    src = short.view(fld.word_dtype)
+    expect = np.zeros((out_n, words), dtype=fld.word_dtype)
+    for o in range(out_n):
+        for k in range(k_n):
+            expect[o] ^= np.array([peasant_mul(int(coef[o, k]), int(x), fld.poly, w)
+                                   for x in src[k]], dtype=fld.word_dtype)
+    assert np.array_equal(out, np.tile(expect.view(np.uint8), repeats))
 
 
 # -- matrix algebra -----------------------------------------------------------
@@ -170,11 +188,12 @@ def test_mat_inv_1x1():
     assert inv[0, 0] == fld.inverse(7)
 
 
-def test_mat_inv_cauchy_multiply_back(rng):
-    fld = field_init(8)
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_mat_inv_cauchy_multiply_back(w):
+    fld = field_init(w)
     xs = [0, 1, 2, 3]
     ys = [4, 5, 6, 7]
-    cauchy = np.array([[fld.inverse(x ^ y) for y in ys] for x in xs], dtype=np.uint8)
+    cauchy = np.array([[fld.inverse(x ^ y) for y in ys] for x in xs], dtype=fld.word_dtype)
     inv = fld.mat_inv(cauchy)
     assert np.array_equal(fld.mat_mul(cauchy, inv), fld.identity(4))
 
