@@ -11,22 +11,22 @@ plus a container-file CLI (``stair``).
 from .errors import UnrecoverableError
 from .gf import Field, field_init
 from .stair import (
-    CanonicalStripe,
     FailurePattern,
     StairConfig,
     Step,
-    Stripe,
     build_canonical,
     cell_role,
     choose_method,
     config_new,
     data_cells,
     decode,
+    decoding_steps,
     encode,
     encoding_steps,
     parity_cells,
     parity_dependents,
     pattern_within_coverage,
+    random_stripe,
     update_penalty,
     worst_case_pattern,
     xor_count,
@@ -35,12 +35,10 @@ from .stair import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalStripe",
     "FailurePattern",
     "Field",
     "StairConfig",
     "Step",
-    "Stripe",
     "UnrecoverableError",
     "build_canonical",
     "cell_role",
@@ -48,12 +46,14 @@ __all__ = [
     "config_new",
     "data_cells",
     "decode",
+    "decoding_steps",
     "encode",
     "encoding_steps",
     "field_init",
     "parity_cells",
     "parity_dependents",
     "pattern_within_coverage",
+    "random_stripe",
     "update_penalty",
     "worst_case_pattern",
     "xor_count",

@@ -22,9 +22,9 @@ from . import container as cont
 from . import reliability as rel
 from . import sim
 from .errors import UnrecoverableError
-from .stair import (METHODS, FailurePattern, StairConfig, Stripe, choose_method,
-                    config_new, decode as stair_decode, encode as stair_encode,
-                    pattern_within_coverage, worst_case_pattern, xor_count)
+from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_new,
+                    decode as stair_decode, encode as stair_encode,
+                    pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
 _SIZE_UNITS = {
     "B": 1, "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50,
@@ -83,7 +83,7 @@ def cmd_encode(args) -> int:
     header = cont.header_for(cfg, args.symbol_size, len(data))
     body = cont.fill_data(header, data)
     for k in range(header.stripe_count):
-        stair_encode(cfg, cont.stripe_view(cfg, body, k), args.method)
+        stair_encode(cfg, cont.stripe_view(body, k), args.method)
     cont.write(header, body, args.output, args.devices)
     return 0
 
@@ -166,10 +166,10 @@ def cmd_inject(args) -> int:
     patterns = []
     within = True
     for idx in targets:
-        stripe = cont.stripe_view(cfg, body, idx)
+        cells = cont.stripe_view(body, idx)
         pattern = parse_pattern_spec(args.spec, cfg, rng)
         within = within and pattern_within_coverage(cfg, pattern)
-        stripe.cells[:] = sim.inject(stripe, pattern).cells
+        cells[:] = sim.inject(cfg, cells, pattern)
         patterns.append({"stripe": idx, **_pattern_to_json(pattern)})
     cont.write(header, body, args.output)
     manifest = {
@@ -201,10 +201,10 @@ def _read_manifest(path: str, cfg: StairConfig) -> list[tuple[object, FailurePat
 def cmd_repair(args) -> int:
     header, body = cont.read(args.input)
     cfg = header.config()
-    entries = [(cont.stripe_view(cfg, body, k), pattern)
+    entries = [(cont.stripe_view(body, k), pattern)
                for k, pattern in _read_manifest(args.manifest, cfg)]
-    for stripe, pattern in entries:
-        stripe.cells[:] = stair_decode(cfg, stripe, pattern).cells
+    for cells, pattern in entries:
+        cells[:] = stair_decode(cfg, cells, pattern)
     cont.write(header, body, args.output)
     return 0
 
@@ -414,7 +414,7 @@ def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0)
     word = cfg.w // 8
     symbol = max(word, (stripe_bytes // (cfg.r * cfg.n)) // word * word)
     rng = np.random.default_rng(seed)
-    base = Stripe.random(cfg, symbol, rng)
+    base = random_stripe(cfg, symbol, rng)
     data_mib = cfg.data_cell_count * symbol / 2 ** 20
     encode_res = {}
     for method in METHODS:
@@ -432,13 +432,13 @@ def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0)
     chosen = choose_method(cfg)
     encoded = stair_encode(cfg, base.copy(), chosen)
     pattern = worst_case_pattern(cfg)
-    damaged = sim.inject(encoded, pattern)
+    damaged = sim.inject(cfg, encoded, pattern)
     best = math.inf
     for _ in range(reps):
         t0 = time.perf_counter()
         restored = stair_decode(cfg, damaged, pattern)
         best = min(best, time.perf_counter() - t0)
-    if not np.array_equal(restored.cells, encoded.cells):
+    if not np.array_equal(restored, encoded):
         raise RuntimeError("bench decode mismatch")
     # the reuse-based pick must not lose to direct encoding beyond noise
     reuse_ok = (encode_res[chosen]["mib_per_s"]
@@ -510,16 +510,15 @@ def cmd_selftest(args) -> int:
     ok_eq = ok_rt = ok_canon = True
     for cfg in configs:
         for _ in range(2 if args.quick else 8):
-            stripe = Stripe.random(cfg, 8, rng)
+            stripe = random_stripe(cfg, 8, rng)
             a, b, c = (stair_encode(cfg, stripe.copy(), meth) for meth in METHODS)
-            ok_eq &= bool(np.array_equal(a.cells, b.cells) and np.array_equal(a.cells, c.cells))
+            ok_eq &= bool(np.array_equal(a, b) and np.array_equal(a, c))
             pattern = worst_case_pattern(cfg)
-            restored = stair_decode(cfg, sim.inject(a, pattern), pattern)
-            ok_rt &= bool(np.array_equal(restored.cells, a.cells))
+            restored = stair_decode(cfg, sim.inject(cfg, a, pattern), pattern)
+            ok_rt &= bool(np.array_equal(restored, a))
             canon = build_canonical(cfg, a)
             codec = _codec(cfg)
-            ok_canon &= all(check_codeword(codec.row_code, canon.cells[i])
-                            for i in range(canon.cells.shape[0]))
+            ok_canon &= all(check_codeword(codec.row_code, row) for row in canon)
     checks.append(("three encoders byte-identical", ok_eq))
     checks.append(("worst-case failure round-trip", ok_rt))
     checks.append(("augmented rows are row-code codewords", ok_canon))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import DEFAULT_POLY
-from .stair import StairConfig, Stripe, config_new, data_cells
+from .stair import StairConfig, check_symbol_size, config_new, data_cells
 
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
@@ -63,13 +63,8 @@ class ContainerHeader:
         return -(-self.data_length // per) if per else 0
 
 
-def _check_symbol_size(symbol_size: int, w: int) -> None:
-    if symbol_size < 1 or symbol_size % (w // 8):
-        raise ValueError(f"symbol size {symbol_size} is not a positive multiple of {w // 8}")
-
-
 def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
-    _check_symbol_size(symbol_size, cfg.w)
+    check_symbol_size(symbol_size, cfg.w)
     return ContainerHeader(cfg.w, cfg.n, cfg.r, cfg.m, cfg.e, symbol_size,
                            DEFAULT_POLY[cfg.w], data_length)
 
@@ -101,7 +96,7 @@ def parse_header(buf: bytes) -> ContainerHeader:
     poly = poly32 | (1 << 32) if w == 32 else poly32
     header = ContainerHeader(w, n, r, m, tuple(e), symbol_size, poly, data_length)
     header.config()   # validates the geometry
-    _check_symbol_size(symbol_size, w)
+    check_symbol_size(symbol_size, w)
     if poly != DEFAULT_POLY[w]:
         # the codec only runs the default field of each width
         raise ValueError(f"unsupported field polynomial {poly:#x} for w={w}, "
@@ -122,10 +117,9 @@ def _body_shape(header: ContainerHeader) -> tuple[int, int, int, int]:
     return header.stripe_count, header.n, header.r, header.symbol_size
 
 
-def _exact(raw: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    if raw.size != math.prod(shape):
-        raise ValueError(f"{what} is {raw.size} bytes, expected {math.prod(shape)}")
-    return raw.reshape(shape)
+def _check_length(size: int, shape: tuple, what: str) -> None:
+    if size != math.prod(shape):
+        raise ValueError(f"{what} is {size} bytes, expected {math.prod(shape)}")
 
 
 def read(path=None, devices=None) -> tuple[ContainerHeader, np.ndarray]:
@@ -135,16 +129,23 @@ def read(path=None, devices=None) -> tuple[ContainerHeader, np.ndarray]:
     if devices:
         devdir = Path(devices)
         header = parse_header((devdir / "header.stairc").read_bytes())
-        body = np.empty(_body_shape(header), dtype=np.uint8)
-        for j in range(header.n):
-            raw = np.fromfile(_device_file(devdir, j), dtype=np.uint8)
-            body[:, j] = _exact(raw, body[:, j].shape, f"device file {j}")
+        stripes, n, r, symbol_size = shape = _body_shape(header)
+        # the header may be forged: check every file before allocating the body
+        for j in range(n):
+            _check_length(_device_file(devdir, j).stat().st_size,
+                          (stripes, r, symbol_size), f"device file {j}")
+        body = np.empty(shape, dtype=np.uint8)
+        for j in range(n):
+            body[:, j] = np.fromfile(_device_file(devdir, j), dtype=np.uint8).reshape(
+                stripes, r, symbol_size)
         return header, body
     if not path:
         raise ValueError("need a container file or a devices directory")
     blob = np.fromfile(path, dtype=np.uint8)
     header = parse_header(blob.data)
-    return header, _exact(blob[header.size:], _body_shape(header), "container body")
+    body = blob[header.size:]
+    _check_length(body.size, _body_shape(header), "container body")
+    return header, body.reshape(_body_shape(header))
 
 
 def write(header: ContainerHeader, body: np.ndarray, path=None, devices=None) -> None:
@@ -162,23 +163,23 @@ def write(header: ContainerHeader, body: np.ndarray, path=None, devices=None) ->
             body[:, j].tofile(_device_file(devdir, j))
 
 
-def stripe_view(cfg: StairConfig, body: np.ndarray, k) -> Stripe:
-    """Stripe ``k`` of ``body``; writing its cells writes the body."""
+def stripe_view(body: np.ndarray, k) -> np.ndarray:
+    """Stripe ``k`` of ``body`` as an (r, n, symbol_size) view: writes go to the body."""
     if type(k) is not int or not 0 <= k < len(body):
         raise ValueError(f"stripe index {k!r} is not in 0..{len(body) - 1}")
-    return Stripe(cfg, body[k].transpose(1, 0, 2))
+    return body[k].transpose(1, 0, 2)
 
 
-def stripe_to_bytes(stripe: Stripe) -> bytes:
-    """One stripe in the body layout: whole chunks back to back."""
-    return stripe.cells.transpose(1, 0, 2).tobytes()
+def stripe_to_bytes(cells: np.ndarray) -> bytes:
+    """One stripe's cells in the body layout: whole chunks back to back."""
+    return cells.transpose(1, 0, 2).tobytes()
 
 
-def stripe_from_bytes(cfg: StairConfig, symbol_size: int, buf: bytes) -> Stripe:
+def stripe_from_bytes(cfg: StairConfig, symbol_size: int, buf: bytes) -> np.ndarray:
     """The inverse of :func:`stripe_to_bytes`: ``buf`` read as a one-stripe body."""
-    body = _exact(np.frombuffer(buf, dtype=np.uint8), (1, cfg.n, cfg.r, symbol_size),
-                  "stripe payload")
-    return Stripe(cfg, stripe_view(cfg, body, 0).cells.copy())
+    body = np.frombuffer(buf, dtype=np.uint8)
+    _check_length(body.size, (1, cfg.n, cfg.r, symbol_size), "stripe payload")
+    return stripe_view(body.reshape(1, cfg.n, cfg.r, symbol_size), 0).copy()
 
 
 @lru_cache(maxsize=None)

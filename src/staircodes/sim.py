@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reliability import _Z99, ChunkFailureDist
-from .stair import FailurePattern, StairConfig, Stripe
+from .stair import FailurePattern, StairConfig
 
 _BLOCK = 1 << 16
 
@@ -55,12 +55,12 @@ def sample_pattern(cfg: StairConfig, seed, within: bool = True) -> FailurePatter
     return FailurePattern.make(failed, sectors)
 
 
-def inject(stripe: Stripe, pattern: FailurePattern) -> Stripe:
-    """Return a copy of the stripe with the pattern's cells zero-filled."""
-    pattern.validate_for(stripe.cfg)
-    damaged = stripe.copy()
-    for i, j in pattern.lost_cells(stripe.cfg):
-        damaged.cells[i, j] = 0
+def inject(cfg: StairConfig, cells: np.ndarray, pattern: FailurePattern) -> np.ndarray:
+    """Return a copy of the stripe cells with the pattern's cells zero-filled."""
+    pattern.validate_for(cfg)
+    damaged = cells.copy()
+    for i, j in pattern.lost_cells(cfg):
+        damaged[i, j] = 0
     return damaged
 
 

@@ -1,16 +1,19 @@
 """Stair-layout erasure codec: configuration, encoders, decoder, cost model.
 
-A stripe is an r x n grid of symbol regions: n-m data chunks followed by
-m row-parity chunks, with s extra global-parity cells embedded in a stair
-pattern at the bottom of the m' rightmost data chunks (column
-n-m-m'+l holds e_l of them).  Conceptually the stripe is extended to a
-(r+e_max) x (n+m') grid: every row of the extension is a codeword of the
-row code (an (n+m', n-m) MDS code) and every column ends in column-code
-parities (an (r+e_max, r) MDS code); the outside global cells of that
-grid are pinned to zero so they never need storing.  Encoding and
-decoding are schedules of row/column MDS operations on that grid.  A
-schedule depends only on which cells are known, never on their bytes, so
-each is planned once, cached, and run by the one executor ``_Codec.run``.
+A stripe is an r x n grid of symbol regions, held as an (r, n, S) uint8
+array of cells: n-m data chunks followed by m row-parity chunks, with s
+extra global-parity cells embedded in a stair pattern at the bottom of
+the m' rightmost data chunks (column n-m-m'+l holds e_l of them).
+Conceptually the stripe is extended to a (r+e_max) x (n+m') grid: every
+row of the extension is a codeword of the row code (an (n+m', n-m) MDS
+code) and every column ends in column-code parities (an (r+e_max, r) MDS
+code); the outside global cells of that grid are pinned to zero so they
+never need storing.  Encoding and decoding are schedules of row/column
+MDS operations on that grid.  A schedule depends only on which cells are
+known, never on their bytes, so each is planned once, cached, and run by
+the one executor ``_Codec.run``; ``encoding_steps`` and
+``decoding_steps`` return the schedules that ``encode`` and ``decode``
+run.
 
 Two reuse-based encoders are provided ("upstairs" recovers parities
 bottom-up and generalises to arbitrary decoding, "downstairs" sweeps
@@ -22,7 +25,7 @@ byte-identical parities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -153,52 +156,32 @@ def parity_mask(cfg: StairConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stripes and failure patterns
+# stripe cells and failure patterns
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Stripe:
-    """One r x n grid of equally sized symbol regions."""
-
-    cfg: StairConfig
-    cells: np.ndarray    # (r, n, symbol_size) uint8
-
-    @property
-    def symbol_size(self) -> int:
-        return int(self.cells.shape[2])
-
-    @classmethod
-    def zeros(cls, cfg: StairConfig, symbol_size: int) -> "Stripe":
-        if symbol_size < 1 or symbol_size % (cfg.w // 8):
-            raise ValueError(
-                f"symbol size {symbol_size} is not a positive multiple of {cfg.w // 8} bytes")
-        return cls(cfg, np.zeros((cfg.r, cfg.n, symbol_size), dtype=np.uint8))
-
-    @classmethod
-    def random(cls, cfg: StairConfig, symbol_size: int, rng: np.random.Generator) -> "Stripe":
-        """Random data cells, zeroed (unencoded) parity cells."""
-        stripe = cls.zeros(cfg, symbol_size)
-        stripe.cells[:] = rng.integers(0, 256, stripe.cells.shape, dtype=np.uint8)
-        stripe.cells[parity_mask(cfg)] = 0
-        return stripe
-
-    def copy(self) -> "Stripe":
-        return Stripe(self.cfg, self.cells.copy())
+def check_symbol_size(symbol_size: int, w: int) -> None:
+    """A symbol is a positive whole number of w-bit field words."""
+    if symbol_size < 1 or symbol_size % (w // 8):
+        raise ValueError(
+            f"symbol size {symbol_size} is not a positive multiple of {w // 8} bytes")
 
 
-@dataclass
-class CanonicalStripe:
-    """The (r+e_max) x (n+m') augmented grid of a fully encoded stripe."""
+def _check_cells(cfg: StairConfig, cells) -> None:
+    """Stripe cells come from outside the codec: an (r, n, S) uint8 array."""
+    if not isinstance(cells, np.ndarray) or cells.dtype != np.uint8 or cells.ndim != 3:
+        raise ValueError("stripe cells must be a 3-D uint8 array of shape (r, n, symbol_size)")
+    if cells.shape[:2] != (cfg.r, cfg.n):
+        raise ValueError(
+            f"stripe shape {cells.shape[:2]} does not match config {(cfg.r, cfg.n)}")
+    check_symbol_size(cells.shape[2], cfg.w)
 
-    cfg: StairConfig
-    cells: np.ndarray    # (r + e_max, n + m', symbol_size) uint8
 
-    @property
-    def symbol_size(self) -> int:
-        return int(self.cells.shape[2])
-
-    def stripe(self) -> Stripe:
-        return Stripe(self.cfg, self.cells[:self.cfg.r, :self.cfg.n].copy())
+def random_stripe(cfg: StairConfig, symbol_size: int, rng: np.random.Generator) -> np.ndarray:
+    """(r, n, symbol_size) cells: random data, zeroed (unencoded) parity."""
+    check_symbol_size(symbol_size, cfg.w)
+    cells = rng.integers(0, 256, (cfg.r, cfg.n, symbol_size), dtype=np.uint8)
+    cells[parity_mask(cfg)] = 0
+    return cells
 
 
 @dataclass(frozen=True, eq=True)
@@ -378,8 +361,6 @@ class _Codec:
         self.row_code = GenMatrix(self.field, cfg.n - cfg.m, cfg.n + cfg.m_prime)
         self.col_code = (GenMatrix(self.field, cfg.r, cfg.r + cfg.e_max)
                          if cfg.m_prime else None)
-        self._plans: dict[str, tuple[Step, ...]] = {}
-        self._coef = None
         self.data_cell_list = data_cells(cfg)
         self.data_index = {cell: k for k, cell in enumerate(self.data_cell_list)}
 
@@ -410,25 +391,7 @@ class _Codec:
 
     # -- schedules ------------------------------------------------------------
 
-    def plan(self, method: str) -> tuple[Step, ...]:
-        """The cached encoding schedule of ``method``."""
-        cached = self._plans.get(method)
-        if cached is None:
-            build = {"upstairs": self._plan_upstairs, "downstairs": self._plan_downstairs,
-                     "standard": self._plan_standard}.get(method)
-            if build is None:
-                raise ValueError(f"unknown encoding method {method!r}")
-            cached = self._plans[method] = tuple(build())
-        return cached
-
-    def _plan_upstairs(self) -> tuple[Step, ...]:
-        """Encoding is decoding the layout's own erasures: the m parity
-        chunks and the stair of global-parity cells."""
-        worst = worst_case_pattern(self.cfg)
-        return _decode_plan(self.cfg, worst.failed_chunks,
-                            frozenset(worst.sector_failures.items()), False)
-
-    def _plan_downstairs(self) -> list[Step]:
+    def _plan_downstairs(self) -> tuple[Step, ...]:
         cfg = self.cfg
         known = self.base_known()
         known[:cfg.r, :cfg.n] &= ~parity_mask(cfg)
@@ -447,14 +410,14 @@ class _Codec:
             out_cols += list(range(n - cfg.m, n))
             out_cols += [n + l for l in range(mp) if l not in stair_ls]
             solver.row_step(i, tuple((i, j) for j in sorted(out_cols)))
-        return solver.steps
+        return tuple(solver.steps)
 
-    def _plan_standard(self) -> list[Step]:
+    def _plan_standard(self) -> tuple[Step, ...]:
         """One step per parity cell over only the data cells it depends on,
         so the executed mult-XORs are exactly the nonzero coefficients."""
-        coef, dcells, pcells, nonzero = self.coefficients()
-        return [Step("standard", p, tuple(dcells[k] for k in nz), (cell,), coef[p:p + 1, nz])
-                for p, (cell, nz) in enumerate(zip(pcells, nonzero))]
+        coef, dcells, pcells, nonzero = self.coefficients
+        return tuple(Step("standard", p, tuple(dcells[k] for k in nz), (cell,), coef[p:p + 1, nz])
+                     for p, (cell, nz) in enumerate(zip(pcells, nonzero)))
 
     @cached_property
     def extension_plan(self) -> tuple[Step, ...]:
@@ -462,19 +425,16 @@ class _Codec:
         cfg = self.cfg
         if not cfg.m_prime:
             return ()
-        data_cols, ext_cols = range(cfg.n - cfg.m), range(cfg.n, cfg.n + cfg.m_prime)
-        t_row = self.row_code.decode_matrix(tuple(data_cols), tuple(ext_cols))
-        steps = [Step("row", i, tuple((i, c) for c in data_cols),
-                      tuple((i, c) for c in ext_cols), t_row) for i in range(cfg.r)]
-        ext_rows = range(cfg.r, cfg.r + cfg.e_max)
-        t_col = self.col_code.decode_matrix(tuple(range(cfg.r)), tuple(ext_rows))
-        steps += [Step("col", c, tuple((i, c) for i in range(cfg.r)),
-                       tuple((i, c) for i in ext_rows), t_col)
-                  for c in range(cfg.n + cfg.m_prime)]
-        return tuple(steps)
+        solver = _Solver(self, self.base_known())
+        for i in range(cfg.r):
+            solver.row_step(i, tuple((i, c) for c in range(cfg.n, cfg.n + cfg.m_prime)))
+        for c in range(cfg.n + cfg.m_prime):
+            solver.col_step(c, tuple((i, c) for i in range(cfg.r, cfg.r + cfg.e_max)))
+        return tuple(solver.steps)
 
     # -- flattened data -> parity coefficients --------------------------------
 
+    @cached_property
     def coefficients(self):
         """(P, D) coefficient matrix over the field, plus cell orderings.
 
@@ -482,45 +442,28 @@ class _Codec:
         cell ``parity_cells(cfg)[p]``; derived once by pushing unit vectors
         through the upstairs plan.
         """
-        if self._coef is None:
-            cfg = self.cfg
-            dcells = self.data_cell_list
-            pcells = parity_cells(cfg)
-            wb = self.field.word_bytes
-            unit = np.zeros((cfg.r, cfg.n, len(dcells) * wb), dtype=np.uint8)
-            for k, (i, j) in enumerate(dcells):
-                unit[i, j, k * wb] = 1          # unit field element, little-endian
-            grid = self.run(self.plan("upstairs"), unit)
-            coef = np.zeros((len(pcells), len(dcells)), dtype=self.field.word_dtype)
-            for p, (i, j) in enumerate(pcells):
-                coef[p] = grid[i, j].view(self.field.word_dtype)
-            nonzero = [np.flatnonzero(coef[p]) for p in range(len(pcells))]
-            self._coef = (coef, dcells, pcells, nonzero)
-        return self._coef
+        cfg = self.cfg
+        dcells = self.data_cell_list
+        pcells = parity_cells(cfg)
+        wb = self.field.word_bytes
+        unit = np.zeros((cfg.r, cfg.n, len(dcells) * wb), dtype=np.uint8)
+        for k, (i, j) in enumerate(dcells):
+            unit[i, j, k * wb] = 1          # unit field element, little-endian
+        grid = self.run(encoding_steps(cfg, "upstairs"), unit)
+        coef = np.zeros((len(pcells), len(dcells)), dtype=self.field.word_dtype)
+        for p, (i, j) in enumerate(pcells):
+            coef[p] = grid[i, j].view(self.field.word_dtype)
+        nonzero = [np.flatnonzero(coef[p]) for p in range(len(pcells))]
+        return coef, dcells, pcells, nonzero
 
 
-_CODEC_CACHE: dict[StairConfig, _Codec] = {}
-
-
+@cache
 def _codec(cfg: StairConfig) -> _Codec:
-    codec = _CODEC_CACHE.get(cfg)
-    if codec is None:
-        codec = _CODEC_CACHE[cfg] = _Codec(cfg)
-    return codec
-
-
-def _check_stripe(cfg: StairConfig, stripe: Stripe) -> None:
-    if stripe.cfg != cfg:
-        raise ValueError("stripe was built for a different config")
-    r, n, sym = stripe.cells.shape
-    if (r, n) != (cfg.r, cfg.n):
-        raise ValueError(f"stripe shape {(r, n)} does not match config {(cfg.r, cfg.n)}")
-    if sym % (cfg.w // 8):
-        raise ValueError(f"symbol size {sym} is not a multiple of {cfg.w // 8} bytes")
+    return _Codec(cfg)
 
 
 # ---------------------------------------------------------------------------
-# decode schedules
+# the planner: every schedule is planned here, once, and cached
 # ---------------------------------------------------------------------------
 
 # Bounded: exhaustive sweeps decode hundreds of thousands of distinct
@@ -568,54 +511,69 @@ def _decode_plan(cfg: StairConfig, failed: frozenset, sectors: frozenset,
     return tuple(solver.steps)
 
 
-# ---------------------------------------------------------------------------
-# public encoders / decoder
-# ---------------------------------------------------------------------------
-
-def encode(cfg: StairConfig, stripe: Stripe, method: str = "auto") -> Stripe:
-    """Fill the parity cells of ``stripe`` in place with ``method``'s schedule."""
-    if method == "auto":
-        method = choose_method(cfg)
-    codec = _codec(cfg)
-    steps = codec.plan(method)
-    _check_stripe(cfg, stripe)
-    stripe.cells[:] = codec.run(steps, stripe.cells)[:cfg.r, :cfg.n]
-    return stripe
-
-
-def encoding_steps(cfg: StairConfig, method: str) -> tuple[Step, ...]:
-    """The cached step schedule of an encoding method (for inspection)."""
-    return _codec(cfg).plan(method)
-
-
-def build_canonical(cfg: StairConfig, stripe: Stripe) -> CanonicalStripe:
-    """Augment an encoded stripe with its intermediate and virtual parities."""
-    codec = _codec(cfg)
-    _check_stripe(cfg, stripe)
-    return CanonicalStripe(cfg, codec.run(codec.extension_plan, stripe.cells))
-
-
-def decode(cfg: StairConfig, stripe: Stripe, pattern: FailurePattern, *,
-           practical: bool = True, trace: list | None = None) -> Stripe:
-    """Restore the cells listed in ``pattern`` and return the repaired stripe.
+def decoding_steps(cfg: StairConfig, pattern: FailurePattern, *,
+                   practical: bool = True) -> tuple[Step, ...]:
+    """The schedule that restores the cells listed in ``pattern``.
 
     With ``practical=True`` rows that lost at most m cells are repaired
     locally first, then the (at most m) chunks with the most remaining
     losses are set aside for final row-wise repair while the rest go
     through the bottom-up schedule.  ``practical=False`` runs the pure
     bottom-up schedule with exactly the pattern's failed chunks deferred.
-    The schedule is planned from the pattern alone (erased bytes are never
-    read) and cached.  Raises :class:`UnrecoverableError` instead of
-    returning wrong data.
+    Planned from the pattern alone and cached; raises
+    :class:`UnrecoverableError` when no schedule exists.
     """
-    _check_stripe(cfg, stripe)
     pattern.validate_for(cfg)
     sectors = frozenset((j, frozenset(rows))
                         for j, rows in pattern.sector_failures.items() if rows)
-    steps = _decode_plan(cfg, frozenset(pattern.failed_chunks), sectors, practical)
-    if trace is not None:
-        trace.extend(steps)
-    return Stripe(cfg, _codec(cfg).run(steps, stripe.cells)[:cfg.r, :cfg.n].copy())
+    return _decode_plan(cfg, frozenset(pattern.failed_chunks), sectors, practical)
+
+
+@cache
+def encoding_steps(cfg: StairConfig, method: str) -> tuple[Step, ...]:
+    """The step schedule of an encoding method, planned once per config."""
+    if method == "upstairs":
+        # encoding is decoding the layout's own erasures: the m parity
+        # chunks and the stair of global-parity cells
+        return decoding_steps(cfg, worst_case_pattern(cfg), practical=False)
+    if method == "downstairs":
+        return _codec(cfg)._plan_downstairs()
+    if method == "standard":
+        return _codec(cfg)._plan_standard()
+    raise ValueError(f"unknown encoding method {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# public encoders / decoder: (r, n, S) uint8 cell arrays in and out
+# ---------------------------------------------------------------------------
+
+def encode(cfg: StairConfig, cells: np.ndarray, method: str = "auto") -> np.ndarray:
+    """Fill the parity cells of ``cells`` in place with ``method``'s
+    schedule and return ``cells``."""
+    _check_cells(cfg, cells)
+    if method == "auto":
+        method = choose_method(cfg)
+    steps = encoding_steps(cfg, method)
+    cells[:] = _codec(cfg).run(steps, cells)[:cfg.r, :cfg.n]
+    return cells
+
+
+def build_canonical(cfg: StairConfig, cells: np.ndarray) -> np.ndarray:
+    """The (r+e_max, n+m', S) augmented grid of an encoded stripe: its cells
+    plus the intermediate and virtual parities."""
+    _check_cells(cfg, cells)
+    codec = _codec(cfg)
+    return codec.run(codec.extension_plan, cells)
+
+
+def decode(cfg: StairConfig, cells: np.ndarray, pattern: FailurePattern, *,
+           practical: bool = True) -> np.ndarray:
+    """New cells with those listed in ``pattern`` restored by the schedule
+    of :func:`decoding_steps`; erased bytes are never read.  Raises
+    :class:`UnrecoverableError` instead of returning wrong data."""
+    _check_cells(cfg, cells)
+    steps = decoding_steps(cfg, pattern, practical=practical)
+    return _codec(cfg).run(steps, cells)[:cfg.r, :cfg.n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +588,7 @@ def xor_count(cfg: StairConfig, method: str) -> int:
     if method == "downstairs":
         return nm * ((cfg.m + cfg.m_prime) * cfg.r) + cfg.r * cfg.s
     if method == "standard":
-        return int(sum(len(nz) for nz in _codec(cfg).coefficients()[3]))
+        return int(sum(len(nz) for nz in _codec(cfg).coefficients[3]))
     raise ValueError(f"unknown encoding method {method!r}")
 
 
@@ -647,7 +605,7 @@ def parity_dependents(cfg: StairConfig, cell: tuple[int, int]) -> frozenset:
     if cell_role(cfg, i, j) != "data":
         raise ValueError(f"cell {cell} is not a data cell")
     codec = _codec(cfg)
-    coef, _, pcells, _ = codec.coefficients()
+    coef, _, pcells, _ = codec.coefficients
     k = codec.data_index[(i, j)]
     return frozenset(pcells[p] for p in np.flatnonzero(coef[:, k]))
 
@@ -655,7 +613,7 @@ def parity_dependents(cfg: StairConfig, cell: tuple[int, int]) -> frozenset:
 def update_penalty(cfg: StairConfig) -> float:
     """Mean number of parity cells touched by a single data-cell update."""
     codec = _codec(cfg)
-    coef, dcells, _, _ = codec.coefficients()
+    coef, dcells, _, _ = codec.coefficients
     if not dcells:
         raise ValueError("config stores no data cells")
     return int(np.count_nonzero(coef)) / len(dcells)

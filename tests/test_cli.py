@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from staircodes import cli, config_new
+import staircodes
+from staircodes import cli, config_new, encoding_steps, xor_count
 from staircodes import container as cont
 
 
@@ -204,7 +207,7 @@ def test_file_and_devices_hold_the_same_chunks(tmp_path, payload):
         assert (devdir / f"device_{j:02d}.bin").read_bytes() == b"".join(chunks[j::header.n])
 
 
-@pytest.mark.parametrize("damage", ["missing", "short", "long"])
+@pytest.mark.parametrize("damage", ["missing", "short", "long", "forged-header"])
 def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
     src, _ = payload
     devdir = tmp_path / "devices"
@@ -212,6 +215,11 @@ def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
     dev = devdir / "device_03.bin"
     if damage == "missing":
         dev.unlink()
+    elif damage == "forged-header":
+        # a body of exabytes: refused from the file sizes, before allocating it
+        hdr = devdir / "header.stairc"
+        forged = dataclasses.replace(cont.parse_header(hdr.read_bytes()), data_length=2 ** 62)
+        hdr.write_bytes(cont.pack_header(forged))
     else:
         raw = dev.read_bytes()
         dev.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
@@ -380,6 +388,43 @@ def test_reliability_tables_scenario():
         "rs": "1.251858e+01", "stair(1)": "3.069779e+02", "stair(3)": "3.472923e+02",
         "stair(1,2)": "4.882799e+04", "stair(1,1,1)": "2.110224e+03",
         "sd(2)": "4.922672e+04", "sd(3)": "4.890596e+04"}
+
+
+@pytest.mark.parametrize("method", ["downstairs", "upstairs", "standard"])
+def test_benchmark_tracer_contract(tmp_path, monkeypatch, rng, method):
+    """stairbench's tracer wraps the package by attribute name and counts the
+    coefficient entries of each kernel call as that call's mult-XORs: every
+    name must exist, each step of each stripe must be one kernel call, and
+    leaving the tracer must put every attribute back."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)     # read stairbench only
+    spec = importlib.util.spec_from_file_location(
+        "stairbench_spans", BENCH_DATA.parent / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    cfg = config_new(8, 4, 2, (1, 1, 2))          # archive_small, 512 B symbols
+    flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--symbol-size", "512",
+             "--method", method]
+    src = tmp_path / "in.bin"
+    src.write_bytes(rng.integers(0, 256, 2 * cfg.data_cell_count * 512 - 100,
+                                 dtype=np.uint8).tobytes())
+    argv = ["encode", str(src), "-o", str(tmp_path / "c.stairc")] + flags
+    assert cli.main(argv) == 0                    # fills the plan caches
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    entry_points = spans.targets(staircodes)
+    before = [current(owner, attr) for owner, attr, _, _ in entry_points]
+    tracer = spans.Tracer(entry_points)
+    with tracer.traced():
+        assert cli.main(argv) == 0
+    assert [current(owner, attr) for owner, attr, _, _ in entry_points] == before
+
+    kernel = [info for name, _, _, _, _, info in tracer.spans if name == "gf.matmul_regions"]
+    assert len(kernel) == 2 * len(encoding_steps(cfg, method))
+    assert sum(entries for entries, _ in kernel) == 2 * xor_count(cfg, method)
+    assert sum(name == "stair.encode" for name, *_ in tracer.spans) == 2
 
 
 def test_bench_smoke(tmp_path):

@@ -38,32 +38,32 @@ def test_unconstrained_sampling_escapes_coverage(exemplar):
 
 
 def test_inject_empty_pattern_is_identity(exemplar, rng):
-    stripe = sc.encode(exemplar, sc.Stripe.random(exemplar, 4, rng))
-    out = sim.inject(stripe, sc.FailurePattern.make())
-    assert np.array_equal(out.cells, stripe.cells)
-    assert out.cells is not stripe.cells
+    stripe = sc.encode(exemplar, sc.random_stripe(exemplar, 4, rng))
+    out = sim.inject(exemplar, stripe, sc.FailurePattern.make())
+    assert np.array_equal(out, stripe)
+    assert out is not stripe
 
 
 def test_inject_zeroes_exactly_the_pattern(exemplar, rng):
-    stripe = sc.encode(exemplar, sc.Stripe.random(exemplar, 4, rng))
+    stripe = sc.encode(exemplar, sc.random_stripe(exemplar, 4, rng))
     pattern = sc.FailurePattern.make((6, 7), {0: (1,)})
-    out = sim.inject(stripe, pattern)
+    out = sim.inject(exemplar, stripe, pattern)
     lost = set(pattern.lost_cells(exemplar))
     assert len(lost) == 2 * exemplar.r + 1
     for i in range(exemplar.r):
         for j in range(exemplar.n):
             if (i, j) in lost:
-                assert not out.cells[i, j].any()
+                assert not out[i, j].any()
             else:
-                assert np.array_equal(out.cells[i, j], stripe.cells[i, j])
+                assert np.array_equal(out[i, j], stripe[i, j])
 
 
 def test_injected_worst_case_roundtrips(rng):
     cfg = sc.config_new(6, 3, 1, (1, 2))
-    stripe = sc.encode(cfg, sc.Stripe.random(cfg, 4, rng))
+    stripe = sc.encode(cfg, sc.random_stripe(cfg, 4, rng))
     pattern = sc.worst_case_pattern(cfg)
-    restored = sc.decode(cfg, sim.inject(stripe, pattern), pattern)
-    assert np.array_equal(restored.cells, stripe.cells)
+    restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern)
+    assert np.array_equal(restored, stripe)
 
 
 # -- Monte Carlo -----------------------------------------------------------------

@@ -8,14 +8,13 @@ from conftest import sweep_configs
 
 def perturbation_dependents(cfg, cell, rng):
     """Oracle: flip one data cell, re-encode top-down, diff the parities."""
-    base = sc.Stripe.zeros(cfg, 2)
-    sc.encode(cfg, base, "downstairs")
-    bumped = sc.Stripe.zeros(cfg, 2)
+    base = sc.encode(cfg, np.zeros((cfg.r, cfg.n, 2), dtype=np.uint8), "downstairs")
+    bumped = np.zeros((cfg.r, cfg.n, 2), dtype=np.uint8)
     delta = int(rng.integers(1, 256))
-    bumped.cells[cell][0] = delta
+    bumped[cell][0] = delta
     sc.encode(cfg, bumped, "downstairs")
     mask = parity_mask(cfg)
-    changed = np.argwhere((base.cells != bumped.cells).any(axis=2) & mask)
+    changed = np.argwhere((base != bumped).any(axis=2) & mask)
     return frozenset((int(i), int(j)) for i, j in changed)
 
 

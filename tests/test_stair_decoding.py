@@ -13,69 +13,69 @@ from test_stair_encoding import REFERENCE_UPSTAIRS
 
 
 def _encoded(cfg, rng, symbol_size=8):
-    return sc.encode(cfg, sc.Stripe.random(cfg, symbol_size, rng))
+    return sc.encode(cfg, sc.random_stripe(cfg, symbol_size, rng))
 
 
 def test_empty_pattern_is_identity(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     restored = sc.decode(exemplar, stripe, sc.FailurePattern.make())
-    assert np.array_equal(restored.cells, stripe.cells)
+    assert np.array_equal(restored, stripe)
 
 
 def test_worst_case_roundtrip_and_reference_trace(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.worst_case_pattern(exemplar)
-    damaged = sim.inject(stripe, pattern)
-    trace = []
-    restored = sc.decode(exemplar, damaged, pattern, practical=False, trace=trace)
-    assert np.array_equal(restored.cells, stripe.cells)
-    assert [s.signature for s in trace] == REFERENCE_UPSTAIRS
+    damaged = sim.inject(exemplar, stripe, pattern)
+    restored = sc.decode(exemplar, damaged, pattern, practical=False)
+    assert np.array_equal(restored, stripe)
+    steps = sc.decoding_steps(exemplar, pattern, practical=False)
+    assert [s.signature for s in steps] == REFERENCE_UPSTAIRS
 
 
 def test_practical_path_prefers_local_repair(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.worst_case_pattern(exemplar)
-    damaged = sim.inject(stripe, pattern)
-    trace = []
-    restored = sc.decode(exemplar, damaged, pattern, trace=trace)
-    assert np.array_equal(restored.cells, stripe.cells)
+    damaged = sim.inject(exemplar, stripe, pattern)
+    restored = sc.decode(exemplar, damaged, pattern)
+    assert np.array_equal(restored, stripe)
     # rows 0 and 1 lose only the two parity chunks, so they repair locally
-    assert [s.signature[0] for s in trace[:2]] == ["row", "row"]
-    assert trace[0].outputs == ((0, 6), (0, 7))
-    assert trace[1].outputs == ((1, 6), (1, 7))
+    steps = sc.decoding_steps(exemplar, pattern)
+    assert [s.signature[0] for s in steps[:2]] == ["row", "row"]
+    assert steps[0].outputs == ((0, 6), (0, 7))
+    assert steps[1].outputs == ((1, 6), (1, 7))
 
 
 def test_worst_case_roundtrip_across_sweep(rng):
     for cfg in sweep_configs():
         stripe = _encoded(cfg, rng, symbol_size=4)
         pattern = sc.worst_case_pattern(cfg)
-        restored = sc.decode(cfg, sim.inject(stripe, pattern), pattern)
-        assert np.array_equal(restored.cells, stripe.cells), cfg
+        restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern)
+        assert np.array_equal(restored, stripe), cfg
 
 
 def test_decode_leaves_damaged_stripe_untouched(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.worst_case_pattern(exemplar)
-    damaged = sim.inject(stripe, pattern)
-    snapshot = damaged.cells.copy()
+    damaged = sim.inject(exemplar, stripe, pattern)
+    snapshot = damaged.copy()
     sc.decode(exemplar, damaged, pattern)
-    assert np.array_equal(damaged.cells, snapshot)
+    assert np.array_equal(damaged, snapshot)
 
 
 def test_sector_failures_at_arbitrary_rows(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.FailurePattern.make((6, 7), {0: (0,), 2: (1,), 4: (0, 2)})
     assert sc.pattern_within_coverage(exemplar, pattern)
-    restored = sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
-    assert np.array_equal(restored.cells, stripe.cells)
+    restored = sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
+    assert np.array_equal(restored, stripe)
 
 
 def test_sector_failures_in_parity_chunks(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.FailurePattern.make((0, 1), {6: (3,), 7: (0, 2)})
     assert sc.pattern_within_coverage(exemplar, pattern)
-    restored = sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
-    assert np.array_equal(restored.cells, stripe.cells)
+    restored = sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
+    assert np.array_equal(restored, stripe)
 
 
 def test_sampled_patterns_roundtrip(rng):
@@ -83,15 +83,15 @@ def test_sampled_patterns_roundtrip(rng):
         stripe = _encoded(cfg, rng, symbol_size=2)
         for k in range(25):
             pattern = sim.sample_pattern(cfg, 1000 * k + 7, within=True)
-            restored = sc.decode(cfg, sim.inject(stripe, pattern), pattern)
-            assert np.array_equal(restored.cells, stripe.cells), (cfg, pattern)
+            restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern)
+            assert np.array_equal(restored, stripe), (cfg, pattern)
 
 
 def test_beyond_coverage_chunk_failures_raise(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.FailurePattern.make((0, 1, 2))      # m + 1 chunks, r > s
     with pytest.raises(UnrecoverableError):
-        sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
+        sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
 
 
 def test_beyond_coverage_sector_overload_raises(exemplar, rng):
@@ -100,14 +100,14 @@ def test_beyond_coverage_sector_overload_raises(exemplar, rng):
     pattern = sc.FailurePattern.make((6, 7), {0: (0, 1), 1: (0, 1), 3: (3,)})
     assert not sc.pattern_within_coverage(exemplar, pattern)
     with pytest.raises(UnrecoverableError):
-        sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
+        sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
 
 
 def test_pure_mode_rejects_too_many_failed(exemplar, rng):
     stripe = _encoded(exemplar, rng)
     pattern = sc.FailurePattern.make((0, 1, 2))
     with pytest.raises(UnrecoverableError):
-        sc.decode(exemplar, sim.inject(stripe, pattern), pattern, practical=False)
+        sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern, practical=False)
 
 
 def test_failed_chunk_and_lost_column_plan_apart(exemplar, rng):
@@ -119,10 +119,10 @@ def test_failed_chunk_and_lost_column_plan_apart(exemplar, rng):
     for order in ((chunk, column), (column, chunk)):
         _decode_plan.cache_clear()
         for pattern in order:
-            damaged = sim.inject(stripe, pattern)
+            damaged = sim.inject(exemplar, stripe, pattern)
             if pattern is chunk:
                 restored = sc.decode(exemplar, damaged, pattern, practical=False)
-                assert np.array_equal(restored.cells, stripe.cells)
+                assert np.array_equal(restored, stripe)
             else:
                 with pytest.raises(UnrecoverableError):
                     sc.decode(exemplar, damaged, pattern, practical=False)
@@ -133,8 +133,8 @@ def test_decode_plan_cache_is_bounded(exemplar, rng):
     cap = _decode_plan.cache_info().maxsize
     stripe = _encoded(exemplar, rng, symbol_size=1)
     for pattern in itertools.islice(iter_within_coverage_patterns(exemplar), cap + 10):
-        restored = sc.decode(exemplar, sim.inject(stripe, pattern), pattern)
-        assert np.array_equal(restored.cells, stripe.cells), pattern
+        restored = sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
+        assert np.array_equal(restored, stripe), pattern
     assert _decode_plan.cache_info().currsize == cap
 
 
@@ -146,13 +146,16 @@ def test_exhaustive_roundtrip_tiny_config(rng):
     _decode_plan.cache_clear()
     seen = 0
     for pattern in iter_within_coverage_patterns(cfg):
-        damaged = sim.inject(stripe, pattern)
-        cold, warm = [], []          # planned, then served from the plan cache
-        restored = sc.decode(cfg, damaged, pattern, trace=cold)
-        again = sc.decode(cfg, damaged, pattern, trace=warm)
-        assert np.array_equal(restored.cells, stripe.cells), pattern
-        assert np.array_equal(again.cells, restored.cells), pattern
-        assert [s.signature for s in warm] == [s.signature for s in cold], pattern
+        damaged = sim.inject(cfg, stripe, pattern)
+        restored = sc.decode(cfg, damaged, pattern)
+        again = sc.decode(cfg, damaged, pattern)
+        assert np.array_equal(restored, stripe), pattern
+        assert np.array_equal(again, restored), pattern
+        # the cached schedule is the one a fresh plan gives
+        sectors = frozenset((j, frozenset(rows)) for j, rows in pattern.sector_failures.items())
+        fresh = _decode_plan.__wrapped__(cfg, pattern.failed_chunks, sectors, True)
+        cached = sc.decoding_steps(cfg, pattern)
+        assert [s.signature for s in cached] == [s.signature for s in fresh], pattern
         seen += 1
     assert seen > 100
 
@@ -162,7 +165,7 @@ def test_exhaustive_roundtrip_tiny_config(rng):
 def test_roundtrip_randomised(seed, pick):
     cfg = sweep_configs()[pick % len(sweep_configs())]
     gen = np.random.default_rng(seed)
-    stripe = sc.encode(cfg, sc.Stripe.random(cfg, 2, gen))
+    stripe = sc.encode(cfg, sc.random_stripe(cfg, 2, gen))
     pattern = sim.sample_pattern(cfg, seed ^ 0xABCDEF, within=True)
-    restored = sc.decode(cfg, sim.inject(stripe, pattern), pattern)
-    assert np.array_equal(restored.cells, stripe.cells)
+    restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern)
+    assert np.array_equal(restored, stripe)

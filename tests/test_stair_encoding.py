@@ -45,6 +45,28 @@ REFERENCE_DOWNSTAIRS = [
 ]
 
 
+# Reference schedule of the augmented-grid extension (``build_canonical``)
+# for the same example: each stored row extends into the three virtual
+# columns, then every grid column extends into the two extension rows.
+REFERENCE_EXTENSION = [
+    ("row", ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)), ((0, 8), (0, 9), (0, 10))),
+    ("row", ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)), ((1, 8), (1, 9), (1, 10))),
+    ("row", ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5)), ((2, 8), (2, 9), (2, 10))),
+    ("row", ((3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)), ((3, 8), (3, 9), (3, 10))),
+    ("col", ((0, 0), (1, 0), (2, 0), (3, 0)), ((4, 0), (5, 0))),
+    ("col", ((0, 1), (1, 1), (2, 1), (3, 1)), ((4, 1), (5, 1))),
+    ("col", ((0, 2), (1, 2), (2, 2), (3, 2)), ((4, 2), (5, 2))),
+    ("col", ((0, 3), (1, 3), (2, 3), (3, 3)), ((4, 3), (5, 3))),
+    ("col", ((0, 4), (1, 4), (2, 4), (3, 4)), ((4, 4), (5, 4))),
+    ("col", ((0, 5), (1, 5), (2, 5), (3, 5)), ((4, 5), (5, 5))),
+    ("col", ((0, 6), (1, 6), (2, 6), (3, 6)), ((4, 6), (5, 6))),
+    ("col", ((0, 7), (1, 7), (2, 7), (3, 7)), ((4, 7), (5, 7))),
+    ("col", ((0, 8), (1, 8), (2, 8), (3, 8)), ((4, 8), (5, 8))),
+    ("col", ((0, 9), (1, 9), (2, 9), (3, 9)), ((4, 9), (5, 9))),
+    ("col", ((0, 10), (1, 10), (2, 10), (3, 10)), ((4, 10), (5, 10))),
+]
+
+
 def test_upstairs_schedule_matches_reference(exemplar):
     steps = sc.encoding_steps(exemplar, "upstairs")
     assert [s.signature for s in steps] == REFERENCE_UPSTAIRS
@@ -55,30 +77,35 @@ def test_downstairs_schedule_matches_reference(exemplar):
     assert [s.signature for s in steps] == REFERENCE_DOWNSTAIRS
 
 
+def test_extension_schedule_matches_reference(exemplar):
+    steps = _codec(exemplar).extension_plan
+    assert [s.signature for s in steps] == REFERENCE_EXTENSION
+
+
 def test_all_zero_data_encodes_to_all_zero(exemplar):
     for method in ("standard", "upstairs", "downstairs"):
-        stripe = sc.Stripe.zeros(exemplar, 16)
+        stripe = np.zeros((exemplar.r, exemplar.n, 16), dtype=np.uint8)
         sc.encode(exemplar, stripe, method)
-        assert not stripe.cells.any()
+        assert not stripe.any()
 
 
 def test_encoders_agree_across_sweep(rng):
     for cfg in sweep_configs():
-        stripe = sc.Stripe.random(cfg, 8, rng)
+        stripe = sc.random_stripe(cfg, 8, rng)
         up, down, std = stripe.copy(), stripe.copy(), stripe.copy()
         sc.encode(cfg, up, "upstairs")
         sc.encode(cfg, down, "downstairs")
         sc.encode(cfg, std, "standard")
-        assert np.array_equal(up.cells, down.cells), cfg
-        assert np.array_equal(up.cells, std.cells), cfg
+        assert np.array_equal(up, down), cfg
+        assert np.array_equal(up, std), cfg
 
 
 def test_encoding_preserves_data_cells(exemplar, rng):
-    stripe = sc.Stripe.random(exemplar, 8, rng)
+    stripe = sc.random_stripe(exemplar, 8, rng)
     mask = parity_mask(exemplar)
-    before = stripe.cells[~mask].copy()
+    before = stripe[~mask].copy()
     sc.encode(exemplar, stripe, "upstairs")
-    assert np.array_equal(stripe.cells[~mask], before)
+    assert np.array_equal(stripe[~mask], before)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 24))
@@ -86,85 +113,90 @@ def test_encoding_preserves_data_cells(exemplar, rng):
 def test_encoder_equivalence_randomised(seed, pick):
     cfg = sweep_configs()[pick % len(sweep_configs())]
     gen = np.random.default_rng(seed)
-    stripe = sc.Stripe.random(cfg, 4, gen)
+    stripe = sc.random_stripe(cfg, 4, gen)
     up, down = stripe.copy(), stripe.copy()
     sc.encode(cfg, up, "upstairs")
     sc.encode(cfg, down, "downstairs")
-    assert np.array_equal(up.cells, down.cells)
+    assert np.array_equal(up, down)
 
 
 # -- augmented grid -------------------------------------------------------------
 
 def test_canonical_shape_for_exemplar(exemplar, rng):
-    stripe = sc.encode(exemplar, sc.Stripe.random(exemplar, 8, rng))
+    stripe = sc.encode(exemplar, sc.random_stripe(exemplar, 8, rng))
     canon = sc.build_canonical(exemplar, stripe)
-    assert canon.cells.shape == (6, 11, 8)
+    assert canon.shape == (6, 11, 8)
 
 
 def test_canonical_of_zero_stripe_is_zero(exemplar):
-    canon = sc.build_canonical(exemplar, sc.Stripe.zeros(exemplar, 8))
-    assert not canon.cells.any()
+    canon = sc.build_canonical(exemplar, np.zeros((exemplar.r, exemplar.n, 8), dtype=np.uint8))
+    assert not canon.any()
 
 
 def test_canonical_rows_and_columns_are_codewords(rng):
     for cfg in sweep_configs():
-        stripe = sc.encode(cfg, sc.Stripe.random(cfg, 4, rng))
+        stripe = sc.encode(cfg, sc.random_stripe(cfg, 4, rng))
         canon = sc.build_canonical(cfg, stripe)
         codec = _codec(cfg)
-        for i in range(canon.cells.shape[0]):
-            assert check_codeword(codec.row_code, canon.cells[i]), (cfg, i)
+        for i in range(canon.shape[0]):
+            assert check_codeword(codec.row_code, canon[i]), (cfg, i)
         if cfg.m_prime:
-            for c in range(canon.cells.shape[1]):
-                assert check_codeword(codec.col_code, canon.cells[:, c]), (cfg, c)
+            for c in range(canon.shape[1]):
+                assert check_codeword(codec.col_code, canon[:, c]), (cfg, c)
 
 
 def test_canonical_outside_global_cells_are_zero(rng):
     for cfg in sweep_configs():
         if not cfg.m_prime:
             continue
-        stripe = sc.encode(cfg, sc.Stripe.random(cfg, 4, rng))
+        stripe = sc.encode(cfg, sc.random_stripe(cfg, 4, rng))
         canon = sc.build_canonical(cfg, stripe)
         for l, e_l in enumerate(cfg.e):
-            assert not canon.cells[cfg.r:cfg.r + e_l, cfg.n + l].any(), (cfg, l)
+            assert not canon[cfg.r:cfg.r + e_l, cfg.n + l].any(), (cfg, l)
 
 
 def test_method_dispatch(exemplar, rng):
-    stripe = sc.Stripe.random(exemplar, 8, rng)
+    stripe = sc.random_stripe(exemplar, 8, rng)
     auto = sc.encode(exemplar, stripe.copy(), "auto")
     named = sc.encode(exemplar, stripe.copy(), sc.choose_method(exemplar))
-    assert np.array_equal(auto.cells, named.cells)
+    assert np.array_equal(auto, named)
     with pytest.raises(ValueError):
         sc.encode(exemplar, stripe.copy(), "sideways")
 
 
 def test_stripe_shape_checked(exemplar):
     other = sc.config_new(6, 3, 1, (1, 2))
-    stripe = sc.Stripe.zeros(other, 8)
+    stripe = np.zeros((other.r, other.n, 8), dtype=np.uint8)
     with pytest.raises(ValueError):
         sc.encode(exemplar, stripe, "upstairs")
 
 
-def test_symbol_size_must_fit_field():
+def test_symbol_size_must_fit_field(rng):
     cfg = sc.config_new(6, 3, 1, (1, 2), w=16)
     with pytest.raises(ValueError):
-        sc.Stripe.zeros(cfg, 7)
+        sc.random_stripe(cfg, 7, rng)
+    # a symbol is a positive number of field words, and cells are 3-D uint8
+    for cells in (np.zeros((3, 6, 7), dtype=np.uint8), np.zeros((3, 6, 0), dtype=np.uint8),
+                  np.zeros((3, 6, 8)), np.zeros((3, 6), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            sc.encode(cfg, cells, "upstairs")
 
 
 @pytest.mark.parametrize("w", [16, 32])
 def test_wide_field_codec_end_to_end(w, rng):
     from staircodes import sim
     cfg = sc.config_new(6, 4, 1, (1, 2), w=w)
-    stripe = sc.Stripe.random(cfg, 2 * (w // 8), rng)
+    stripe = sc.random_stripe(cfg, 2 * (w // 8), rng)
     up, down, std = stripe.copy(), stripe.copy(), stripe.copy()
     sc.encode(cfg, up, "upstairs")
     sc.encode(cfg, down, "downstairs")
     sc.encode(cfg, std, "standard")
-    assert np.array_equal(up.cells, down.cells)
-    assert np.array_equal(up.cells, std.cells)
+    assert np.array_equal(up, down)
+    assert np.array_equal(up, std)
     pattern = sc.worst_case_pattern(cfg)
-    restored = sc.decode(cfg, sim.inject(up, pattern), pattern)
-    assert np.array_equal(restored.cells, up.cells)
+    restored = sc.decode(cfg, sim.inject(cfg, up, pattern), pattern)
+    assert np.array_equal(restored, up)
     canon = sc.build_canonical(cfg, up)
     codec = _codec(cfg)
-    assert all(check_codeword(codec.row_code, canon.cells[i])
-               for i in range(canon.cells.shape[0]))
+    assert all(check_codeword(codec.row_code, canon[i])
+               for i in range(canon.shape[0]))
