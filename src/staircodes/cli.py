@@ -22,8 +22,9 @@ from . import container as cont
 from . import reliability as rel
 from . import sim
 from .errors import UnrecoverableError
+from .gf import BLOCK_BYTES
 from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_new,
-                    decode as stair_decode, encode as stair_encode,
+                    decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
 _SIZE_UNITS = {
@@ -151,10 +152,45 @@ def _pattern_to_json(pattern: FailurePattern) -> dict:
     }
 
 
+def _manifest_int(value) -> int:
+    """A chunk or row number read from a manifest: a JSON integer, never a
+    float (which ``int()`` would truncate) or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"manifest number {value!r} is not an integer")
+    return value
+
+
 def _pattern_from_json(obj: dict) -> FailurePattern:
     return FailurePattern.make(
-        obj.get("failed_chunks", ()),
-        {int(j): rows for j, rows in obj.get("sector_failures", {}).items()})
+        [_manifest_int(j) for j in obj.get("failed_chunks", ())],
+        {int(j): [_manifest_int(i) for i in rows]
+         for j, rows in obj.get("sector_failures", {}).items()})
+
+
+def _merge(cfg: StairConfig, patterns: list[FailurePattern]) -> FailurePattern:
+    """The pattern that loses every cell lost in any of ``patterns``: the
+    union of their failed chunks, and of their sector rows outside them.
+    Each of ``patterns`` must be valid for cfg on its own."""
+    if len(patterns) == 1:
+        return patterns[0]
+    for p in patterns:
+        p.validate_for(cfg)
+    failed = frozenset().union(*(p.failed_chunks for p in patterns))
+    sectors: dict[int, set[int]] = {}
+    for p in patterns:
+        for j, rows in p.sector_failures.items():
+            if j not in failed:
+                sectors.setdefault(j, set()).update(rows)
+    return FailurePattern.make(failed, sectors)
+
+
+def _merge_by_stripe(cfg: StairConfig, entries) -> dict[int, FailurePattern]:
+    """Stripe -> its one pattern, from (stripe, pattern) entries that may
+    name a stripe more than once."""
+    by_stripe: dict[int, list[FailurePattern]] = {}
+    for k, pattern in entries:
+        by_stripe.setdefault(k, []).append(pattern)
+    return {k: _merge(cfg, ps) for k, ps in by_stripe.items()}
 
 
 def cmd_inject(args) -> int:
@@ -163,28 +199,30 @@ def cmd_inject(args) -> int:
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     targets = (list(range(header.stripe_count)) if args.stripes == "all"
                else [int(x) for x in args.stripes.split(",") if x.strip()])
-    patterns = []
-    within = True
+    patterns, injected = [], []
     for idx in targets:
         cells = cont.stripe_view(body, idx)
         pattern = parse_pattern_spec(args.spec, cfg, rng)
-        within = within and pattern_within_coverage(cfg, pattern)
         cells[:] = sim.inject(cfg, cells, pattern)
+        injected.append((idx, pattern))
         patterns.append({"stripe": idx, **_pattern_to_json(pattern)})
     cont.write(header, body, args.output)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
-        "within_coverage": within,
+        "within_coverage": all(pattern_within_coverage(cfg, pattern)
+                               for pattern in _merge_by_stripe(cfg, injected).values()),
         "patterns": patterns,
     }
     Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
-def _read_manifest(path: str, cfg: StairConfig) -> list[tuple[object, FailurePattern]]:
-    """The (stripe, pattern) entries of a repair manifest written for cfg;
-    ValueError when the manifest is malformed or for another config."""
+def _read_manifest(path: str, cfg: StairConfig, body: np.ndarray) -> dict[int, FailurePattern]:
+    """Stripe index -> failure pattern, from a repair manifest written for
+    cfg, with the entries of a stripe merged into one pattern; ValueError
+    when the manifest is malformed, for another config, or names a stripe
+    that ``body`` does not hold."""
     manifest = json.loads(Path(path).read_text())
     try:
         mc = manifest["config"]
@@ -195,16 +233,34 @@ def _read_manifest(path: str, cfg: StairConfig) -> list[tuple[object, FailurePat
         raise ValueError(f"malformed repair manifest: {type(exc).__name__}: {exc}") from None
     if not same:
         raise ValueError("manifest config does not match the container header")
-    return entries
+    return _merge_by_stripe(cfg, [(cont.check_stripe(body, k), pattern)
+                                  for k, pattern in entries])
 
 
 def cmd_repair(args) -> int:
+    """Restore the cells that a manifest lists as lost, and write the result.
+
+    The entries of one stripe are merged into one pattern, and stripes with
+    the same pattern form a group.  Every group is planned before any is
+    decoded, so an unrecoverable one exits 2 having done no kernel work and
+    written nothing.  Each group is then decoded once per batch of at most
+    ``BLOCK_BYTES`` of body, as one stripe of the batch's stripes side by
+    side (``container.gather``).
+    """
     header, body = cont.read(args.input)
     cfg = header.config()
-    entries = [(cont.stripe_view(body, k), pattern)
-               for k, pattern in _read_manifest(args.manifest, cfg)]
-    for cells, pattern in entries:
-        cells[:] = stair_decode(cfg, cells, pattern)
+    groups: dict[tuple, tuple[FailurePattern, list[int]]] = {}
+    for k, pattern in _read_manifest(args.manifest, cfg, body).items():
+        key = (pattern.failed_chunks, frozenset(pattern.sector_failures.items()))
+        groups.setdefault(key, (pattern, []))[1].append(k)
+    for pattern, _ in groups.values():
+        decoding_steps(cfg, pattern)
+    per_batch = max(1, BLOCK_BYTES // math.prod(body.shape[1:]))
+    # newest plans first: the plan cache is bounded, and they are the ones still in it
+    for pattern, stripes in reversed(groups.values()):
+        for b in range(0, len(stripes), per_batch):
+            idx = stripes[b:b + per_batch]
+            cont.scatter(body, idx, stair_decode(cfg, cont.gather(body, idx), pattern))
     cont.write(header, body, args.output)
     return 0
 

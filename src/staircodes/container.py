@@ -163,11 +163,36 @@ def write(header: ContainerHeader, body: np.ndarray, path=None, devices=None) ->
             body[:, j].tofile(_device_file(devdir, j))
 
 
-def stripe_view(body: np.ndarray, k) -> np.ndarray:
-    """Stripe ``k`` of ``body`` as an (r, n, symbol_size) view: writes go to the body."""
+def check_stripe(body: np.ndarray, k) -> int:
+    """``k``, when it is the index of a stripe of ``body``; ValueError otherwise."""
     if type(k) is not int or not 0 <= k < len(body):
         raise ValueError(f"stripe index {k!r} is not in 0..{len(body) - 1}")
-    return body[k].transpose(1, 0, 2)
+    return k
+
+
+def stripe_view(body: np.ndarray, k) -> np.ndarray:
+    """Stripe ``k`` of ``body`` as an (r, n, symbol_size) view: writes go to the body."""
+    return body[check_stripe(body, k)].transpose(1, 0, 2)
+
+
+def gather(body: np.ndarray, idx: list[int]) -> np.ndarray:
+    """Stripes ``idx`` (checked indices) of ``body`` as one new
+    (r, n, B * symbol_size) cell array, B = len(idx): bytes b * symbol_size
+    to (b + 1) * symbol_size of each cell belong to stripe ``idx[b]``.
+
+    A schedule depends only on which cells are known, and the region
+    kernel works word by word, so one decode of this array decodes the B
+    stripes (a symbol is a whole number of words, so none straddles two).
+    """
+    cells = body[idx].transpose(2, 1, 0, 3)
+    return cells.reshape(cells.shape[0], cells.shape[1], -1)
+
+
+def scatter(body: np.ndarray, idx: list[int], cells: np.ndarray) -> None:
+    """Write an (r, n, B * symbol_size) cell array laid out as by
+    :func:`gather` back to stripes ``idx`` of ``body``."""
+    r, n, _ = cells.shape
+    body[idx] = cells.reshape(r, n, len(idx), -1).transpose(2, 1, 0, 3)
 
 
 def stripe_to_bytes(cells: np.ndarray) -> bytes:

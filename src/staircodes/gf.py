@@ -27,6 +27,11 @@ DEFAULT_POLY = {
 
 _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
+#: Bytes of working set that one block of bulk work may span: the kernel's
+#: index and product arrays per block of byte planes, and the stripes that
+#: one batched decode gathers.
+BLOCK_BYTES = 1 << 22
+
 
 # cached: every kernel call needs one, and building it costs a call on
 # 2-byte symbols about a tenth of its time
@@ -173,8 +178,8 @@ class Field:
         rows = self._table_rows(coef)
         planes = regions.reshape(k_n, -1, lanes).transpose(0, 2, 1).reshape(k_n * lanes, -1)
         offsets = _plane_offsets(len(planes))
-        # block the planes so that the intp index and the product stay within ~4 MiB
-        pb = ((1 << 22) // (max(out_n, 8) * s * lanes) or 1) * lanes
+        # block the planes so that the intp index and the product stay within BLOCK_BYTES
+        pb = (BLOCK_BYTES // (max(out_n, 8) * s * lanes) or 1) * lanes
         for p in range(0, len(planes), pb):
             part = np.bitwise_xor.reduce(rows.take(planes[p:p + pb] + offsets[p:p + pb], 1), 1)
             if p:

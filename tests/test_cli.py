@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import staircodes
-from staircodes import cli, config_new, encoding_steps, xor_count
+from staircodes import cli, config_new, encoding_steps, stair, xor_count
 from staircodes import container as cont
+from staircodes.stair import FailurePattern, pattern_within_coverage, worst_case_pattern
 
 
 CFG_FLAGS = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--symbol-size", "32"]
@@ -154,6 +155,12 @@ MALFORMED_MANIFESTS = {
     "sector-rows-not-list": lambda doc: {
         **doc, "patterns": [{**doc["patterns"][0], "sector_failures": {"3": 5}}]},
     "manifest-is-list": lambda doc: [doc],
+    "float-chunk": lambda doc: {
+        **doc, "patterns": [{**doc["patterns"][0], "failed_chunks": [6.5]}]},
+    "float-row": lambda doc: {
+        **doc, "patterns": [{**doc["patterns"][0], "sector_failures": {"3": [3.5]}}]},
+    "bool-chunk": lambda doc: {
+        **doc, "patterns": [{**doc["patterns"][0], "failed_chunks": [True]}]},
 }
 
 
@@ -168,6 +175,117 @@ def test_malformed_manifest_exits_1(tmp_path, payload, malform):
     manifest.write_text(json.dumps(malform(json.loads(manifest.read_text()))))
     assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 1
     assert not fixed.exists()
+
+
+@pytest.mark.parametrize("seed", [4, 6])
+def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
+    # two seeded patterns land on stripe 0; each entry alone leaves some of
+    # the other's cells unrestored, so repair must decode their union
+    src, _ = payload
+    box, dmg, fixed = (tmp_path / n for n in ("c.stairc", "d.stairc", "f.stairc"))
+    manifest = tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "sectors=2:1,3:1",
+                     "--stripes", "0,0", "--seed", str(seed), "--manifest", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    cfg = cont.parse_header(box.read_bytes()).config()
+    union = FailurePattern.make((), {
+        j: {i for entry in doc["patterns"] for i in entry["sector_failures"].get(str(j), ())}
+        for j in (2, 3)})
+    assert len(doc["patterns"]) == 2 and doc["patterns"][0] != doc["patterns"][1]
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
+    assert fixed.read_bytes() == box.read_bytes()
+    assert doc["within_coverage"] is pattern_within_coverage(cfg, union)
+
+
+def _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns):
+    """Encode random data at field width w, then overwrite with noise the
+    cells that ``patterns[k]`` loses in stripe k, writing the damaged
+    container and its manifest.  Returns (clean path, damaged path,
+    manifest path)."""
+    cfg = config_new(8, 4, 2, (1, 1, 2), w)
+    src, box, dmg = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "d.stairc"
+    src.write_bytes(rng.bytes(stripes * cfg.data_cell_count * symbol - symbol))
+    assert cli.main(["encode", str(src), "-o", str(box), "--w", str(w),
+                     "--symbol-size", str(symbol)] + CFG_FLAGS[:-2]) == 0
+    header, body = cont.read(box)
+    assert header.stripe_count == stripes
+    entries = []
+    for k, pattern in enumerate(patterns):
+        cells = cont.stripe_view(body, k)
+        for i, j in pattern.lost_cells(cfg):
+            cells[i, j] = rng.integers(0, 256, symbol, dtype=np.uint8)
+        entries.append({"stripe": k, **cli._pattern_to_json(pattern)})
+    cont.write(header, body, dmg)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "config": {"n": 8, "r": 4, "m": 2, "e": [1, 1, 2], "w": w},
+        "symbol_size": symbol, "patterns": entries}))
+    return box, dmg, manifest
+
+
+def _random_pattern(rng, cfg) -> FailurePattern:
+    """Up to m failed chunks plus sector losses within coverage elsewhere."""
+    failed = rng.choice(cfg.n, size=int(rng.integers(0, cfg.m + 1)), replace=False).tolist()
+    alive = [j for j in range(cfg.n) if j not in failed]
+    slots = rng.choice(cfg.m_prime, size=int(rng.integers(0, cfg.m_prime + 1)), replace=False)
+    chunks = rng.choice(alive, size=len(slots), replace=False).tolist()
+    sectors = {j: rng.choice(cfg.r, size=int(rng.integers(1, cfg.e[l] + 1)), replace=False)
+               for l, j in zip(slots, chunks)}
+    return FailurePattern.make(failed, sectors)
+
+
+@pytest.mark.parametrize("case", ["shared", "mixed", "large-symbols"])
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_grouped_repair_is_byte_identical(tmp_path, rng, w, case):
+    """Repair decodes each group of stripes with one pattern as one wide
+    stripe; the result must equal the clean container and a per-stripe
+    decode of the same damaged body.  The 64 KiB symbols make 2 MiB
+    stripes, so their one group spans three batches."""
+    cfg = config_new(8, 4, 2, (1, 1, 2), w)
+    symbol, stripes = (65536, 5) if case == "large-symbols" else (32, 40)
+    if case == "mixed":
+        pool = [_random_pattern(rng, cfg) for _ in range(8)]
+        patterns = [pool[k] if k < 8 else pool[int(rng.integers(0, 8))] for k in range(stripes)]
+    else:
+        patterns = [worst_case_pattern(cfg)] * stripes
+    box, dmg, manifest = _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns)
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
+    assert fixed.read_bytes() == box.read_bytes()
+    _, body = cont.read(dmg)
+    for k, pattern in enumerate(patterns):
+        cells = cont.stripe_view(body, k)
+        cells[:] = stair.decode(cfg, cells, pattern)
+    assert cont.read(fixed)[1].tobytes() == body.tobytes()
+
+
+def test_repair_decodes_once_per_distinct_pattern(tmp_path, rng, monkeypatch):
+    cfg = config_new(8, 4, 2, (1, 1, 2))
+    pool = [worst_case_pattern(cfg), FailurePattern.make([0, 5]),
+            FailurePattern.make([1], {3: [0], 4: [1, 2]})]
+    patterns = [pool[k % 3] for k in range(12)]
+    box, dmg, manifest = _damaged_copy(tmp_path, rng, 8, 32, 12, patterns)
+    calls = []
+    decode = cli.stair_decode
+    monkeypatch.setattr(cli, "stair_decode", lambda *a, **kw: calls.append(1) or decode(*a, **kw))
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
+    assert fixed.read_bytes() == box.read_bytes()
+    assert len(calls) == 3
+
+
+def test_repair_with_one_stripe_beyond_coverage_exits_2(tmp_path, rng, monkeypatch):
+    # every group is planned before any is decoded: no kernel work, no output
+    cfg = config_new(8, 4, 2, (1, 1, 2))
+    patterns = [_random_pattern(rng, cfg) for _ in range(10)]
+    patterns[6] = FailurePattern.make([0, 1, 2])
+    _, dmg, manifest = _damaged_copy(tmp_path, rng, 8, 32, 10, patterns)
+    calls = []
+    monkeypatch.setattr(cli, "stair_decode", lambda *a, **kw: calls.append(1))
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 2
+    assert not fixed.exists() and not calls
 
 
 def test_inject_explicit_cells_and_seed(tmp_path, payload):
