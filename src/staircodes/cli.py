@@ -147,14 +147,13 @@ def parse_pattern_spec(spec: str, cfg: StairConfig, rng: np.random.Generator | N
 def _pattern_to_json(pattern: FailurePattern) -> dict:
     return {
         "failed_chunks": sorted(pattern.failed_chunks),
-        "sector_failures": {str(j): sorted(rows)
-                            for j, rows in sorted(pattern.sector_failures.items())},
+        "sector_failures": {str(j): list(rows) for j, rows in pattern.sector_failures},
     }
 
 
 def _manifest_int(value) -> int:
-    """A chunk or row number read from a manifest: a JSON integer, never a
-    float (which ``int()`` would truncate) or a bool."""
+    """A config, chunk or row number read from a manifest: a JSON integer,
+    never a float (which ``int()`` would truncate) or a bool."""
     if type(value) is not int:
         raise ValueError(f"manifest number {value!r} is not an integer")
     return value
@@ -178,7 +177,7 @@ def _merge(cfg: StairConfig, patterns: list[FailurePattern]) -> FailurePattern:
     failed = frozenset().union(*(p.failed_chunks for p in patterns))
     sectors: dict[int, set[int]] = {}
     for p in patterns:
-        for j, rows in p.sector_failures.items():
+        for j, rows in p.sector_failures:
             if j not in failed:
                 sectors.setdefault(j, set()).update(rows)
     return FailurePattern.make(failed, sectors)
@@ -226,7 +225,8 @@ def _read_manifest(path: str, cfg: StairConfig, body: np.ndarray) -> dict[int, F
     manifest = json.loads(Path(path).read_text())
     try:
         mc = manifest["config"]
-        same = config_new(mc["n"], mc["r"], mc["m"], mc["e"], mc["w"]) == cfg
+        n, r, m, w = (_manifest_int(mc[k]) for k in ("n", "r", "m", "w"))
+        same = config_new(n, r, m, [_manifest_int(x) for x in mc["e"]], w) == cfg
         entries = [(entry.get("stripe"), _pattern_from_json(entry))
                    for entry in manifest.get("patterns", [])]
     except (KeyError, TypeError, AttributeError) as exc:
@@ -249,15 +249,14 @@ def cmd_repair(args) -> int:
     """
     header, body = cont.read(args.input)
     cfg = header.config()
-    groups: dict[tuple, tuple[FailurePattern, list[int]]] = {}
+    groups: dict[FailurePattern, list[int]] = {}
     for k, pattern in _read_manifest(args.manifest, cfg, body).items():
-        key = (pattern.failed_chunks, frozenset(pattern.sector_failures.items()))
-        groups.setdefault(key, (pattern, []))[1].append(k)
-    for pattern, _ in groups.values():
+        groups.setdefault(pattern, []).append(k)
+    for pattern in groups:
         decoding_steps(cfg, pattern)
     per_batch = max(1, BLOCK_BYTES // math.prod(body.shape[1:]))
     # newest plans first: the plan cache is bounded, and they are the ones still in it
-    for pattern, stripes in reversed(groups.values()):
+    for pattern, stripes in reversed(groups.items()):
         for b in range(0, len(stripes), per_batch):
             idx = stripes[b:b + per_batch]
             cont.scatter(body, idx, stair_decode(cfg, cont.gather(body, idx), pattern))

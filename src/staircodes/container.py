@@ -46,6 +46,12 @@ class ContainerHeader:
     data_length: int
     version: int = VERSION
 
+    def __post_init__(self):
+        # every header, made by header_for or read by parse_header, passes here
+        if not self.config().data_cell_count:
+            raise ValueError(f"geometry n={self.n}, r={self.r}, m={self.m}, e={self.e} has no "
+                             "data cells, so a container of it could hold no data")
+
     def config(self) -> StairConfig:
         return config_new(self.n, self.r, self.m, self.e, self.w)
 
@@ -59,8 +65,7 @@ class ContainerHeader:
 
     @property
     def stripe_count(self) -> int:
-        per = self.data_bytes_per_stripe
-        return -(-self.data_length // per) if per else 0
+        return -(-self.data_length // self.data_bytes_per_stripe)
 
 
 def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
@@ -95,7 +100,6 @@ def parse_header(buf: bytes) -> ContainerHeader:
     symbol_size, poly32, data_length = _TRAILER.unpack_from(buf, off)
     poly = poly32 | (1 << 32) if w == 32 else poly32
     header = ContainerHeader(w, n, r, m, tuple(e), symbol_size, poly, data_length)
-    header.config()   # validates the geometry
     check_symbol_size(symbol_size, w)
     if poly != DEFAULT_POLY[w]:
         # the codec only runs the default field of each width

@@ -8,6 +8,10 @@ primitives from here: "multiply regions by constants and XOR the products
 together" (:func:`Field.matmul_regions`, of which :func:`Field.mult_xor` is
 the 1x1 case) and small dense matrix algebra over the field.  Multi-byte
 elements are interpreted little-endian.
+
+Every width computes a product one way, from split tables; an inverse one
+way, by the extended Euclidean algorithm; and a matrix inverse by row
+elimination on the region kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class Field:
     A w-bit word is w/8 byte lanes, and a constant ``a`` has one 256-entry
     table per lane, T[k][b] = a * (b << 8k), so a product is the XOR of
     w/8 lookups (the SPLIT tables of Plank, Greenan and Miller, FAST 2013).
-    At w=8 the tables of all 256 constants are one product table.
+    At w=8 the tables of all 256 constants are one product table.  Scalar
+    products (:meth:`mul`) and region products use these tables alike;
+    :meth:`inverse` is Euclid's algorithm, and :meth:`mat_inv` eliminates
+    whole rows through :meth:`mat_mul`.
 
     Immutable after construction and safe to share across threads;
     ``mult_xor`` only requires exclusive access to its destination buffer.
@@ -65,15 +72,7 @@ class Field:
         self.order = 1 << w
         self.word_bytes = w // 8
         self.word_dtype = _WORD_DTYPE[w]
-        if w == 8:
-            self._mul_table = self._split_tables(np.arange(256))[:, 0]
-            inv = np.zeros(256, dtype=np.uint8)
-            rows, cols = np.nonzero(self._mul_table == 1)
-            inv[rows] = cols
-            self._inv_table = inv
-        else:
-            self._mul_table = None
-            self._inv_table = None
+        self._mul_table = self._split_tables(np.arange(256))[:, 0] if w == 8 else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Field(w={self.w}, poly=0x{self.poly:X})"
@@ -96,37 +95,27 @@ class Field:
     # -- scalar arithmetic --------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self.w == 8:
-            return int(self._mul_table[a, b])
+        """a * b: the XOR of b's byte lanes looked up in a's split tables."""
         res = 0
-        top = 1 << self.w
-        mask = top - 1
-        low_poly = self.poly & mask
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            carry = a & (top >> 1)
-            a = (a << 1) & mask
-            if carry:
-                a ^= low_poly
-        return res
-
-    def pow(self, a: int, e: int) -> int:
-        res, base = 1, a
-        while e > 0:
-            if e & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            e >>= 1
+        for lane, table in enumerate(self._const_table(a)):
+            res ^= int(table[(b >> 8 * lane) & 0xFF])
         return res
 
     def inverse(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.w == 8:
-            return int(self._inv_table[a])
-        return self.pow(a, self.order - 2)
+        """1 / a by the extended Euclidean algorithm on binary polynomials:
+        g * a = u and h * a = v modulo the field polynomial throughout, and
+        u ends at 1."""
+        if not 0 < a < self.order:
+            raise ZeroDivisionError(f"{a} has no multiplicative inverse in GF(2^{self.w})")
+        u, v, g, h = a, self.poly, 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g, h = v, u, h, g
+                shift = -shift
+            u ^= v << shift
+            g ^= h << shift
+        return g
 
     # -- region kernels -----------------------------------------------------
 
@@ -137,12 +126,13 @@ class Field:
             raise ValueError(
                 f"region length {buf.size} is not a multiple of the element width {self.word_bytes}")
 
-    # Bounded and shared by every field: a table is 2 KiB at w=16 and 4 KiB
-    # at w=32; standard encoding of n=16, r=16, m=2, e=(1,1,2,4) uses 2,180
-    # constants.
+    # Serves every width (``mul``, and the kernel's rows for w > 8).  Bounded
+    # and shared by every field: a table is 256 B at w=8, 2 KiB at w=16 and
+    # 4 KiB at w=32; standard encoding of n=16, r=16, m=2, e=(1,1,2,4) uses
+    # 2,180 constants.
     @lru_cache(maxsize=4096)
     def _const_table(self, a: int) -> np.ndarray:
-        """Split tables of one constant for w > 8: (w/8, 256) words."""
+        """Split tables of one constant: (w/8, 256) words."""
         return self._split_tables([a])[0]
 
     def _table_rows(self, coef: np.ndarray) -> np.ndarray:
@@ -195,31 +185,32 @@ class Field:
         return self.matmul_regions(a, b.view(np.uint8)).view(self.word_dtype)
 
     def mat_inv(self, m: np.ndarray) -> np.ndarray:
-        """Gauss-Jordan inverse; raises ValueError on singular input."""
+        """Gauss-Jordan inverse; raises ValueError on singular input.
+
+        Works on the augmented (n, 2n) word matrix [m | I].  Each pivot is
+        one row swap, one scaling of the pivot row and one rank-1 update of
+        every row, the last two through :meth:`mat_mul`.
+        """
         m = np.asarray(m)
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("matrix must be square")
-        a = [[int(x) for x in row] for row in m]
-        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        aug = np.concatenate([m.astype(self.word_dtype), self.identity(n)], axis=1)
         for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
+            nonzero = np.flatnonzero(aug[col:, col])
+            if not nonzero.size:
                 raise ValueError("singular matrix over GF(2^w)")
+            piv = col + nonzero[0]
             if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            scale = self.inverse(a[col][col])
-            if scale != 1:
-                a[col] = [self.mul(scale, x) for x in a[col]]
-                inv[col] = [self.mul(scale, x) for x in inv[col]]
-            for r in range(n):
-                if r == col or not a[r][col]:
-                    continue
-                f = a[r][col]
-                a[r] = [x ^ self.mul(f, y) for x, y in zip(a[r], a[col])]
-                inv[r] = [x ^ self.mul(f, y) for x, y in zip(inv[r], inv[col])]
-        return np.array(inv, dtype=self.word_dtype)
+                aug[[col, piv]] = aug[[piv, col]]
+            pivot = int(aug[col, col])
+            row = self.mat_mul([[self.inverse(pivot)]], aug[col:col + 1])
+            # row r gains f[r] * row: f = this column cancels it in every other
+            # row, and f[col] = pivot ^ 1 turns the pivot row into row itself
+            f = aug[:, col:col + 1].copy()
+            f[col] ^= 1
+            aug ^= self.mat_mul(f, row)
+        return aug[:, n:].copy()
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.word_dtype)

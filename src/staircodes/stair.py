@@ -186,25 +186,26 @@ def random_stripe(cfg: StairConfig, symbol_size: int, rng: np.random.Generator) 
 
 @dataclass(frozen=True, eq=True)
 class FailurePattern:
-    """Whole-chunk failures plus per-chunk erased-row sets (disjoint from them)."""
+    """Whole-chunk failures plus per-chunk erased rows (disjoint from them).
+
+    A hashable value: equal patterns compare and hash equal however they
+    were given to :meth:`make`.
+    """
 
     failed_chunks: frozenset
-    sector_failures: dict    # column -> frozenset of erased rows
+    sector_failures: tuple   # ((column, sorted erased rows), ...) by column, none empty
 
     @staticmethod
     def make(failed=(), sectors=None) -> "FailurePattern":
-        norm = {}
-        for j, rows in (sectors or {}).items():
-            rows = frozenset(int(i) for i in rows)
-            if rows:
-                norm[int(j)] = rows
-        return FailurePattern(frozenset(int(j) for j in failed), norm)
+        rows_of = {int(j): sorted({int(i) for i in rows}) for j, rows in (sectors or {}).items()}
+        return FailurePattern(frozenset(int(j) for j in failed),
+                              tuple((j, tuple(rows)) for j, rows in sorted(rows_of.items()) if rows))
 
     def validate_for(self, cfg: StairConfig) -> None:
         for j in self.failed_chunks:
             if not 0 <= j < cfg.n:
                 raise ValueError(f"failed chunk {j} outside 0..{cfg.n - 1}")
-        for j, rows in self.sector_failures.items():
+        for j, rows in self.sector_failures:
             if not 0 <= j < cfg.n:
                 raise ValueError(f"sector-failure chunk {j} outside 0..{cfg.n - 1}")
             if j in self.failed_chunks:
@@ -217,8 +218,8 @@ class FailurePattern:
         for j in sorted(self.failed_chunks):
             for i in range(cfg.r):
                 yield i, j
-        for j in sorted(self.sector_failures):
-            for i in sorted(self.sector_failures[j]):
+        for j, rows in self.sector_failures:
+            for i in rows:
                 yield i, j
 
 
@@ -235,7 +236,7 @@ def pattern_within_coverage(cfg: StairConfig, pattern: FailurePattern) -> bool:
     pattern.validate_for(cfg)
     if len(pattern.failed_chunks) > cfg.m:
         return False
-    return counts_within_coverage(cfg, (len(v) for v in pattern.sector_failures.values()))
+    return counts_within_coverage(cfg, (len(rows) for _, rows in pattern.sector_failures))
 
 
 def worst_case_pattern(cfg: StairConfig) -> FailurePattern:
@@ -469,15 +470,15 @@ def _codec(cfg: StairConfig) -> _Codec:
 # Bounded: exhaustive sweeps decode hundreds of thousands of distinct
 # patterns, and a plan holds a few KB.
 @lru_cache(maxsize=1024)
-def _decode_plan(cfg: StairConfig, failed: frozenset, sectors: frozenset,
+def _decode_plan(cfg: StairConfig, pattern: FailurePattern,
                  practical: bool) -> tuple[Step, ...]:
-    """Schedule restoring the failed chunks and the (column, rows) sector
-    losses; raises :class:`UnrecoverableError` (never cached) if none does."""
+    """Schedule restoring the cells that ``pattern`` lists as lost; raises
+    :class:`UnrecoverableError` (never cached) if none does."""
     codec = _codec(cfg)
     known = codec.base_known()
-    for j in failed:
+    for j in pattern.failed_chunks:
         known[:cfg.r, j] = False
-    for j, rows in sectors:
+    for j, rows in pattern.sector_failures:
         known[list(rows), j] = False
 
     solver = _Solver(codec, known)
@@ -498,7 +499,7 @@ def _decode_plan(cfg: StairConfig, failed: frozenset, sectors: frozenset,
             by_size = sorted(loss, key=lambda j: (len(loss[j]), j), reverse=True)
             defer_cols = by_size[:cfg.m]
         else:
-            defer_cols = sorted(failed)
+            defer_cols = sorted(pattern.failed_chunks)
             if len(defer_cols) > cfg.m:
                 raise UnrecoverableError(
                     f"{len(defer_cols)} whole-chunk failures exceed m={cfg.m}")
@@ -524,9 +525,7 @@ def decoding_steps(cfg: StairConfig, pattern: FailurePattern, *,
     :class:`UnrecoverableError` when no schedule exists.
     """
     pattern.validate_for(cfg)
-    sectors = frozenset((j, frozenset(rows))
-                        for j, rows in pattern.sector_failures.items() if rows)
-    return _decode_plan(cfg, frozenset(pattern.failed_chunks), sectors, practical)
+    return _decode_plan(cfg, pattern, practical)
 
 
 @cache

@@ -2,9 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose, and stays
 independent of the code paths it verifies: bitwise field arithmetic,
-Rabin's irreducibility test, brute-force assignment search for the
-coverage rule, direct enumeration of stripe-loss probabilities, and the
-published closed forms.
+list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
+brute-force assignment search for the coverage rule, direct enumeration of
+stripe-loss probabilities, and the published closed forms.
 """
 
 from __future__ import annotations
@@ -83,6 +83,47 @@ def is_irreducible(poly: int, w: int) -> bool:
         if _pgcd(x_to_pow2(w // q) ^ 2, poly) != 1:
             return False
     return True
+
+
+def peasant_inverse(a: int, poly: int = 0x11D, w: int = 8) -> int:
+    """a^(2^w - 2) = 1 / a, by square-and-multiply over :func:`peasant_mul`."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    res, base, e = 1, a, (1 << w) - 2
+    while e:
+        if e & 1:
+            res = peasant_mul(res, base, poly, w)
+        base = peasant_mul(base, base, poly, w)
+        e >>= 1
+    return res
+
+
+def gauss_jordan_inverse(m, poly: int = 0x11D, w: int = 8) -> list[list[int]]:
+    """Inverse of a square matrix (a list of rows) by Gauss-Jordan
+    elimination over lists, one scalar product at a time; raises
+    ValueError when it is singular."""
+    n = len(m)
+    a = [[int(x) for x in row] for row in m]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def mul(x: int, y: int) -> int:
+        return peasant_mul(x, y, poly, w)
+
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix over GF(2^w)")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = peasant_inverse(a[col][col], poly, w)
+        a[col] = [mul(scale, x) for x in a[col]]
+        inv[col] = [mul(scale, x) for x in inv[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [x ^ mul(f, y) for x, y in zip(a[r], a[col])]
+                inv[r] = [x ^ mul(f, y) for x, y in zip(inv[r], inv[col])]
+    return inv
 
 
 def matvec_parity(data: list[int], parity_block, field_mul) -> list[int]:

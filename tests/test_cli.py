@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -161,6 +162,12 @@ MALFORMED_MANIFESTS = {
         **doc, "patterns": [{**doc["patterns"][0], "sector_failures": {"3": [3.5]}}]},
     "bool-chunk": lambda doc: {
         **doc, "patterns": [{**doc["patterns"][0], "failed_chunks": [True]}]},
+    # config numbers that int() would truncate to the container's own config
+    "float-config-n": lambda doc: {**doc, "config": {**doc["config"], "n": 8.7}},
+    "float-config-r": lambda doc: {**doc, "config": {**doc["config"], "r": 4.5}},
+    "float-config-m": lambda doc: {**doc, "config": {**doc["config"], "m": 2.9}},
+    "float-config-e": lambda doc: {**doc, "config": {**doc["config"], "e": [1.5, 1, 2]}},
+    "float-config-w": lambda doc: {**doc, "config": {**doc["config"], "w": 8.0}},
 }
 
 
@@ -485,10 +492,26 @@ def test_decode_refuses_header_symbol_size(tmp_path, w, symbol_size):
     # describes, must not be decoded
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     header = dataclasses.replace(cont.header_for(cfg, w // 8, 100), symbol_size=symbol_size)
+    stripes = header.stripe_count if symbol_size else 0    # cells of 0 bytes hold no data
     box = tmp_path / "c.stairc"
-    box.write_bytes(cont.pack_header(header)
-                    + bytes(header.stripe_count * header.n * header.r * symbol_size))
+    box.write_bytes(cont.pack_header(header) + bytes(stripes * header.n * header.r * symbol_size))
     assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
+
+
+def test_geometry_without_data_cells_is_refused(tmp_path, payload, capsys):
+    # n=2, r=1, m=1, e=(1,) is a valid code whose one stripe is all parity
+    src, _ = payload
+    flags = ["--n", "2", "--r", "1", "--m", "1", "--e", "1", "--symbol-size", "8"]
+    assert cli.main(["encode", str(src), "-o", str(tmp_path / "c.stairc")] + flags) == 1
+    assert "no data cells" in capsys.readouterr().err
+    # a header naming it, written field by field (header_for refuses it),
+    # with data_length 100 and an empty body
+    box, out = tmp_path / "forged.stairc", tmp_path / "out.bin"
+    box.write_bytes(struct.pack("<8sHBHHHHHIIQ", cont.MAGIC, cont.VERSION, 8, 2, 1, 1, 1, 1,
+                                8, 0x11D, 100))
+    assert cli.main(["decode", str(box), "-o", str(out)]) == 1
+    assert "no data cells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reliability_tables_scenario():

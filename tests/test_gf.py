@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from staircodes.gf import DEFAULT_POLY, Field, field_init
-from oracles import is_irreducible, peasant_mul
+from oracles import gauss_jordan_inverse, is_irreducible, peasant_mul
 
 
 def test_default_polynomials_are_irreducible():
@@ -40,6 +40,17 @@ def test_w8_table_matches_bitwise_oracle_exhaustively():
             assert row[b] == peasant_mul(a, b, 0x11D, 8), (a, b)
 
 
+def test_mul_matches_product_table_exhaustively():
+    fld = field_init(8)
+    assert [[fld.mul(a, b) for b in range(256)] for a in range(256)] == fld._mul_table.tolist()
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_every_inverse_exhaustively(w):
+    fld = field_init(w)
+    assert all(fld.mul(a, fld.inverse(a)) == 1 for a in range(1, fld.order))
+
+
 @given(st.integers(1, 255))
 def test_inverse_property(a):
     fld = field_init(8)
@@ -61,6 +72,8 @@ def test_mul_commutes(a, b):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field_init(8).inverse(0)
+    with pytest.raises(ZeroDivisionError):      # not an element of GF(2^8)
+        field_init(8).inverse(256)
 
 
 @pytest.mark.parametrize("w", [16, 32])
@@ -202,3 +215,24 @@ def test_mat_inv_singular_raises():
     fld = field_init(8)
     with pytest.raises(ValueError):
         fld.mat_inv(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+@given(m=arrays(np.uint32, st.integers(1, 6).map(lambda n: (n, n)),
+                elements=st.sampled_from((0, 1)) | st.integers(0, 2 ** 32 - 1)))
+@example(m=np.array([[0, 1], [1, 0]], np.uint32))                   # swaps every pivot
+@example(m=np.array([[0, 3, 1], [0, 5, 7], [2, 0, 9]], np.uint32))  # pivot from the last row
+@example(m=np.array([[1, 2, 3], [0, 0, 4], [0, 0, 5]], np.uint32))  # singular past a pivot
+@settings(max_examples=40, deadline=None)
+def test_mat_inv_matches_gauss_jordan_oracle(w, m):
+    fld = field_init(w)
+    m = (m & (fld.order - 1)).astype(fld.word_dtype)
+    try:
+        expect = gauss_jordan_inverse(m.tolist(), fld.poly, w)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fld.mat_inv(m)
+        return
+    inv = fld.mat_inv(m)
+    assert inv.dtype == fld.word_dtype
+    assert inv.tolist() == expect

@@ -24,7 +24,7 @@ def test_within_samples_respect_max_burst(exemplar):
     worst = 0
     for seed in range(2000):
         pat = sim.sample_pattern(exemplar, seed, within=True)
-        for rows in pat.sector_failures.values():
+        for _, rows in pat.sector_failures:
             worst = max(worst, len(rows))
     assert worst <= exemplar.e_max
     assert worst == exemplar.e_max       # the sampler does reach the edge

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,16 @@ def test_too_many_failed_chunks(exemplar):
     assert not sc.pattern_within_coverage(exemplar, pat)
 
 
+def test_failure_pattern_is_a_hashable_value():
+    a = sc.FailurePattern.make([3, 1], {4: [2, 0], 6: (1,), 5: []})
+    b = sc.FailurePattern.make({1, 3}, {"6": {1}, 4: np.array([0, 2, 2])})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.sector_failures == ((4, (0, 2)), (6, (1,)))
+    assert a != sc.FailurePattern.make([1, 3], {4: [0]})
+    with pytest.raises(TypeError):
+        a.sector_failures[0] = (4, (1,))
+
+
 def test_pattern_validation(exemplar):
     with pytest.raises(ValueError):
         sc.FailurePattern.make((9,)).validate_for(exemplar)
@@ -103,7 +114,7 @@ def test_worst_case_pattern_is_covered():
         pat = sc.worst_case_pattern(cfg)
         assert sc.pattern_within_coverage(cfg, pat)
         assert len(pat.failed_chunks) == cfg.m
-        assert sorted(len(v) for v in pat.sector_failures.values()) == list(cfg.e)
+        assert sorted(len(rows) for _, rows in pat.sector_failures) == list(cfg.e)
 
 
 def test_coverage_matches_assignment_oracle_exhaustively():

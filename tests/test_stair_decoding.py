@@ -152,8 +152,7 @@ def test_exhaustive_roundtrip_tiny_config(rng):
         assert np.array_equal(restored, stripe), pattern
         assert np.array_equal(again, restored), pattern
         # the cached schedule is the one a fresh plan gives
-        sectors = frozenset((j, frozenset(rows)) for j, rows in pattern.sector_failures.items())
-        fresh = _decode_plan.__wrapped__(cfg, pattern.failed_chunks, sectors, True)
+        fresh = _decode_plan.__wrapped__(cfg, pattern, True)
         cached = sc.decoding_steps(cfg, pattern)
         assert [s.signature for s in cached] == [s.signature for s in fresh], pattern
         seen += 1
