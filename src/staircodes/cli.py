@@ -159,10 +159,19 @@ def _manifest_int(value) -> int:
     return value
 
 
+def _manifest_key(key: str) -> int:
+    """A chunk number written as a ``sector_failures`` key: canonical
+    decimal only, so that two keys ("3" and "03") never name one chunk."""
+    j = int(key)
+    if str(j) != key:
+        raise ValueError(f"manifest key {key!r} is not a canonical integer")
+    return j
+
+
 def _pattern_from_json(obj: dict) -> FailurePattern:
     return FailurePattern.make(
         [_manifest_int(j) for j in obj.get("failed_chunks", ())],
-        {int(j): [_manifest_int(i) for i in rows]
+        {_manifest_key(j): [_manifest_int(i) for i in rows]
          for j, rows in obj.get("sector_failures", {}).items()})
 
 

@@ -2,23 +2,26 @@
 
 Field elements are integers whose bits are the coefficients of a binary
 polynomial; arithmetic is modulo an irreducible polynomial of degree w.
-Symbol regions are contiguous ``numpy.uint8`` buffers whose length is a
-multiple of the element width.  The coding layers only ever need two
-primitives from here: "multiply regions by constants and XOR the products
-together" (:func:`Field.matmul_regions`, of which :func:`Field.mult_xor` is
-the 1x1 case) and small dense matrix algebra over the field.  Multi-byte
-elements are interpreted little-endian.
+Symbol regions are ``numpy.uint8`` buffers whose length is a multiple of
+the element width.  The coding layers only ever need two primitives from
+here: "multiply regions by constants and XOR the products together"
+(:func:`Field.matmul_regions`) and small dense matrix algebra over the
+field.  Multi-byte elements are interpreted little-endian.
 
-Every width computes a product one way, from split tables; an inverse one
-way, by the extended Euclidean algorithm; and a matrix inverse by row
-elimination on the region kernel.
+Every width computes a scalar product one way, from split tables; a
+region product one way, in the native nibble-table kernel of
+:mod:`staircodes.kernel` (built with the C compiler on its first call);
+an inverse one way, by the extended Euclidean algorithm; and a matrix
+inverse by row elimination on the region kernel.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
+
+from . import kernel
 
 SUPPORTED_WIDTHS = (8, 16, 32)
 
@@ -31,18 +34,9 @@ DEFAULT_POLY = {
 
 _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
-#: Bytes of working set that one block of bulk work may span: the kernel's
-#: index and product arrays per block of byte planes, and the stripes that
-#: one batched decode gathers.
+#: Bytes of stripes that one batch of a grouped repair lays side by side
+#: (see ``cli``); it bounds that batch's memory, not a kernel call's.
 BLOCK_BYTES = 1 << 22
-
-
-# cached: every kernel call needs one, and building it costs a call on
-# 2-byte symbols about a tenth of its time
-@lru_cache(maxsize=256)
-def _plane_offsets(planes: int) -> np.ndarray:
-    """(planes, 1) start of each byte plane's 256-entry table in a table row."""
-    return np.arange(0, planes * 256, 256)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +44,23 @@ def _plane_offsets(planes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """GF(2^w) for w in {8, 16, 32}, with one split-table region kernel.
+    """GF(2^w) for w in {8, 16, 32}, with one native region kernel.
 
-    A w-bit word is w/8 byte lanes, and a constant ``a`` has one 256-entry
-    table per lane, T[k][b] = a * (b << 8k), so a product is the XOR of
-    w/8 lookups (the SPLIT tables of Plank, Greenan and Miller, FAST 2013).
-    At w=8 the tables of all 256 constants are one product table.  Scalar
-    products (:meth:`mul`) and region products use these tables alike;
-    :meth:`inverse` is Euclid's algorithm, and :meth:`mat_inv` eliminates
-    whole rows through :meth:`mat_mul`.
+    A w-bit word is L = w/8 byte lanes, and a constant ``a`` has one
+    256-entry table per lane, T[i][b] = a * (b << 8i), so a product is the
+    XOR of L lookups (the SPLIT tables of Plank, Greenan and Miller, FAST
+    2013).  Scalar products (:meth:`mul`) use these tables; :meth:`inverse`
+    is Euclid's algorithm, and :meth:`mat_inv` eliminates whole rows
+    through :meth:`mat_mul`.
 
-    Immutable after construction and safe to share across threads;
-    ``mult_xor`` only requires exclusive access to its destination buffer.
+    Region products (:meth:`matmul_regions`) run in the C kernel of
+    :mod:`staircodes.kernel` on byte planes.  Byte j of a * (b << 8i) is a
+    GF(2)-linear function of the byte b, so it splits into a low-nibble
+    and a high-nibble lookup of 16 entries each: ``a`` becomes an (L, L)
+    block of such maps from input lane i to output lane j, and every width
+    runs the same byte loop.
+
+    Immutable after construction and safe to share across threads.
     """
 
     def __init__(self, w: int = 8):
@@ -72,7 +71,8 @@ class Field:
         self.order = 1 << w
         self.word_bytes = w // 8
         self.word_dtype = _WORD_DTYPE[w]
-        self._mul_table = self._split_tables(np.arange(256))[:, 0] if w == 8 else None
+        # at w=8 the split tables of all 256 constants (64 KiB), built at once
+        self._tables8 = self._split_tables(np.arange(256)) if w == 8 else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Field(w={self.w}, poly=0x{self.poly:X})"
@@ -117,66 +117,61 @@ class Field:
             g ^= h << shift
         return g
 
-    # -- region kernels -----------------------------------------------------
+    # -- region kernel ------------------------------------------------------
 
-    def check_region(self, buf: np.ndarray) -> None:
-        if buf.dtype != np.uint8 or buf.ndim != 1:
-            raise ValueError("symbol regions must be 1-D uint8 arrays")
-        if buf.size % self.word_bytes:
-            raise ValueError(
-                f"region length {buf.size} is not a multiple of the element width {self.word_bytes}")
-
-    # Serves every width (``mul``, and the kernel's rows for w > 8).  Bounded
-    # and shared by every field: a table is 256 B at w=8, 2 KiB at w=16 and
-    # 4 KiB at w=32; standard encoding of n=16, r=16, m=2, e=(1,1,2,4) uses
-    # 2,180 constants.
+    # Bounded and shared by every field: a table is 256 B at w=8, 2 KiB at
+    # w=16 and 4 KiB at w=32; standard encoding of n=16, r=16, m=2,
+    # e=(1,1,2,4) uses 2,180 constants.
     @lru_cache(maxsize=4096)
     def _const_table(self, a: int) -> np.ndarray:
         """Split tables of one constant: (w/8, 256) words."""
         return self._split_tables([a])[0]
 
-    def _table_rows(self, coef: np.ndarray) -> np.ndarray:
-        """(O, K) coefficients -> (O, K * w/8 * 256) split tables, row-major."""
-        if self.w == 8:
-            tables = self._mul_table.take(coef, 0)
-        else:
-            tables = np.stack([self._const_table(int(a)) for a in coef.flat])
-        return tables.reshape(len(coef), -1)
-
-    def mult_xor(self, dst: np.ndarray, src: np.ndarray, a: int) -> np.ndarray:
-        """dst ^= a * src, elementwise over the field.  Returns dst."""
-        self.check_region(dst)
-        self.check_region(src)
-        if dst.size != src.size:
-            raise ValueError(f"region length mismatch: dst={dst.size} src={src.size}")
-        dst ^= self.matmul_regions([[a]], src[None])[0]
-        return dst
+    # Keyed by a coefficient matrix's dtype, shape and bytes, because a
+    # schedule applies the same few matrices to every stripe.  An entry
+    # holds 32 * (w/8)^2 B per coefficient.
+    @lru_cache(maxsize=4096)
+    def _maps(self, dtype, shape, key: bytes):
+        """The kernel's (O * L, K * L) nibble maps of an (O, K) matrix, L =
+        w/8, as a pointer that holds them: output plane (o, j) reads input
+        plane (k, i) through map i -> j of coefficient (o, k)."""
+        out_n, k_n = shape
+        lanes = self.word_bytes
+        consts = np.frombuffer(key, dtype)
+        tables = (self._tables8.take(consts, 0) if self.w == 8
+                  else np.stack(list(map(self._const_table, consts.tolist()))))
+        # entry x < 16 of lane i's table is a * (x << 8i), entry 16x is
+        # a * (x << 8i + 4); byte j of each is map i -> j
+        nibbles = np.concatenate([tables[..., :16], tables[..., ::16]], axis=-1)
+        maps = nibbles.view(np.uint8).reshape(out_n, k_n, lanes, 32, lanes).transpose(0, 4, 1, 2, 3)
+        ffi, _ = kernel.load()
+        return ffi.from_buffer("uint8_t[]", np.ascontiguousarray(maps))
 
     def matmul_regions(self, coef: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """Apply an (O, K) coefficient matrix to K stacked regions.
 
-        ``regions`` is (K, S) uint8; returns (O, S) with
-        out[o] = XOR_k coef[o, k] * regions[k].  The K regions are read as
-        K * w/8 byte planes, and plane p looks its bytes up in the p-th
-        256-entry table of every output's table row.
+        ``regions`` is (K, S) uint8 with S a multiple of w/8; returns
+        (O, S) with out[o] = XOR_k coef[o, k] * regions[k].  The K regions
+        are read as K * w/8 byte planes (lane i of every word), and the
+        kernel applies the (O * w/8, K * w/8) matrix of the coefficients'
+        nibble maps to them in one call.
         """
         coef = np.asarray(coef)
         out_n, k_n = coef.shape
-        lanes, s = self.word_bytes, regions.shape[-1]
+        lanes = self.word_bytes
+        if regions.dtype != np.uint8 or regions.shape[:-1] != (k_n,) or regions.shape[-1] % lanes:
+            raise ValueError(f"regions of shape {regions.shape} and dtype {regions.dtype} do not "
+                             f"fit {k_n} coefficient columns of GF(2^{self.w}) words")
+        s = regions.shape[-1]
         if coef.size == 0 or s == 0:
             return np.zeros((out_n, s), dtype=np.uint8)
-        rows = self._table_rows(coef)
-        planes = regions.reshape(k_n, -1, lanes).transpose(0, 2, 1).reshape(k_n * lanes, -1)
-        offsets = _plane_offsets(len(planes))
-        # block the planes so that the intp index and the product stay within BLOCK_BYTES
-        pb = (BLOCK_BYTES // (max(out_n, 8) * s * lanes) or 1) * lanes
-        for p in range(0, len(planes), pb):
-            part = np.bitwise_xor.reduce(rows.take(planes[p:p + pb] + offsets[p:p + pb], 1), 1)
-            if p:
-                out ^= part
-            else:
-                out = part
-        return out.view(np.uint8)
+        maps = self._maps(coef.dtype, coef.shape, coef.tobytes())
+        planes = np.ascontiguousarray(regions.reshape(k_n, -1, lanes).transpose(0, 2, 1))
+        out = np.empty((out_n, lanes, s // lanes), dtype=np.uint8)
+        ffi, lib = kernel.load()
+        lib.gf_matmul(maps, ffi.from_buffer("uint8_t[]", planes), ffi.from_buffer("uint8_t[]", out),
+                      out_n * lanes, k_n * lanes, s // lanes)
+        return out.transpose(0, 2, 1).reshape(out_n, s)
 
     # -- small dense matrices over the field ---------------------------------
 
@@ -216,12 +211,7 @@ class Field:
         return np.eye(n, dtype=self.word_dtype)
 
 
-_FIELD_CACHE: dict[int, Field] = {}
-
-
+@cache
 def field_init(w: int = 8) -> Field:
     """Construct (or fetch the cached) GF(2^w) over ``DEFAULT_POLY[w]``."""
-    fld = _FIELD_CACHE.get(w)
-    if fld is None:
-        fld = _FIELD_CACHE[w] = Field(w)
-    return fld
+    return Field(w)

@@ -1,8 +1,8 @@
 """Independent oracles the suite checks the library against.
 
 Everything here is written the slow, obvious way on purpose, and stays
-independent of the code paths it verifies: bitwise field arithmetic,
-list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
+independent of the code paths it verifies: bitwise field arithmetic, the
+numpy split-table region kernel, list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
 brute-force assignment search for the coverage rule, direct enumeration of
 stripe-loss probabilities, and the published closed forms.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,27 @@ def peasant_inverse(a: int, poly: int = 0x11D, w: int = 8) -> int:
         base = peasant_mul(base, base, poly, w)
         e >>= 1
     return res
+
+
+def split_table_matmul(coef, regions, poly: int = 0x11D, w: int = 8) -> np.ndarray:
+    """out[o] = XOR_k coef[o, k] * regions[k] over (K, S) uint8 regions of
+    little-endian w-bit words, the split-table way: byte lane i of every
+    word of region k is looked up in the 256-entry table of
+    coef[o, k] * (b << 8i), built with :func:`peasant_mul`, and the
+    lookups are XORed.  Returns (O, S) uint8."""
+    coef = np.asarray(coef)
+    lanes = w // 8
+    dtype = {8: np.uint8, 16: np.uint16, 32: np.uint32}[w]
+    tables = {a: np.array([[peasant_mul(a, b << 8 * i, poly, w) for b in range(256)]
+                           for i in range(lanes)], dtype=dtype)
+              for a in set(coef.ravel().tolist())}
+    lanes_of = np.asarray(regions).reshape(len(regions), -1, lanes)
+    out = np.zeros((len(coef), lanes_of.shape[1]), dtype=dtype)
+    for o, row in enumerate(coef.tolist()):
+        for k, a in enumerate(row):
+            for i in range(lanes):
+                out[o] ^= tables[a][i].take(lanes_of[k, :, i])
+    return out.view(np.uint8)
 
 
 def gauss_jordan_inverse(m, poly: int = 0x11D, w: int = 8) -> list[list[int]]:

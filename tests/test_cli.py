@@ -149,6 +149,13 @@ def _without(obj: dict, key: str) -> dict:
     return {k: v for k, v in obj.items() if k != key}
 
 
+def _rekey(doc: dict, key: str) -> dict:
+    """The manifest with chunk 3's sector rows under ``key`` instead of "3"."""
+    entry = doc["patterns"][0]
+    sectors = {(key if j == "3" else j): rows for j, rows in entry["sector_failures"].items()}
+    return {**doc, "patterns": [{**entry, "sector_failures": sectors}]}
+
+
 MALFORMED_MANIFESTS = {
     "no-config": lambda doc: _without(doc, "config"),
     "pattern-not-object": lambda doc: {**doc, "patterns": [3]},
@@ -168,6 +175,10 @@ MALFORMED_MANIFESTS = {
     "float-config-m": lambda doc: {**doc, "config": {**doc["config"], "m": 2.9}},
     "float-config-e": lambda doc: {**doc, "config": {**doc["config"], "e": [1.5, 1, 2]}},
     "float-config-w": lambda doc: {**doc, "config": {**doc["config"], "w": 8.0}},
+    # chunk keys that int() reads as 3, so that a second key could name chunk 3 again
+    "key-leading-zero": lambda doc: _rekey(doc, "03"),
+    "key-leading-space": lambda doc: _rekey(doc, " 3"),
+    "key-plus-sign": lambda doc: _rekey(doc, "+3"),
 }
 
 

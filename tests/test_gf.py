@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from staircodes.gf import DEFAULT_POLY, Field, field_init
-from oracles import gauss_jordan_inverse, is_irreducible, peasant_mul
+from oracles import gauss_jordan_inverse, is_irreducible, peasant_mul, split_table_matmul
 
 
 def test_default_polynomials_are_irreducible():
@@ -32,17 +32,23 @@ def test_known_product():
     assert field_init(8).mul(2, 0x80) == 0x1D
 
 
+def _w8_product_table() -> np.ndarray:
+    """(256, 256) products a * b at w=8, from one kernel call: every
+    constant applied to a region that holds every byte."""
+    return field_init(8).matmul_regions(np.arange(256).reshape(256, 1),
+                                        np.arange(256, dtype=np.uint8)[None])
+
+
 def test_w8_table_matches_bitwise_oracle_exhaustively():
-    fld = field_init(8)
+    table = _w8_product_table()
     for a in range(256):
-        row = fld._mul_table[a]
         for b in range(256):
-            assert row[b] == peasant_mul(a, b, 0x11D, 8), (a, b)
+            assert table[a, b] == peasant_mul(a, b, 0x11D, 8), (a, b)
 
 
 def test_mul_matches_product_table_exhaustively():
     fld = field_init(8)
-    assert [[fld.mul(a, b) for b in range(256)] for a in range(256)] == fld._mul_table.tolist()
+    assert [[fld.mul(a, b) for b in range(256)] for a in range(256)] == _w8_product_table().tolist()
 
 
 @pytest.mark.parametrize("w", [8, 16])
@@ -89,15 +95,21 @@ def test_wide_fields_spot_checks(w, rng):
 
 
 # -- region kernels ---------------------------------------------------------
+#
+# A region multiply-XOR, dst ^= a * src, is a 1x1 matmul_regions XORed into dst.
+
+def _mult_xor(fld, dst, src, a):
+    dst ^= fld.matmul_regions([[a]], src[None])[0]
+
 
 def test_mult_xor_identity_and_zero(rng):
     fld = field_init(8)
     src = rng.integers(0, 256, 64, dtype=np.uint8)
     dst = np.zeros(64, dtype=np.uint8)
-    fld.mult_xor(dst, src, 1)
+    _mult_xor(fld, dst, src, 1)
     assert np.array_equal(dst, src)
     before = dst.copy()
-    fld.mult_xor(dst, src, 0)
+    _mult_xor(fld, dst, src, 0)
     assert np.array_equal(dst, before)
 
 
@@ -109,7 +121,7 @@ def test_mult_xor_matches_scalar_loop(rng):
     a = 0x53
     for k in range(4096):
         expect[k] ^= peasant_mul(a, int(src[k]))
-    fld.mult_xor(dst, src, a)
+    _mult_xor(fld, dst, src, a)
     assert np.array_equal(dst, expect)
 
 
@@ -121,15 +133,20 @@ def test_mult_xor_is_an_involution(a, size):
     src = gen.integers(0, 256, size, dtype=np.uint8)
     dst = gen.integers(0, 256, size, dtype=np.uint8)
     orig = dst.copy()
-    fld.mult_xor(dst, src, a)
-    fld.mult_xor(dst, src, a)
+    _mult_xor(fld, dst, src, a)
+    _mult_xor(fld, dst, src, a)
     assert np.array_equal(dst, orig)
 
 
 def test_mult_xor_length_mismatch_raises():
+    # regions that do not fit the coefficient matrix never reach the kernel
     fld = field_init(8)
-    with pytest.raises(ValueError):
-        fld.mult_xor(np.zeros(8, np.uint8), np.zeros(4, np.uint8), 3)
+    with pytest.raises(ValueError):      # two regions for one coefficient column
+        fld.matmul_regions([[3]], np.zeros((2, 4), np.uint8))
+    with pytest.raises(ValueError):      # one region, but not stacked
+        fld.matmul_regions([[3]], np.zeros(4, np.uint8))
+    with pytest.raises(ValueError):      # not bytes
+        fld.matmul_regions([[3]], np.zeros((1, 4), np.uint16))
 
 
 @pytest.mark.parametrize("w", [16, 32])
@@ -143,39 +160,57 @@ def test_wide_region_ops_match_scalar(w, rng):
     ew, sw = expect.view(fld.word_dtype), src.view(fld.word_dtype)
     for k in range(16):
         ew[k] ^= fld.mul(a, int(sw[k]))
-    fld.mult_xor(dst, src, a)
+    _mult_xor(fld, dst, src, a)
     assert np.array_equal(dst, expect)
     with pytest.raises(ValueError):
-        fld.mult_xor(np.zeros(nb + 1, np.uint8), np.zeros(nb + 1, np.uint8), a)
-
-
-# a region this long spans more than one block of the kernel's loop over K
-LONG_REGION = 1 << 19
+        _mult_xor(fld, np.zeros(nb + 1, np.uint8), np.zeros(nb + 1, np.uint8), a)
 
 
 @pytest.mark.parametrize("w", [8, 16, 32])
-@given(coef=arrays(np.uint32, st.tuples(st.integers(1, 3), st.integers(1, 4)),
+@given(coef=arrays(np.uint32, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                    elements=st.sampled_from((0, 1)) | st.integers(0, 2 ** 32 - 1)),
-       words=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1), long=st.booleans())
+       vectors=st.integers(0, 3), tail=st.integers(0, 31), seed=st.integers(0, 2 ** 32 - 1),
+       strided=st.booleans())
 @example(coef=np.array([[0, 1, 0x9E3779B9], [1, 0, 0xFFFFFFFF]], np.uint32),
-         words=1, seed=0, long=True)
-@settings(max_examples=30, deadline=None)
-def test_matmul_regions_matches_peasant_mul(w, coef, words, seed, long):
+         vectors=1, tail=31, seed=0, strided=True)
+@example(coef=np.array([[0x9E3779B9]], np.uint32), vectors=2, tail=1, seed=1, strided=False)
+@example(coef=np.array([[1, 0, 7, 1]], np.uint32), vectors=0, tail=5, seed=2, strided=False)
+@example(coef=np.array([[0], [1], [7], [1], [3]], np.uint32), vectors=3, tail=0, seed=3,
+         strided=True)
+@settings(max_examples=40, deadline=None)
+def test_matmul_regions_matches_peasant_mul(w, coef, vectors, tail, seed, strided):
+    # each byte plane (one byte lane of every word) is `vectors` whole 32-byte
+    # vectors of the kernel plus a tail of 0-31 bytes for its scalar loop
     fld = field_init(w)
     coef = coef & (fld.order - 1)
     out_n, k_n = coef.shape
-    short = np.random.default_rng(seed).integers(0, 256, (k_n, words * fld.word_bytes),
-                                                 dtype=np.uint8)
-    # a long region repeats the short one, so its products repeat too
-    repeats = -(-LONG_REGION // short.shape[1]) if long else 1
-    out = fld.matmul_regions(coef, np.tile(short, repeats))
-    src = short.view(fld.word_dtype)
+    words = 32 * vectors + tail
+    gen = np.random.default_rng(seed)
+    size = words * fld.word_bytes
+    if strided:     # every other byte of a buffer twice as long
+        regions = gen.integers(0, 256, (k_n, 2 * size), dtype=np.uint8)[:, ::2]
+        assert size < 2 or not regions.flags.c_contiguous
+    else:
+        regions = gen.integers(0, 256, (k_n, size), dtype=np.uint8)
+    out = fld.matmul_regions(coef, regions)
+    src = np.ascontiguousarray(regions).view(fld.word_dtype)
     expect = np.zeros((out_n, words), dtype=fld.word_dtype)
     for o in range(out_n):
         for k in range(k_n):
             expect[o] ^= np.array([peasant_mul(int(coef[o, k]), int(x), fld.poly, w)
                                    for x in src[k]], dtype=fld.word_dtype)
-    assert np.array_equal(out, np.tile(expect.view(np.uint8), repeats))
+    assert np.array_equal(out, expect.view(np.uint8))
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_matmul_regions_matches_split_table_reference(w, rng):
+    # long regions of many 32-byte vectors, and a 17-byte tail per plane
+    fld = field_init(w)
+    coef = rng.integers(0, fld.order, (3, 5), dtype=np.uint64).astype(fld.word_dtype)
+    coef[0, :2] = (0, 1)
+    regions = rng.integers(0, 256, (5, ((128 << 10) + 17) * fld.word_bytes), dtype=np.uint8)
+    assert np.array_equal(fld.matmul_regions(coef, regions),
+                          split_table_matmul(coef, regions, fld.poly, w))
 
 
 # -- matrix algebra -----------------------------------------------------------
