@@ -295,9 +295,7 @@ def cost_rows(cfg_base: StairConfig, sweep_s: int | None) -> list[dict]:
     if sweep_s is None:
         vectors = [cfg_base.e]
     else:
-        vectors = [e for e in _partitions_ascending(sweep_s, cfg_base.r,
-                                                    cfg_base.n - cfg_base.m)
-                   if cfg_base.m + len(e) <= cfg_base.n]
+        vectors = _partitions_ascending(sweep_s, cfg_base.r, cfg_base.n - cfg_base.m)
     rows = []
     for e in vectors:
         cfg = config_new(cfg_base.n, cfg_base.r, cfg_base.m, e, cfg_base.w)

@@ -3,14 +3,13 @@
 A code is held as its kappa x eta generator in the form (I | A) with
 A[j][i] = 1 / (x_i + y_j), x_i = i and y_j = (eta - kappa) + j.  Every
 square submatrix of a Cauchy matrix is invertible, so any kappa received
-symbols determine the whole codeword.  Decoding inverts the block of
-surviving columns; reconstruction matrices are cached per survivor and
-target set, which is what makes repeated decode calls cheap.
+symbols determine the whole codeword.  Decoding solves the parity checks
+(A^T | I) c = 0 for the eta - kappa lost positions: an (eta - kappa)-square
+inversion, not a kappa-square one.  Each reconstruction matrix is built
+once, by the codec step that uses it, so nothing is cached here.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,19 +44,21 @@ class GenMatrix:
     def parity_block(self) -> np.ndarray:
         return self.rows[:, self.kappa:]
 
-    # Bounded and shared by every code: planning all 357,173 within-coverage
-    # patterns of n=8, r=4, m=2, e=(1,1,2) in both decode modes fills 1,920.
-    @lru_cache(maxsize=4096)
     def decode_matrix(self, survivors: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
         """Matrix T with ``targets = T @ survivors`` over symbol regions.
 
         ``survivors`` must list exactly kappa distinct positions; the result
-        has shape (len(targets), kappa) and is cached.
+        has shape (len(targets), kappa).
         """
         if len(survivors) != self.kappa:
             raise ValueError(f"need exactly kappa={self.kappa} survivors, got {len(survivors)}")
-        inv = self.field.mat_inv(self.rows[:, list(survivors)])
-        return self.field.mat_mul(inv, self.rows[:, list(targets)]).T.copy()
+        f, k = self.field, self.kappa
+        checks = np.concatenate([self.parity_block.T, f.identity(self.eta - k)], axis=1)
+        lost = [p for p in range(self.eta) if p not in survivors]
+        full = np.zeros((self.eta, k), dtype=f.word_dtype)
+        full[list(survivors), range(k)] = 1
+        full[lost] = f.mat_mul(f.mat_inv(checks[:, lost]), checks[:, list(survivors)])
+        return full[list(targets)]
 
 
 def check_codeword(gen: GenMatrix, symbols: np.ndarray) -> bool:
@@ -65,6 +66,5 @@ def check_codeword(gen: GenMatrix, symbols: np.ndarray) -> bool:
     symbols = np.asarray(symbols)
     if symbols.shape[0] != gen.eta:
         raise ValueError(f"expected {gen.eta} symbols, got {symbols.shape[0]}")
-    t = gen.decode_matrix(tuple(range(gen.kappa)), tuple(range(gen.kappa, gen.eta)))
-    parity = gen.field.matmul_regions(t, symbols[:gen.kappa])
+    parity = gen.field.matmul_regions(gen.parity_block.T, symbols[:gen.kappa])
     return bool(np.array_equal(parity, symbols[gen.kappa:]))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 import struct
 import sys
@@ -291,6 +292,21 @@ def test_repair_decodes_once_per_distinct_pattern(tmp_path, rng, monkeypatch):
     assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
     assert fixed.read_bytes() == box.read_bytes()
     assert len(calls) == 3
+
+
+def test_repair_plans_each_of_many_distinct_patterns_once(tmp_path, rng):
+    # every plan of a 2,000-pattern manifest stays cached from the planning
+    # pass to its decode, so none is planned twice
+    from oracles import iter_within_coverage_patterns
+    cfg = config_new(8, 4, 2, (1, 1, 2))
+    patterns = list(itertools.islice(iter_within_coverage_patterns(cfg), 2000))
+    assert len(set(patterns)) == 2000
+    box, dmg, manifest = _damaged_copy(tmp_path, rng, 8, 32, 2000, patterns)
+    stair._decode_plan.cache_clear()
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
+    assert fixed.read_bytes() == box.read_bytes()
+    assert stair._decode_plan.cache_info().misses == 2000
 
 
 def test_repair_with_one_stripe_beyond_coverage_exits_2(tmp_path, rng, monkeypatch):

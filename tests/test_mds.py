@@ -126,6 +126,14 @@ def test_check_codeword(field, rng):
     assert not check_codeword(gen, word)
 
 
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_systematic_decode_matrix_is_the_parity_block(w):
+    # so check_codeword applies the parity block without inverting I
+    gen = GenMatrix(field_init(w), 5, 9)
+    t = gen.decode_matrix(tuple(range(5)), tuple(range(5, 9)))
+    assert t.dtype == gen.parity_block.dtype and np.array_equal(t, gen.parity_block.T)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.sets(st.integers(0, 6), max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_random_erasures(seed, gone):
@@ -139,14 +147,3 @@ def test_decode_matrix_requires_kappa_survivors(field):
     gen = GenMatrix(field, 4, 6)
     with pytest.raises(ValueError):
         gen.decode_matrix((0, 1, 2), (5,))
-
-
-def test_decode_matrix_cache_is_bounded(field):
-    cap = GenMatrix.decode_matrix.cache_info().maxsize
-    gen = GenMatrix(field, 3, 24)
-    pairs = ((survivors, (t,)) for survivors in itertools.combinations(range(gen.eta), 3)
-             for t in range(gen.eta))
-    for survivors, targets in itertools.islice(pairs, cap + 10):
-        gen.decode_matrix(survivors, targets)
-    assert GenMatrix.decode_matrix.cache_info().currsize == cap
-    assert_survivors_rebuild(gen, codeword(gen, np.random.default_rng(1)), survivors)

@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 import staircodes as sc
 from staircodes import UnrecoverableError, sim
-from staircodes.stair import _decode_plan
+from staircodes.stair import _Codec, _codec, _decode_plan
 from conftest import sweep_configs
 from test_stair_encoding import REFERENCE_UPSTAIRS
 
@@ -136,6 +139,56 @@ def test_decode_plan_cache_is_bounded(exemplar, rng):
         restored = sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern)
         assert np.array_equal(restored, stripe), pattern
     assert _decode_plan.cache_info().currsize == cap
+
+
+def test_patterns_share_interned_steps(exemplar):
+    # both lose only cell (1, 0) of row 1, so both repair it with one step
+    _decode_plan.cache_clear()
+    one = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,)}))
+    two = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,), 5: (3,)}))
+    assert one[0].signature == two[0].signature == ("row", ((1, 1), (1, 2), (1, 3), (1, 4),
+                                                            (1, 5), (1, 6)), ((1, 0),))
+    assert one[0] is two[0]
+
+
+def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
+    _decode_plan.cache_clear()
+    for k in range(20):
+        pattern = sim.sample_pattern(exemplar, k, within=True)
+        for practical in (True, False):
+            cached = sc.decoding_steps(exemplar, pattern, practical=practical)
+            fresh = _decode_plan.__wrapped__(exemplar, pattern, practical)
+            assert len(fresh) == len(cached) and all(a is b for a, b in zip(fresh, cached))
+
+
+def test_line_step_cache_is_bounded(exemplar, rng):
+    cap = _Codec.line_step.cache_info().maxsize
+    assert cap is not None
+    codec = _codec(exemplar)
+    kappa, eta = codec.row_code.kappa, codec.row_code.eta
+    keys = ((survivors, t) for survivors in itertools.combinations(range(eta), kappa)
+            for t in range(eta))
+    for survivors, t in itertools.islice(keys, cap + 10):
+        codec.line_step("row", 0, survivors, ((0, t),))
+    assert _Codec.line_step.cache_info().currsize == cap
+    _decode_plan.cache_clear()
+    stripe = _encoded(exemplar, rng)
+    pattern = sc.worst_case_pattern(exemplar)
+    assert np.array_equal(sc.decode(exemplar, sim.inject(exemplar, stripe, pattern), pattern),
+                          stripe)
+
+
+def test_schedules_match_the_recorded_hash(capsys, monkeypatch):
+    """Every planner change must keep each schedule step for step: the hash
+    of ``scripts/schedule_hash.py`` over all of them stays as recorded."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "scripts" / "schedule_hash.py"
+    spec = importlib.util.spec_from_file_location("schedule_hash", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
+    assert capsys.readouterr().out.split() == [
+        "31", "2288", "b0c4f69edf3ca4fe8dc89ea75e6eb1d28b56382a1a690b4372f147063d6212b6"]
 
 
 def test_exhaustive_roundtrip_tiny_config(rng):
