@@ -22,10 +22,12 @@ from . import container as cont
 from . import reliability as rel
 from . import sim
 from .errors import UnrecoverableError
-from .gf import BLOCK_BYTES
 from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_new,
                     decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
+
+#: Bytes of stripes one batch of a grouped repair lays side by side (its memory bound).
+BLOCK_BYTES = 1 << 22
 
 _SIZE_UNITS = {
     "B": 1, "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50,

@@ -34,10 +34,6 @@ DEFAULT_POLY = {
 
 _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
-#: Bytes of stripes that one batch of a grouped repair lays side by side
-#: (see ``cli``); it bounds that batch's memory, not a kernel call's.
-BLOCK_BYTES = 1 << 22
-
 
 # ---------------------------------------------------------------------------
 # the field

@@ -6,7 +6,8 @@ square submatrix of a Cauchy matrix is invertible, so any kappa received
 symbols determine the whole codeword.  Decoding solves the parity checks
 (A^T | I) c = 0 for the eta - kappa lost positions: an (eta - kappa)-square
 inversion, not a kappa-square one.  Each reconstruction matrix is built
-once, by the codec step that uses it, so nothing is cached here.
+once, by the codec step that uses it on every row or column alike, so
+nothing is cached here.
 """
 
 from __future__ import annotations

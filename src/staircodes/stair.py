@@ -13,9 +13,9 @@ MDS operations on that grid.  A schedule depends only on which cells are
 known, never on their bytes, so each is planned once, cached, and run by
 the one executor ``_Codec.run``; ``encoding_steps`` and
 ``decoding_steps`` return the schedules that ``encode`` and ``decode``
-run.  Row and column steps are interned per codec (``_Codec.line_step``):
-each distinct one is built once, decode matrix included, and a cached
-plan is a tuple of shared steps.
+run.  A step solves positions along a line, whichever row or column it
+is, so each distinct one is built once (``_Codec.line_step``) and serves
+every line; a plan is a tuple of (line index, step) pairs.
 
 Two reuse-based encoders are provided ("upstairs" recovers parities
 bottom-up and generalises to arbitrary decoding, "downstairs" sweeps
@@ -254,34 +254,39 @@ def worst_case_pattern(cfg: StairConfig) -> FailurePattern:
 # ---------------------------------------------------------------------------
 
 class Step:
-    """One linear operation on the augmented grid: a row or column MDS
-    step, or (kind "standard") one parity cell from its data cells.
+    """One linear solve along a line of the augmented grid: a row or column
+    MDS step, or (kind "standard") one parity cell from its data cells.
 
-    ``inputs``/``outputs`` are (row, col) grid cells; ``matrix`` maps the
-    stacked input regions to the output regions.
-    """
+    ``inputs``/``outputs`` are positions along the line a plan pairs it with
+    (for "standard", the flat grid, where cell (i, j) is i * cols + j);
+    ``matrix`` maps the stacked input regions to the output regions."""
 
-    __slots__ = ("kind", "index", "inputs", "outputs", "matrix", "_in_idx", "_out_idx")
+    __slots__ = ("kind", "inputs", "outputs", "matrix", "_in", "_out")
 
-    def __init__(self, kind, index, inputs, outputs, matrix):
+    def __init__(self, kind, inputs, outputs, matrix):
         self.kind = kind
-        self.index = index
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.matrix = matrix
-        self._in_idx, self._out_idx = (
-            tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T.copy())
-            for cells in (self.inputs, self.outputs))
+        self._in = np.array(self.inputs, dtype=np.intp)
+        self._out = np.array(self.outputs, dtype=np.intp)
 
-    @property
-    def signature(self):
-        return (self.kind, self.inputs, self.outputs)
-
-    def apply(self, fld: Field, grid: np.ndarray) -> None:
-        grid[self._out_idx] = fld.matmul_regions(self.matrix, grid[self._in_idx])
+    def apply(self, fld: Field, line: np.ndarray) -> None:
+        line[self._out] = fld.matmul_regions(self.matrix, line[self._in])
 
     def __repr__(self):  # pragma: no cover
-        return f"Step({self.kind} {self.index}: {len(self.inputs)}->{len(self.outputs)})"
+        return f"Step({self.kind}: {len(self.inputs)}->{len(self.outputs)})"
+
+
+Plan = tuple[tuple[int, Step], ...]
+
+
+def signature(cfg: StairConfig, index: int, step: Step) -> tuple:
+    """(kind, input cells, output cells) of the planned pair (index, step)
+    in (row, col) cells of the augmented grid."""
+    cell = {"row": lambda p: (index, p), "col": lambda p: (p, index),
+            "standard": lambda p: divmod(p, cfg.n + cfg.m_prime)}[step.kind]
+    return step.kind, tuple(map(cell, step.inputs)), tuple(map(cell, step.outputs))
 
 
 class _Solver:
@@ -294,11 +299,11 @@ class _Solver:
     def __init__(self, codec, known):
         self.codec = codec
         self.known = known
-        self.steps: list[Step] = []
+        self.steps: list[tuple[int, Step]] = []
 
-    def step(self, kind: str, index: int, out_cells) -> None:
-        """Restore ``out_cells`` of row or column ``index`` ("row" or "col")
-        from the first kappa known cells of that line."""
+    def step(self, kind: str, index: int, outputs: tuple[int, ...]) -> None:
+        """Restore the positions ``outputs`` of row or column ``index``
+        ("row" or "col") from the first kappa known positions of that line."""
         codec = self.codec
         code, line = ((codec.row_code, self.known[index]) if kind == "row"
                       else (codec.col_code, self.known[:, index]))
@@ -307,9 +312,9 @@ class _Solver:
             raise UnrecoverableError(
                 f"{'row' if kind == 'row' else 'column'} {index}: only {avail.size} "
                 f"symbols available, need {code.kappa}")
-        step = codec.line_step(kind, index, tuple(avail[:code.kappa].tolist()), out_cells)
-        self.known[step._out_idx] = True
-        self.steps.append(step)
+        step = codec.line_step(kind, tuple(avail[:code.kappa].tolist()), outputs)
+        line[step._out] = True
+        self.steps.append((index, step))
 
 
 def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
@@ -323,21 +328,18 @@ def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
     if levels:
         for j in range(n):
             if j not in deferred and j not in lossy:
-                solver.step("col", j, tuple((r + h, j) for h in range(levels)))
+                solver.step("col", j, tuple(range(r, r + levels)))
         level_done = [False] * levels
         for idx, j in enumerate(order):
             c = len(lossy[j])
             for h in range(c):
                 if not level_done[h]:
-                    outs = tuple(sorted((r + h, jj) for jj in order[idx:]))
-                    solver.step("row", r + h, outs)
+                    solver.step("row", r + h, tuple(sorted(order[idx:])))
                     level_done[h] = True
             l_rem = max((len(lossy[jj]) for jj in order[idx + 1:]), default=0)
-            outs = tuple((i, j) for i in sorted(lossy[j]))
-            outs += tuple((r + h, j) for h in range(c, l_rem))
-            solver.step("col", j, outs)
+            solver.step("col", j, tuple(sorted(lossy[j])) + tuple(range(r + c, r + l_rem)))
     for i in range(r):
-        outs = tuple((i, j) for j in sorted(deferred) if i in deferred[j])
+        outs = tuple(j for j in sorted(deferred) if i in deferred[j])
         if outs:
             solver.step("row", i, outs)
 
@@ -370,32 +372,32 @@ class _Codec:
             known[self.cfg.r: self.cfg.r + e_l, self.cfg.n + l] = True
         return known
 
-    def run(self, steps: tuple[Step, ...], cells: np.ndarray) -> np.ndarray:
+    def run(self, plan: Plan, cells: np.ndarray) -> np.ndarray:
         """Execute a schedule: copy the (r, n, S) stripe cells into a fresh
-        augmented grid, apply every step in order and return the grid."""
+        augmented grid, apply every step in order to its line, return the grid."""
         cfg = self.cfg
         rows, cols = self.grid_shape
         grid = np.zeros((rows, cols, cells.shape[2]), dtype=np.uint8)
         grid[:cfg.r, :cfg.n] = cells
-        for st in steps:
-            st.apply(self.field, grid)
+        lines = {"row": grid, "col": grid.swapaxes(0, 1),
+                 "standard": grid.reshape(1, rows * cols, -1)}
+        for index, st in plan:
+            st.apply(self.field, lines[st.kind][index])
         return grid
 
     # -- schedules ------------------------------------------------------------
 
-    # Bounded and shared by every codec: planning all 357,173 within-coverage
-    # patterns of n=8, r=4, m=2, e=(1,1,2) in both decode modes builds 2,463.
+    # Bounded and shared by every codec.  One step serves every line, so the
+    # bulk-injection sweep (25 configs, 100k patterns) needs 13,435, not 50,295.
     @lru_cache(maxsize=4096)
-    def line_step(self, kind: str, index: int, in_positions: tuple[int, ...],
-                  out_cells: tuple[tuple[int, int], ...]) -> Step:
-        """The step of row or column ``index`` computing ``out_cells`` from the
-        cells at ``in_positions`` along it; built once, every plan shares it."""
-        code, along = (self.row_code, 1) if kind == "row" else (self.col_code, 0)
-        inputs = tuple((index, p) if along else (p, index) for p in in_positions)
-        targets = tuple(cell[along] for cell in out_cells)
-        return Step(kind, index, inputs, out_cells, code.decode_matrix(in_positions, targets))
+    def line_step(self, kind: str, inputs: tuple[int, ...],
+                  outputs: tuple[int, ...]) -> Step:
+        """The row or column ("row" or "col") step computing positions
+        ``outputs`` from ``inputs``; every plan and every line shares it."""
+        code = self.row_code if kind == "row" else self.col_code
+        return Step(kind, inputs, outputs, code.decode_matrix(inputs, outputs))
 
-    def _plan_downstairs(self) -> tuple[Step, ...]:
+    def _plan_downstairs(self) -> Plan:
         cfg = self.cfg
         known = self.base_known()
         known[:cfg.r, :cfg.n] &= ~parity_mask(cfg)
@@ -405,35 +407,35 @@ class _Codec:
         for i in range(r):
             for l in range(mp - 1, -1, -1):
                 if not col_done[l] and cfg.e[l] >= r - i:
-                    col = n + l
-                    outs = tuple((ii, col) for ii in range(r - cfg.e[l], r))
-                    solver.step("col", col, outs)
+                    solver.step("col", n + l, tuple(range(r - cfg.e[l], r)))
                     col_done[l] = True
             stair_ls = [l for l in range(mp) if cfg.e[l] >= r - i]
             out_cols = [j for j in range(n - cfg.m) if global_parity_depth(cfg, j) >= r - i]
             out_cols += list(range(n - cfg.m, n))
             out_cols += [n + l for l in range(mp) if l not in stair_ls]
-            solver.step("row", i, tuple((i, j) for j in sorted(out_cols)))
+            solver.step("row", i, tuple(sorted(out_cols)))
         return tuple(solver.steps)
 
-    def _plan_standard(self) -> tuple[Step, ...]:
-        """One step per parity cell over only the data cells it depends on,
-        so the executed mult-XORs are exactly the nonzero coefficients."""
+    def _plan_standard(self) -> Plan:
+        """One step per parity cell, on line 0 (the flat grid), over only the
+        data cells it depends on: its mult-XORs are the nonzero coefficients."""
         coef, dcells, pcells, nonzero = self.coefficients
-        return tuple(Step("standard", p, tuple(dcells[k] for k in nz), (cell,), coef[p:p + 1, nz])
-                     for p, (cell, nz) in enumerate(zip(pcells, nonzero)))
+        cols = self.grid_shape[1]
+        pos = [i * cols + j for i, j in dcells]
+        return tuple((0, Step("standard", [pos[k] for k in nz], (i * cols + j,), coef[p:p + 1, nz]))
+                     for p, ((i, j), nz) in enumerate(zip(pcells, nonzero)))
 
     @cached_property
-    def extension_plan(self) -> tuple[Step, ...]:
+    def extension_plan(self) -> Plan:
         """Rows, then columns, of the augmented grid from the stored stripe."""
         cfg = self.cfg
         if not cfg.m_prime:
             return ()
         solver = _Solver(self, self.base_known())
         for i in range(cfg.r):
-            solver.step("row", i, tuple((i, c) for c in range(cfg.n, cfg.n + cfg.m_prime)))
+            solver.step("row", i, tuple(range(cfg.n, cfg.n + cfg.m_prime)))
         for c in range(cfg.n + cfg.m_prime):
-            solver.step("col", c, tuple((i, c) for i in range(cfg.r, cfg.r + cfg.e_max)))
+            solver.step("col", c, tuple(range(cfg.r, cfg.r + cfg.e_max)))
         return tuple(solver.steps)
 
     # -- flattened data -> parity coefficients --------------------------------
@@ -471,11 +473,10 @@ def _codec(cfg: StairConfig) -> _Codec:
 # ---------------------------------------------------------------------------
 
 # Bounded: exhaustive sweeps decode hundreds of thousands of distinct
-# patterns.  A plan of interned steps takes about 150 B, against about 3.8 KB
-# for a plan that built its own steps, so 8,192 plans take less than 1,024 did.
+# patterns.  A plan of (index, interned step) pairs takes 56 B a step plus
+# about 100 B (545 B for sampled exemplar patterns), so 8,192 take 4-8 MiB.
 @lru_cache(maxsize=8192)
-def _decode_plan(cfg: StairConfig, pattern: FailurePattern,
-                 practical: bool) -> tuple[Step, ...]:
+def _decode_plan(cfg: StairConfig, pattern: FailurePattern, practical: bool) -> Plan:
     """Schedule restoring the cells that ``pattern`` lists as lost; raises
     :class:`UnrecoverableError` (never cached) if none does."""
     codec = _codec(cfg)
@@ -486,13 +487,13 @@ def _decode_plan(cfg: StairConfig, pattern: FailurePattern,
         known[list(rows), j] = False
 
     solver = _Solver(codec, known)
-    if practical:
-        for i in range(cfg.r):
-            miss = (~known[i, :cfg.n]).nonzero()[0]
-            if miss.size and miss.size <= cfg.m:
-                solver.step("row", i, tuple((i, int(j)) for j in miss))
-
     lost = ~known[:cfg.r, :cfg.n]
+    if practical:
+        count = lost.sum(axis=1)
+        local = (count > 0) & (count <= cfg.m)
+        for i in np.flatnonzero(local).tolist():
+            solver.step("row", i, tuple(np.flatnonzero(lost[i]).tolist()))
+        lost[local] = False
     loss = {j: set(lost[:, j].nonzero()[0].tolist()) for j in range(cfg.n) if lost[:, j].any()}
 
     if loss:
@@ -514,7 +515,7 @@ def _decode_plan(cfg: StairConfig, pattern: FailurePattern,
 
 
 def decoding_steps(cfg: StairConfig, pattern: FailurePattern, *,
-                   practical: bool = True) -> tuple[Step, ...]:
+                   practical: bool = True) -> Plan:
     """The schedule that restores the cells listed in ``pattern``.
 
     With ``practical=True`` rows that lost at most m cells are repaired
@@ -530,7 +531,7 @@ def decoding_steps(cfg: StairConfig, pattern: FailurePattern, *,
 
 
 @cache
-def encoding_steps(cfg: StairConfig, method: str) -> tuple[Step, ...]:
+def encoding_steps(cfg: StairConfig, method: str) -> Plan:
     """The step schedule of an encoding method, planned once per config."""
     if method == "upstairs":
         # encoding is decoding the layout's own erasures: the m parity

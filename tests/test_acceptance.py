@@ -13,7 +13,7 @@ import pytest
 import staircodes as sc
 from staircodes import cli, reliability as rel, sim
 from staircodes.mds import check_codeword
-from staircodes.stair import _codec, data_cells
+from staircodes.stair import _codec, data_cells, signature
 from conftest import sweep_configs
 import oracles
 from test_stair_encoding import REFERENCE_UPSTAIRS
@@ -90,10 +90,11 @@ def test_criterion_04_reference_decode_trace():
     pattern = sc.worst_case_pattern(cfg)
     restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern, practical=False)
     assert np.array_equal(restored, stripe)
-    steps = sc.decoding_steps(cfg, pattern, practical=False)
-    assert [s.signature for s in steps] == REFERENCE_UPSTAIRS
+    plan = sc.decoding_steps(cfg, pattern, practical=False)
+    assert [signature(cfg, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
     # the recovery-based encoder follows the identical schedule
-    assert [s.signature for s in sc.encoding_steps(cfg, "upstairs")] == REFERENCE_UPSTAIRS
+    plan = sc.encoding_steps(cfg, "upstairs")
+    assert [signature(cfg, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
     print("\nPASS criterion 4: worst-case decode schedule matches the reference "
           "schedule step-for-step (12 steps)")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import staircodes as sc
 from staircodes import UnrecoverableError, sim
-from staircodes.stair import _Codec, _codec, _decode_plan
+from staircodes.stair import _Codec, _codec, _decode_plan, signature
 from conftest import sweep_configs
 from test_stair_encoding import REFERENCE_UPSTAIRS
 
@@ -31,8 +31,8 @@ def test_worst_case_roundtrip_and_reference_trace(exemplar, rng):
     damaged = sim.inject(exemplar, stripe, pattern)
     restored = sc.decode(exemplar, damaged, pattern, practical=False)
     assert np.array_equal(restored, stripe)
-    steps = sc.decoding_steps(exemplar, pattern, practical=False)
-    assert [s.signature for s in steps] == REFERENCE_UPSTAIRS
+    plan = sc.decoding_steps(exemplar, pattern, practical=False)
+    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
 
 
 def test_practical_path_prefers_local_repair(exemplar, rng):
@@ -42,10 +42,18 @@ def test_practical_path_prefers_local_repair(exemplar, rng):
     restored = sc.decode(exemplar, damaged, pattern)
     assert np.array_equal(restored, stripe)
     # rows 0 and 1 lose only the two parity chunks, so they repair locally
-    steps = sc.decoding_steps(exemplar, pattern)
-    assert [s.signature[0] for s in steps[:2]] == ["row", "row"]
-    assert steps[0].outputs == ((0, 6), (0, 7))
-    assert steps[1].outputs == ((1, 6), (1, 7))
+    plan = sc.decoding_steps(exemplar, pattern)
+    assert [s.kind for _, s in plan[:2]] == ["row", "row"]
+    assert signature(exemplar, *plan[0])[2] == ((0, 6), (0, 7))
+    assert signature(exemplar, *plan[1])[2] == ((1, 6), (1, 7))
+
+
+def test_rows_with_equal_losses_share_one_step(exemplar):
+    # rows 0 and 1 lose the same positions, so one step repairs both
+    (i0, step0), (i1, step1) = sc.decoding_steps(exemplar, sc.worst_case_pattern(exemplar))[:2]
+    assert (i0, i1) == (0, 1)
+    assert step0 is step1
+    assert not hasattr(step0, "index")
 
 
 def test_worst_case_roundtrip_across_sweep(rng):
@@ -146,9 +154,9 @@ def test_patterns_share_interned_steps(exemplar):
     _decode_plan.cache_clear()
     one = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,)}))
     two = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,), 5: (3,)}))
-    assert one[0].signature == two[0].signature == ("row", ((1, 1), (1, 2), (1, 3), (1, 4),
-                                                            (1, 5), (1, 6)), ((1, 0),))
-    assert one[0] is two[0]
+    assert (signature(exemplar, *one[0]) == signature(exemplar, *two[0])
+            == ("row", ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)), ((1, 0),)))
+    assert one[0][0] == two[0][0] and one[0][1] is two[0][1]
 
 
 def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
@@ -158,7 +166,20 @@ def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
         for practical in (True, False):
             cached = sc.decoding_steps(exemplar, pattern, practical=practical)
             fresh = _decode_plan.__wrapped__(exemplar, pattern, practical)
-            assert len(fresh) == len(cached) and all(a is b for a, b in zip(fresh, cached))
+            assert len(fresh) == len(cached)
+            assert all(i == j and a is b for (i, a), (j, b) in zip(fresh, cached))
+
+
+def test_line_step_cache_holds_one_entry_per_distinct_step():
+    # steps are keyed by positions along their line, never by the line's index
+    from oracles import iter_within_coverage_patterns
+    cfg = sc.config_new(6, 3, 1, (1, 2))
+    _decode_plan.cache_clear()
+    _Codec.line_step.cache_clear()
+    keys = {(s.kind, s.inputs, s.outputs)
+            for pattern in iter_within_coverage_patterns(cfg) for practical in (True, False)
+            for _, s in sc.decoding_steps(cfg, pattern, practical=practical)}
+    assert _Codec.line_step.cache_info().currsize == len(keys)
 
 
 def test_line_step_cache_is_bounded(exemplar, rng):
@@ -169,7 +190,7 @@ def test_line_step_cache_is_bounded(exemplar, rng):
     keys = ((survivors, t) for survivors in itertools.combinations(range(eta), kappa)
             for t in range(eta))
     for survivors, t in itertools.islice(keys, cap + 10):
-        codec.line_step("row", 0, survivors, ((0, t),))
+        codec.line_step("row", survivors, (t,))
     assert _Codec.line_step.cache_info().currsize == cap
     _decode_plan.cache_clear()
     stripe = _encoded(exemplar, rng)
@@ -207,7 +228,8 @@ def test_exhaustive_roundtrip_tiny_config(rng):
         # the cached schedule is the one a fresh plan gives
         fresh = _decode_plan.__wrapped__(cfg, pattern, True)
         cached = sc.decoding_steps(cfg, pattern)
-        assert [s.signature for s in cached] == [s.signature for s in fresh], pattern
+        assert ([signature(cfg, i, s) for i, s in cached]
+                == [signature(cfg, i, s) for i, s in fresh]), pattern
         seen += 1
     assert seen > 100
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import staircodes as sc
 from staircodes.mds import check_codeword
-from staircodes.stair import _codec, parity_mask
+from staircodes.stair import _codec, parity_mask, signature
 from conftest import sweep_configs
 
 # Reference step schedule of the bottom-up encoder for the worked example
@@ -68,18 +68,18 @@ REFERENCE_EXTENSION = [
 
 
 def test_upstairs_schedule_matches_reference(exemplar):
-    steps = sc.encoding_steps(exemplar, "upstairs")
-    assert [s.signature for s in steps] == REFERENCE_UPSTAIRS
+    plan = sc.encoding_steps(exemplar, "upstairs")
+    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
 
 
 def test_downstairs_schedule_matches_reference(exemplar):
-    steps = sc.encoding_steps(exemplar, "downstairs")
-    assert [s.signature for s in steps] == REFERENCE_DOWNSTAIRS
+    plan = sc.encoding_steps(exemplar, "downstairs")
+    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_DOWNSTAIRS
 
 
 def test_extension_schedule_matches_reference(exemplar):
-    steps = _codec(exemplar).extension_plan
-    assert [s.signature for s in steps] == REFERENCE_EXTENSION
+    plan = _codec(exemplar).extension_plan
+    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_EXTENSION
 
 
 def test_all_zero_data_encodes_to_all_zero(exemplar):
