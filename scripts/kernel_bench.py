@@ -8,13 +8,17 @@ Times a 2x15 coefficient block (random nonzero constants) on 15 regions of
 512 B, 16 KiB and 128 KiB for w = 8, 16 and 32, and a 2x6 block on
 one-word regions (the call overhead), and numpy's in-place XOR of one
 region into another as the roofline.  Rates are MiB/s of source bytes
-(the 15 regions), the best of --reps batches.  Prints one JSON object.
+(the 15 regions), the best of --reps batches.  It also times building the
+kernel maps of a random 16x16 matrix with the map cache cleared (what a
+cold plan pays per new matrix), the median of 21 builds.  Prints one JSON
+object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -24,6 +28,8 @@ import numpy as np
 SIZES = {"512b": 512, "16kib": 16 << 10, "128kib": 128 << 10}
 BLOCK = (2, 15)
 SMALL_BLOCK = (2, 6)
+COLD_BLOCK = (16, 16)
+COLD_BUILDS = 21
 
 
 def best_seconds(fn, calls: int, reps: int) -> float:
@@ -49,10 +55,11 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=7)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src / "src"))
-    from staircodes.gf import field_init
+    from staircodes.gf import Field, field_init
 
     rng = np.random.default_rng(0)
-    out = {"kernel_mib_s": {}, "call_us_2x6_one_word": {}, "xor_roofline_mib_s": {}}
+    out = {"kernel_mib_s": {}, "call_us_2x6_one_word": {}, "cold_maps_us_16x16": {},
+           "xor_roofline_mib_s": {}}
     for w in (8, 16, 32):
         fld = field_init(w)
         coef = rng.integers(1, fld.order, BLOCK, dtype=np.uint64).astype(fld.word_dtype)
@@ -68,6 +75,14 @@ def main(argv=None) -> int:
         fld.matmul_regions(small, words)
         sec = best_seconds(lambda: fld.matmul_regions(small, words), 20_000, args.reps)
         out["call_us_2x6_one_word"][f"w{w}"] = round(sec * 1e6, 2)
+        builds = []
+        for _ in range(COLD_BUILDS):
+            m = rng.integers(1, fld.order, COLD_BLOCK, dtype=np.uint64).astype(fld.word_dtype)
+            Field._maps.cache_clear()
+            t0 = time.perf_counter()
+            fld._maps(m.dtype, m.shape, m.tobytes())
+            builds.append(time.perf_counter() - t0)
+        out["cold_maps_us_16x16"][f"w{w}"] = round(statistics.median(builds) * 1e6, 1)
     for label, size in SIZES.items():
         dst = rng.integers(0, 256, size, dtype=np.uint8)
         src = rng.integers(0, 256, size, dtype=np.uint8)

@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
 
     def feed(cfg, plan):
-        for index, s in plan:
+        for index, s in zip(*plan):
             digest.update(repr(signature(cfg, index, s)).encode() + s.matrix.tobytes()
                           + repr((s.matrix.shape, s.matrix.dtype.str)).encode())
 

@@ -8,11 +8,11 @@ here: "multiply regions by constants and XOR the products together"
 (:func:`Field.matmul_regions`) and small dense matrix algebra over the
 field.  Multi-byte elements are interpreted little-endian.
 
-Every width computes a scalar product one way, from split tables; a
-region product one way, in the native nibble-table kernel of
-:mod:`staircodes.kernel` (built with the C compiler on its first call);
-an inverse one way, by the extended Euclidean algorithm; and a matrix
-inverse by row elimination on the region kernel.
+Every width computes a product one way, in the native nibble-table
+kernel of :mod:`staircodes.kernel` (built with the C compiler on its first
+call), a scalar product being a one-word region; an inverse one way, by
+the extended Euclidean algorithm; and a matrix inverse by row elimination
+on the region kernel.
 """
 
 from __future__ import annotations
@@ -42,19 +42,17 @@ _WORD_DTYPE = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 class Field:
     """GF(2^w) for w in {8, 16, 32}, with one native region kernel.
 
-    A w-bit word is L = w/8 byte lanes, and a constant ``a`` has one
-    256-entry table per lane, T[i][b] = a * (b << 8i), so a product is the
-    XOR of L lookups (the SPLIT tables of Plank, Greenan and Miller, FAST
-    2013).  Scalar products (:meth:`mul`) use these tables; :meth:`inverse`
-    is Euclid's algorithm, and :meth:`mat_inv` eliminates whole rows
-    through :meth:`mat_mul`.
-
-    Region products (:meth:`matmul_regions`) run in the C kernel of
-    :mod:`staircodes.kernel` on byte planes.  Byte j of a * (b << 8i) is a
-    GF(2)-linear function of the byte b, so it splits into a low-nibble
-    and a high-nibble lookup of 16 entries each: ``a`` becomes an (L, L)
-    block of such maps from input lane i to output lane j, and every width
-    runs the same byte loop.
+    A w-bit word is L = w/8 byte lanes, and a * b is the XOR over lanes i
+    of a * (b_i << 8i), b_i being byte i of b (the SPLIT tables of Plank,
+    Greenan and Miller, FAST 2013).  Each term is GF(2)-linear in b_i, so
+    it splits again into a low- and a high-nibble lookup of 16 entries: a
+    constant's tables are L rows of 32 words (:meth:`_nibble_tables`), the
+    field's one table format, and byte j of row i maps input lane i to
+    output lane j.  So every width runs the same byte loop in the C kernel
+    of :mod:`staircodes.kernel`, for region products (:meth:`matmul_regions`)
+    and scalar ones (:meth:`mul`, a one-word region) alike.
+    :meth:`inverse` is Euclid's algorithm, and :meth:`mat_inv` eliminates
+    whole rows through :meth:`mat_mul`.
 
     Immutable after construction and safe to share across threads.
     """
@@ -67,35 +65,34 @@ class Field:
         self.order = 1 << w
         self.word_bytes = w // 8
         self.word_dtype = _WORD_DTYPE[w]
-        # at w=8 the split tables of all 256 constants (64 KiB), built at once
-        self._tables8 = self._split_tables(np.arange(256)) if w == 8 else None
+        # at w=8 the nibble tables of all 256 constants (8 KiB), built at once
+        self._tables8 = self._nibble_tables(np.arange(256)) if w == 8 else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Field(w={self.w}, poly=0x{self.poly:X})"
 
-    def _split_tables(self, consts) -> np.ndarray:
-        """(N, w/8, 256) split tables of N constants: each constant's w
-        doublings a * x^i, XORed for each set bit of the lane's byte."""
+    def _nibble_tables(self, consts) -> np.ndarray:
+        """(N, w/8, 32) nibble tables of N constants a: entry x < 16 of lane
+        i is a * (x << 8i) and entry 16 + x is a * (x << 8i + 4).  Entry x
+        of nibble g (bits 4g to 4g + 3) XORs the doublings a * x^(4g + bit)
+        of the bits set in x."""
         x = np.asarray(consts, dtype=self.word_dtype)
         low_poly = self.poly & (self.order - 1)
         doublings = []
         for _ in range(self.w):
             doublings.append(x)
             x = (x << 1) ^ ((x >> (self.w - 1)) * low_poly)
-        lane_bits = np.stack(doublings, axis=-1).reshape(len(x), self.word_bytes, 8, 1)
-        tbl = np.zeros((len(x), self.word_bytes, 1), dtype=self.word_dtype)
-        for bit in range(8):     # entries b < 2^bit are done; add those with this bit set
-            tbl = np.concatenate([tbl, tbl ^ lane_bits[:, :, bit]], axis=2)
-        return tbl
+        nibble_bits = np.stack(doublings, axis=-1).reshape(len(x), 2 * self.word_bytes, 4, 1)
+        tbl = np.zeros((len(x), 2 * self.word_bytes, 1), dtype=self.word_dtype)
+        for bit in range(4):     # entries x < 2^bit are done; add those with this bit set
+            tbl = np.concatenate([tbl, tbl ^ nibble_bits[:, :, bit]], axis=2)
+        return tbl.reshape(len(x), self.word_bytes, 32)
 
     # -- scalar arithmetic --------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """a * b: the XOR of b's byte lanes looked up in a's split tables."""
-        res = 0
-        for lane, table in enumerate(self._const_table(a)):
-            res ^= int(table[(b >> 8 * lane) & 0xFF])
-        return res
+        """a * b: the one-word region b through the kernel."""
+        return int(self.mat_mul(np.array([[a]], self.word_dtype), [[b]])[0, 0])
 
     def inverse(self, a: int) -> int:
         """1 / a by the extended Euclidean algorithm on binary polynomials:
@@ -115,17 +112,10 @@ class Field:
 
     # -- region kernel ------------------------------------------------------
 
-    # Bounded and shared by every field: a table is 256 B at w=8, 2 KiB at
-    # w=16 and 4 KiB at w=32; standard encoding of n=16, r=16, m=2,
-    # e=(1,1,2,4) uses 2,180 constants.
-    @lru_cache(maxsize=4096)
-    def _const_table(self, a: int) -> np.ndarray:
-        """Split tables of one constant: (w/8, 256) words."""
-        return self._split_tables([a])[0]
-
-    # Keyed by a coefficient matrix's dtype, shape and bytes, because a
-    # schedule applies the same few matrices to every stripe.  An entry
-    # holds 32 * (w/8)^2 B per coefficient.
+    # The layer's only cache, bounded and shared by every field.  Keyed by a
+    # coefficient matrix's dtype, shape and bytes, because a schedule applies
+    # the same few matrices to every stripe.  An entry holds 32 * (w/8)^2 B
+    # per coefficient: 32 B at w=8, 128 B at w=16 and 512 B at w=32.
     @lru_cache(maxsize=4096)
     def _maps(self, dtype, shape, key: bytes):
         """The kernel's (O * L, K * L) nibble maps of an (O, K) matrix, L =
@@ -134,12 +124,9 @@ class Field:
         out_n, k_n = shape
         lanes = self.word_bytes
         consts = np.frombuffer(key, dtype)
-        tables = (self._tables8.take(consts, 0) if self.w == 8
-                  else np.stack(list(map(self._const_table, consts.tolist()))))
-        # entry x < 16 of lane i's table is a * (x << 8i), entry 16x is
-        # a * (x << 8i + 4); byte j of each is map i -> j
-        nibbles = np.concatenate([tables[..., :16], tables[..., ::16]], axis=-1)
-        maps = nibbles.view(np.uint8).reshape(out_n, k_n, lanes, 32, lanes).transpose(0, 4, 1, 2, 3)
+        tables = self._tables8.take(consts, 0) if self.w == 8 else self._nibble_tables(consts)
+        # byte j of lane i's 32 words is map i -> j
+        maps = tables.view(np.uint8).reshape(out_n, k_n, lanes, 32, lanes).transpose(0, 4, 1, 2, 3)
         ffi, _ = kernel.load()
         return ffi.from_buffer("uint8_t[]", np.ascontiguousarray(maps))
 

@@ -15,7 +15,7 @@ the one executor ``_Codec.run``; ``encoding_steps`` and
 ``decoding_steps`` return the schedules that ``encode`` and ``decode``
 run.  A step solves positions along a line, whichever row or column it
 is, so each distinct one is built once (``_Codec.line_step``) and serves
-every line; a plan is a tuple of (line index, step) pairs.
+every line; a plan is a tuple of line indices and a tuple of steps.
 
 Two reuse-based encoders are provided ("upstairs" recovers parities
 bottom-up and generalises to arbitrary decoding, "downstairs" sweeps
@@ -278,12 +278,12 @@ class Step:
         return f"Step({self.kind}: {len(self.inputs)}->{len(self.outputs)})"
 
 
-Plan = tuple[tuple[int, Step], ...]
+Plan = tuple[tuple[int, ...], tuple[Step, ...]]
 
 
 def signature(cfg: StairConfig, index: int, step: Step) -> tuple:
-    """(kind, input cells, output cells) of the planned pair (index, step)
-    in (row, col) cells of the augmented grid."""
+    """(kind, input cells, output cells) of a plan's step ``step`` on line
+    ``index``, in (row, col) cells of the augmented grid."""
     cell = {"row": lambda p: (index, p), "col": lambda p: (p, index),
             "standard": lambda p: divmod(p, cfg.n + cfg.m_prime)}[step.kind]
     return step.kind, tuple(map(cell, step.inputs)), tuple(map(cell, step.outputs))
@@ -294,12 +294,13 @@ class _Solver:
     steps emitted so far.  It decides from the mask alone, so a schedule
     depends on which cells are known and never on their bytes."""
 
-    __slots__ = ("codec", "known", "steps")
+    __slots__ = ("codec", "known", "indices", "steps")
 
     def __init__(self, codec, known):
         self.codec = codec
         self.known = known
-        self.steps: list[tuple[int, Step]] = []
+        self.indices: list[int] = []
+        self.steps: list[Step] = []
 
     def step(self, kind: str, index: int, outputs: tuple[int, ...]) -> None:
         """Restore the positions ``outputs`` of row or column ``index``
@@ -314,7 +315,8 @@ class _Solver:
                 f"symbols available, need {code.kappa}")
         step = codec.line_step(kind, tuple(avail[:code.kappa].tolist()), outputs)
         line[step._out] = True
-        self.steps.append((index, step))
+        self.indices.append(index)
+        self.steps.append(step)
 
 
 def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
@@ -381,7 +383,7 @@ class _Codec:
         grid[:cfg.r, :cfg.n] = cells
         lines = {"row": grid, "col": grid.swapaxes(0, 1),
                  "standard": grid.reshape(1, rows * cols, -1)}
-        for index, st in plan:
+        for index, st in zip(*plan):
             st.apply(self.field, lines[st.kind][index])
         return grid
 
@@ -414,7 +416,7 @@ class _Codec:
             out_cols += list(range(n - cfg.m, n))
             out_cols += [n + l for l in range(mp) if l not in stair_ls]
             solver.step("row", i, tuple(sorted(out_cols)))
-        return tuple(solver.steps)
+        return tuple(solver.indices), tuple(solver.steps)
 
     def _plan_standard(self) -> Plan:
         """One step per parity cell, on line 0 (the flat grid), over only the
@@ -422,21 +424,22 @@ class _Codec:
         coef, dcells, pcells, nonzero = self.coefficients
         cols = self.grid_shape[1]
         pos = [i * cols + j for i, j in dcells]
-        return tuple((0, Step("standard", [pos[k] for k in nz], (i * cols + j,), coef[p:p + 1, nz]))
-                     for p, ((i, j), nz) in enumerate(zip(pcells, nonzero)))
+        return ((0,) * len(pcells),
+                tuple(Step("standard", [pos[k] for k in nz], (i * cols + j,), coef[p:p + 1, nz])
+                      for p, ((i, j), nz) in enumerate(zip(pcells, nonzero))))
 
     @cached_property
     def extension_plan(self) -> Plan:
         """Rows, then columns, of the augmented grid from the stored stripe."""
         cfg = self.cfg
         if not cfg.m_prime:
-            return ()
+            return (), ()
         solver = _Solver(self, self.base_known())
         for i in range(cfg.r):
             solver.step("row", i, tuple(range(cfg.n, cfg.n + cfg.m_prime)))
         for c in range(cfg.n + cfg.m_prime):
             solver.step("col", c, tuple(range(cfg.r, cfg.r + cfg.e_max)))
-        return tuple(solver.steps)
+        return tuple(solver.indices), tuple(solver.steps)
 
     # -- flattened data -> parity coefficients --------------------------------
 
@@ -473,8 +476,9 @@ def _codec(cfg: StairConfig) -> _Codec:
 # ---------------------------------------------------------------------------
 
 # Bounded: exhaustive sweeps decode hundreds of thousands of distinct
-# patterns.  A plan of (index, interned step) pairs takes 56 B a step plus
-# about 100 B (545 B for sampled exemplar patterns), so 8,192 take 4-8 MiB.
+# patterns.  A plan's two tuples, line indices and interned steps, take 16 B
+# a step plus about 120 B (241 B for sampled exemplar patterns), so 8,192
+# such plans take 2 MiB.
 @lru_cache(maxsize=8192)
 def _decode_plan(cfg: StairConfig, pattern: FailurePattern, practical: bool) -> Plan:
     """Schedule restoring the cells that ``pattern`` lists as lost; raises
@@ -511,7 +515,7 @@ def _decode_plan(cfg: StairConfig, pattern: FailurePattern, practical: bool) -> 
             raise UnrecoverableError(
                 f"per-chunk sector losses {counts} exceed coverage e={cfg.e}")
         _run_upstairs(solver, deferred, loss)
-    return tuple(solver.steps)
+    return tuple(solver.indices), tuple(solver.steps)
 
 
 def decoding_steps(cfg: StairConfig, pattern: FailurePattern, *,

@@ -91,10 +91,10 @@ def test_criterion_04_reference_decode_trace():
     restored = sc.decode(cfg, sim.inject(cfg, stripe, pattern), pattern, practical=False)
     assert np.array_equal(restored, stripe)
     plan = sc.decoding_steps(cfg, pattern, practical=False)
-    assert [signature(cfg, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
+    assert [signature(cfg, i, s) for i, s in zip(*plan)] == REFERENCE_UPSTAIRS
     # the recovery-based encoder follows the identical schedule
     plan = sc.encoding_steps(cfg, "upstairs")
-    assert [signature(cfg, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
+    assert [signature(cfg, i, s) for i, s in zip(*plan)] == REFERENCE_UPSTAIRS
     print("\nPASS criterion 4: worst-case decode schedule matches the reference "
           "schedule step-for-step (12 steps)")
 

@@ -590,7 +590,7 @@ def test_benchmark_tracer_contract(tmp_path, monkeypatch, rng, method):
     assert [current(owner, attr) for owner, attr, _, _ in entry_points] == before
 
     kernel = [info for name, _, _, _, _, info in tracer.spans if name == "gf.matmul_regions"]
-    assert len(kernel) == 2 * len(encoding_steps(cfg, method))
+    assert len(kernel) == 2 * len(encoding_steps(cfg, method)[1])
     assert sum(entries for entries, _ in kernel) == 2 * xor_count(cfg, method)
     assert sum(name == "stair.encode" for name, *_ in tracer.spans) == 2
 

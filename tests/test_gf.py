@@ -215,13 +215,33 @@ def test_matmul_regions_matches_split_table_reference(w, rng):
 
 # -- matrix algebra -----------------------------------------------------------
 
-def test_const_table_cache_is_bounded():
-    cap = Field._const_table.cache_info().maxsize
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_nibble_tables_match_peasant_mul(w, rng):
+    # entry x of lane i is a * (x << 8i), entry 16 + x is a * (x << 8i + 4)
+    fld = field_init(w)
+    consts = [0, 1, 2, fld.order - 1] + rng.integers(0, fld.order, 20, dtype=np.uint64).tolist()
+    tables = fld._nibble_tables(consts)
+    assert tables.shape == (len(consts), fld.word_bytes, 32) and tables.dtype == fld.word_dtype
+    for a, lanes in zip(consts, tables.tolist()):
+        assert lanes == [[peasant_mul(a, x << shift, fld.poly, w)
+                          for shift in (8 * i, 8 * i + 4) for x in range(16)]
+                         for i in range(fld.word_bytes)], a
+
+
+def test_w8_precomputed_tables_are_the_builders():
+    fld = field_init(8)
+    assert np.array_equal(fld._tables8, fld._nibble_tables(np.arange(256)))
+
+
+def test_maps_cache_is_bounded():
+    # every product, scalar ones too, goes through the one cache of nibble maps
+    cap = Field._maps.cache_info().maxsize
     fld = field_init(16)
-    for a in range(2, cap + 12):
-        fld._const_table(a)
-    assert Field._const_table.cache_info().currsize == cap
-    assert all(fld._const_table(7)[1] == [fld.mul(7, b << 8) for b in range(256)])
+    for a in range(2, cap + 14):
+        fld.mul(a, 3)
+    assert Field._maps.cache_info().currsize == cap
+    assert [fld.mul(7, b << 8) for b in range(256)] == [peasant_mul(7, b << 8, fld.poly, 16)
+                                                       for b in range(256)]
 
 
 def test_mat_inv_identity():

@@ -50,7 +50,7 @@ def test_plans_execute_xor_count_mult_xors():
     for cfg in sweep_configs():
         for method in METHODS:
             executed = sum(len(st.outputs) * len(st.inputs)
-                           for _, st in sc.encoding_steps(cfg, method))
+                           for st in sc.encoding_steps(cfg, method)[1])
             assert executed == sc.xor_count(cfg, method), (cfg, method)
 
 

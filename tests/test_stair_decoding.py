@@ -32,7 +32,7 @@ def test_worst_case_roundtrip_and_reference_trace(exemplar, rng):
     restored = sc.decode(exemplar, damaged, pattern, practical=False)
     assert np.array_equal(restored, stripe)
     plan = sc.decoding_steps(exemplar, pattern, practical=False)
-    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
+    assert [signature(exemplar, i, s) for i, s in zip(*plan)] == REFERENCE_UPSTAIRS
 
 
 def test_practical_path_prefers_local_repair(exemplar, rng):
@@ -42,16 +42,17 @@ def test_practical_path_prefers_local_repair(exemplar, rng):
     restored = sc.decode(exemplar, damaged, pattern)
     assert np.array_equal(restored, stripe)
     # rows 0 and 1 lose only the two parity chunks, so they repair locally
-    plan = sc.decoding_steps(exemplar, pattern)
-    assert [s.kind for _, s in plan[:2]] == ["row", "row"]
-    assert signature(exemplar, *plan[0])[2] == ((0, 6), (0, 7))
-    assert signature(exemplar, *plan[1])[2] == ((1, 6), (1, 7))
+    indices, steps = sc.decoding_steps(exemplar, pattern)
+    assert [s.kind for s in steps[:2]] == ["row", "row"]
+    assert signature(exemplar, indices[0], steps[0])[2] == ((0, 6), (0, 7))
+    assert signature(exemplar, indices[1], steps[1])[2] == ((1, 6), (1, 7))
 
 
 def test_rows_with_equal_losses_share_one_step(exemplar):
     # rows 0 and 1 lose the same positions, so one step repairs both
-    (i0, step0), (i1, step1) = sc.decoding_steps(exemplar, sc.worst_case_pattern(exemplar))[:2]
-    assert (i0, i1) == (0, 1)
+    indices, steps = sc.decoding_steps(exemplar, sc.worst_case_pattern(exemplar))
+    assert indices[:2] == (0, 1)
+    step0, step1 = steps[:2]
     assert step0 is step1
     assert not hasattr(step0, "index")
 
@@ -154,9 +155,9 @@ def test_patterns_share_interned_steps(exemplar):
     _decode_plan.cache_clear()
     one = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,)}))
     two = sc.decoding_steps(exemplar, sc.FailurePattern.make((), {0: (1,), 5: (3,)}))
-    assert (signature(exemplar, *one[0]) == signature(exemplar, *two[0])
+    assert (signature(exemplar, one[0][0], one[1][0]) == signature(exemplar, two[0][0], two[1][0])
             == ("row", ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)), ((1, 0),)))
-    assert one[0][0] == two[0][0] and one[0][1] is two[0][1]
+    assert one[0][0] == two[0][0] and one[1][0] is two[1][0]
 
 
 def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
@@ -166,8 +167,8 @@ def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
         for practical in (True, False):
             cached = sc.decoding_steps(exemplar, pattern, practical=practical)
             fresh = _decode_plan.__wrapped__(exemplar, pattern, practical)
-            assert len(fresh) == len(cached)
-            assert all(i == j and a is b for (i, a), (j, b) in zip(fresh, cached))
+            assert fresh[0] == cached[0] and len(fresh[1]) == len(cached[1])
+            assert all(a is b for a, b in zip(fresh[1], cached[1]))
 
 
 def test_line_step_cache_holds_one_entry_per_distinct_step():
@@ -178,7 +179,7 @@ def test_line_step_cache_holds_one_entry_per_distinct_step():
     _Codec.line_step.cache_clear()
     keys = {(s.kind, s.inputs, s.outputs)
             for pattern in iter_within_coverage_patterns(cfg) for practical in (True, False)
-            for _, s in sc.decoding_steps(cfg, pattern, practical=practical)}
+            for s in sc.decoding_steps(cfg, pattern, practical=practical)[1]}
     assert _Codec.line_step.cache_info().currsize == len(keys)
 
 
@@ -228,8 +229,8 @@ def test_exhaustive_roundtrip_tiny_config(rng):
         # the cached schedule is the one a fresh plan gives
         fresh = _decode_plan.__wrapped__(cfg, pattern, True)
         cached = sc.decoding_steps(cfg, pattern)
-        assert ([signature(cfg, i, s) for i, s in cached]
-                == [signature(cfg, i, s) for i, s in fresh]), pattern
+        assert ([signature(cfg, i, s) for i, s in zip(*cached)]
+                == [signature(cfg, i, s) for i, s in zip(*fresh)]), pattern
         seen += 1
     assert seen > 100
 

@@ -69,17 +69,17 @@ REFERENCE_EXTENSION = [
 
 def test_upstairs_schedule_matches_reference(exemplar):
     plan = sc.encoding_steps(exemplar, "upstairs")
-    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_UPSTAIRS
+    assert [signature(exemplar, i, s) for i, s in zip(*plan)] == REFERENCE_UPSTAIRS
 
 
 def test_downstairs_schedule_matches_reference(exemplar):
     plan = sc.encoding_steps(exemplar, "downstairs")
-    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_DOWNSTAIRS
+    assert [signature(exemplar, i, s) for i, s in zip(*plan)] == REFERENCE_DOWNSTAIRS
 
 
 def test_extension_schedule_matches_reference(exemplar):
     plan = _codec(exemplar).extension_plan
-    assert [signature(exemplar, i, s) for i, s in plan] == REFERENCE_EXTENSION
+    assert [signature(exemplar, i, s) for i, s in zip(*plan)] == REFERENCE_EXTENSION
 
 
 def test_all_zero_data_encodes_to_all_zero(exemplar):
