@@ -669,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", action="store_true",
                    help="append a sampled failure-outcome histogram")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --histogram draws (--validate keeps its fixed seeds)")
     _add_format_flags(p)
     p.set_defaults(func=cmd_reliability)
 

@@ -6,6 +6,13 @@ that draw per-chunk failure counts from a chunk-failure distribution to
 validate the analytical stripe-loss probabilities.  Trials run in fixed
 64Ki blocks, each with its own spawned seed, so estimates are exactly
 reproducible regardless of how blocks are batched.
+
+A block draws its chunks by inverse CDF, as ``Generator.choice(p=)`` does,
+in sub-blocks of 4Ki trials whose arrays stay in cache.  Each uniform is
+compared with P(0) once and only the chunks that failed are searched in
+the CDF; the predicates and the histogram then sort only the trials with a
+failed chunk.  Every estimate and histogram is bit-identical to drawing each
+whole block with ``choice``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .reliability import _Z99, ChunkFailureDist
 from .stair import FailurePattern, StairConfig
 
 _BLOCK = 1 << 16
+_SUB_BLOCK = 1 << 12
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -77,31 +85,48 @@ class McEstimate:
     failures: int
 
 
+def _nonzero_rows(counts: np.ndarray) -> np.ndarray:
+    """Mask of the trials (rows) with at least one failed chunk."""
+    hit = np.zeros(len(counts), dtype=bool)
+    hit[np.flatnonzero(counts != 0) // counts.shape[1]] = True
+    return hit
+
+
+def _on_failed_trials(rule):
+    """The predicate that applies ``rule`` to the trials with a failed chunk
+    only; a trial with none is recoverable by every code family."""
+
+    def predicate(counts: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(counts), dtype=bool)
+        hit = _nonzero_rows(counts)
+        ok[hit] = rule(counts[hit])
+        return ok
+
+    return predicate
+
+
 def stair_recoverable(cfg: StairConfig):
     """Vectorised coverage predicate on (trials, chunks) count arrays."""
     e_desc = sorted(cfg.e, reverse=True)
 
-    def predicate(counts: np.ndarray) -> np.ndarray:
+    def rule(counts: np.ndarray) -> np.ndarray:
         limit = np.zeros(counts.shape[1], dtype=counts.dtype)
         limit[:len(e_desc)] = e_desc
         ranked = np.sort(counts, axis=1)[:, ::-1]
         return np.all(ranked <= limit, axis=1)
 
-    return predicate
+    return _on_failed_trials(rule)
 
 
 def rs_recoverable():
     def predicate(counts: np.ndarray) -> np.ndarray:
-        return ~counts.any(axis=1)
+        return ~_nonzero_rows(counts)
 
     return predicate
 
 
 def sd_recoverable(s: int):
-    def predicate(counts: np.ndarray) -> np.ndarray:
-        return counts.sum(axis=1) <= s
-
-    return predicate
+    return _on_failed_trials(lambda counts: counts.sum(axis=1) <= s)
 
 
 def recoverable(code: str, cfg: StairConfig):
@@ -117,16 +142,30 @@ def recoverable(code: str, cfg: StairConfig):
 
 
 def _count_blocks(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
-    """Fixed 64Ki trial blocks with spawned seeds; the block layout (and so
-    every estimate) is identical however the blocks are scheduled."""
+    """Per-chunk failure counts of ``trials`` trials, as (trials, n_chunks)
+    int64 arrays of at most _SUB_BLOCK rows.
+
+    Fixed 64Ki trial blocks with spawned seeds; the block layout (and so
+    every estimate) is identical however the blocks are scheduled.  Each
+    block's counts are those of ``rng.choice(len(p), size=(block, n_chunks),
+    p=p)``: the same inverse CDF on the same uniforms, drawn a sub-block at a
+    time (consecutive ``rng.random`` calls give the doubles of one call).
+    """
     probs = np.asarray(dist.probs, dtype=float)
-    probs = probs / probs.sum()
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
     seeds = np.random.SeedSequence(seed).spawn((trials + _BLOCK - 1) // _BLOCK)
     done = 0
     for child in seeds:
         block = min(_BLOCK, trials - done)
         rng = np.random.default_rng(child)
-        yield rng.choice(len(probs), size=(block, n_chunks), p=probs).astype(np.int64)
+        for start in range(0, block, _SUB_BLOCK):
+            u = rng.random((min(_SUB_BLOCK, block - start), n_chunks))
+            counts = np.zeros(u.shape, dtype=np.int64)
+            # a uniform below cdf[0] draws 0 failures; search only the rest
+            failed = np.flatnonzero(u >= cdf[0])
+            counts.flat[failed] = cdf.searchsorted(u.flat[failed], side="right")
+            yield counts
         done += block
 
 
@@ -161,14 +200,21 @@ def outcome_histogram(predicates: dict, n_chunks: int, dist: ChunkFailureDist,
     if trials < 10 ** 4:
         raise ValueError(f"need at least 10^4 trials for a meaningful histogram, got {trials}")
     buckets: Counter[tuple[int, ...]] = Counter()
+    zero_rows = 0
     for counts in _count_blocks(n_chunks, dist, trials, seed):
-        buckets.update(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
+        hit = _nonzero_rows(counts)
+        zero_rows += len(counts) - int(np.count_nonzero(hit))
+        buckets.update(map(tuple, np.sort(counts[hit], axis=1)[:, ::-1].tolist()))
+    if zero_rows:
+        buckets[(0,) * n_chunks] = zero_rows
+    ranked = sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))
+    keys = np.array([key for key, _ in ranked])
+    verdicts = {label: predicate(keys) for label, predicate in predicates.items()}
     rows = []
-    for key, count in sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0])):
-        sample = np.array([key])
+    for i, (key, count) in enumerate(ranked):
         row = {"counts": ",".join(str(c) for c in key if c) or "0",
                "stripes": count, "fraction": count / trials}
-        for label, predicate in predicates.items():
-            row[f"recoverable_{label}"] = bool(predicate(sample)[0])
+        for label, verdict in verdicts.items():
+            row[f"recoverable_{label}"] = bool(verdict[i])
         rows.append(row)
     return rows

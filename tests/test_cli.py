@@ -466,6 +466,29 @@ def test_reliability_report_matches_benchmark_golden(tmp_path):
     assert out.read_bytes() == (BENCH_DATA / "reliability_rows.json").read_bytes()
 
 
+# SHA-256 of whole validated reports (analytic rows, Monte-Carlo estimates
+# and histogram), recorded before the sampler drew sparse sub-blocks.
+VALIDATED_GOLDENS = {
+    "scenario-seed1": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "1",
+                        "--format", "json"],
+                       "5cc178b05c166c60b927bd76ee14ce895f57259ddf1522c4a04f535dd7cc30e3"),
+    "scenario-seed2": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "2",
+                        "--format", "json"],
+                       "8c004101d823a65312fcfc6571316f4ba0812b82665bde727a84266112c48529"),
+    "10pb-csv": ([str(Path(__file__).resolve().parent.parent / "scripts" / "reliability_10pb.txt"),
+                  "--trials", "20000", "--seed", "5"],
+                 "b0cdac49efdb2c0e65cc0ae75388c23320929a013dc50dd6cb0516293cbf5521"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(VALIDATED_GOLDENS))
+def test_validated_report_matches_golden(tmp_path, label):
+    args, sha256 = VALIDATED_GOLDENS[label]
+    out = tmp_path / "validated.out"
+    assert cli.main(["reliability", *args, "--validate", "--histogram", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def encode_golden(tmp_path, label, golden, method):
     """Size and SHA-256 of the container ``method`` makes of the golden's
     input: SHAKE-256 of the label, filling all stripes but a third of the last."""

@@ -136,6 +136,73 @@ def test_predicates_agree_with_scalar_rules():
     assert np.array_equal(sim.sd_recoverable(3)(counts), counts.sum(axis=1) <= 3)
 
 
+@pytest.mark.parametrize("counts", [
+    # mostly all-zero rows
+    np.where(np.random.default_rng(8).random((3000, 7)) < 0.03,
+             np.random.default_rng(9).integers(1, 5, (3000, 7)), 0),
+    np.zeros((4096, 7), dtype=np.int64),
+    np.zeros((0, 7), dtype=np.int64),
+    np.random.default_rng(10).integers(1, 4, (500, 7)),       # no zeros at all
+], ids=["sparse", "all-zero", "empty", "no-zeros"])
+def test_sparse_predicates_agree_with_scalar_rules(counts):
+    from staircodes.stair import counts_within_coverage
+    for cfg in (sc.config_new(8, 4, 1, (1, 2)), sc.config_new(8, 4, 1, (1, 1, 1, 3)),
+                sc.config_new(8, 4, 1, ())):
+        want = [counts_within_coverage(cfg, row) for row in counts.tolist()]
+        assert sim.stair_recoverable(cfg)(counts).tolist() == want
+    assert sim.rs_recoverable()(counts).tolist() == [not any(row) for row in counts.tolist()]
+    for s in (0, 1, 3):
+        assert sim.sd_recoverable(s)(counts).tolist() == [sum(row) <= s
+                                                          for row in counts.tolist()]
+
+
+@pytest.mark.parametrize("probs", [
+    (0.999, 6e-4, 3e-4, 1e-4),
+    (0.25, 0.25, 0.25, 0.25),
+    (0.0, 0.5, 0.3, 0.2),
+    (1.0, 0.0, 0.0),
+    (0.9, 0.1),
+], ids=["skewed", "flat", "p0-zero", "point-mass", "r1"])
+@pytest.mark.parametrize("trials", [3 * sim._SUB_BLOCK + 17, sim._BLOCK + 2 * sim._SUB_BLOCK,
+                                    2 * sim._BLOCK + 5000])
+def test_draws_equal_generator_choice(probs, trials):
+    # the sampler must give exactly the counts of one choice(p=) per block
+    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
+    p = np.asarray(probs) / sum(probs)
+    n_chunks, seed = 7, 11
+    children = np.random.SeedSequence(seed).spawn(-(-trials // sim._BLOCK))
+    want = np.concatenate([
+        np.random.default_rng(child).choice(len(p), size=(min(sim._BLOCK, trials - i * sim._BLOCK),
+                                                          n_chunks), p=p)
+        for i, child in enumerate(children)])
+    parts = list(sim._count_blocks(n_chunks, dist, trials, seed))
+    assert all(part.dtype == np.int64 and len(part) <= sim._SUB_BLOCK for part in parts)
+    assert np.array_equal(np.concatenate(parts), want)
+
+
+@pytest.mark.parametrize("probs", [(0.98, 0.015, 0.005), (0.0, 0.7, 0.3), (1.0, 0.0, 0.0)],
+                         ids=["skewed", "p0-zero", "point-mass"])
+def test_histogram_equals_dense_reference(probs):
+    # reference: bucket every sorted row of the whole draw, one verdict per key
+    from collections import Counter
+    cfg = sc.config_new(8, 2, 1, (1, 2))
+    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
+    predicates = {"rs": sim.rs_recoverable(), "sd_2": sim.sd_recoverable(2),
+                  "stair": sim.stair_recoverable(cfg)}
+    trials = sim._BLOCK + 1000
+    counts = np.concatenate(list(sim._count_blocks(7, dist, trials, 4)))
+    buckets = Counter(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
+    want = []
+    for key, count in sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0])):
+        row = {"counts": ",".join(str(c) for c in key if c) or "0",
+               "stripes": count, "fraction": count / trials}
+        for label, predicate in predicates.items():
+            row[f"recoverable_{label}"] = bool(predicate(np.array([key]))[0])
+        want.append(row)
+    got = sim.outcome_histogram(predicates, 7, dist, trials=trials, seed=4)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
 def test_code_family_dispatch():
     # one name per family picks both the analytic stripe loss and the predicate
     dist = rel.p_chk_independent(16, 1e-3)
