@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Analysis-layer benchmark: Monte-Carlo trials per second, by phase.
+"""Analysis-layer benchmark: Monte-Carlo trials and analytic reports per
+second, by phase.
 
     python3 scripts/mc_bench.py                 # the package in ./src
     python3 scripts/mc_bench.py --src OTHER     # the package in OTHER/src
@@ -14,8 +15,11 @@ phase is timed over --trials trials, the best of --reps runs:
   predicate  every code's predicate over those counts, in code-trials/s
   histogram  ``sim.outcome_histogram`` with every code's predicate, draw included
   bucketing  the histogram without its draw (histogram time less draw time)
+  analytic   plain reports (``cli.reliability_rows`` of the scenario: every
+             code's stripe-loss DP and MTTDL at each p_bit, no argparse or
+             I/O), in reports/s, timed over 20 reports a run, warm
 
-Prints one JSON object of trials per second.
+Prints one JSON object of trials (and reports) per second.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "stairbench" / "data" / "scenario.txt"
 SEED = 20_000
+REPORTS = 20
 
 
 def best_seconds(fn, reps: int) -> float:
@@ -70,9 +75,15 @@ def main(argv=None) -> int:
     def histogram():
         sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=SEED)
 
+    def analytic():
+        for _ in range(REPORTS):
+            cli.reliability_rows(opts)
+
     draw_s = best_seconds(draw, args.reps)
     predicate_s = best_seconds(verdicts, args.reps)
     histogram_s = best_seconds(histogram, args.reps)
+    analytic()   # warm-up: the first report fills the caches
+    analytic_s = best_seconds(analytic, args.reps)
     out = {
         "trials": args.trials, "chunks": chunks, "codes": len(predicates),
         "trials_per_s": {
@@ -81,6 +92,7 @@ def main(argv=None) -> int:
             "histogram": round(args.trials / histogram_s),
             "bucketing": round(args.trials / (histogram_s - draw_s)),
         },
+        "reports_per_s": {"analytic": round(REPORTS / analytic_s, 1)},
     }
     print(json.dumps(out, indent=2))
     return 0

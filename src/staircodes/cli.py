@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,16 @@ _SIZE_UNITS = {
 
 
 def _parse_size(text: str) -> int:
-    """Parse '10 PB', '300GB', '512' (bytes); size units are binary."""
+    """Parse '10 PB', '300GB', '1.5 KB', '512' or '1e15' (bytes); size units
+    are binary.  Integers are read exactly, whatever their size."""
     text = text.strip()
-    for unit in sorted(_SIZE_UNITS, key=len, reverse=True):
-        if text.upper().endswith(unit):
-            num = text[: -len(unit)].strip()
-            return int(float(num) * _SIZE_UNITS[unit])
-    return int(text)
+    unit = next((u for u in sorted(_SIZE_UNITS, key=len, reverse=True)
+                 if text.upper().endswith(u)), "")
+    num, scale = text[:len(text) - len(unit)].strip(), _SIZE_UNITS.get(unit, 1)
+    try:
+        return int(num) * scale
+    except ValueError:
+        return int(float(num) * scale)
 
 
 def _parse_e(text: str) -> tuple[int, ...]:
@@ -620,6 +624,7 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
 
 
+@cache   # built once: every call of main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -667,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="cross-check analytic stripe loss against Monte Carlo")
     p.add_argument("--histogram", action="store_true",
-                   help="append a sampled failure-outcome histogram")
+                   help="append an outcome histogram of the independent model at validate_p_sec")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --histogram draws (--validate keeps its fixed seeds)")
@@ -696,7 +701,7 @@ def main(argv=None) -> int:
     except UnrecoverableError as exc:
         print(f"unrecoverable: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

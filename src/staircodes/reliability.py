@@ -8,13 +8,14 @@ Stripe-loss probabilities are evaluated by dynamic programming over the
 per-chunk failure counts; the unrecoverable mass is accumulated directly
 as a sum of products so results keep full relative precision even when
 they are many orders of magnitude below 1 (never computed as 1 - sum).
+STAIR's transitions come from ``stair.counts_within_coverage``, once each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -67,10 +68,6 @@ class ChunkFailureDist:
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {arr.sum()}, expected 1")
 
-    @property
-    def r(self) -> int:
-        return len(self.probs) - 1
-
 
 @dataclass(frozen=True)
 class ReliabilityReport:
@@ -93,12 +90,12 @@ class ReliabilityReport:
 
 def storage_efficiency(cfg: StairConfig) -> float:
     """Fraction of raw capacity available for user data."""
-    return (cfg.r * (cfg.n - cfg.m) - cfg.s) / (cfg.r * cfg.n)
+    return cfg.data_cell_count / (cfg.r * cfg.n)
 
 
 def num_arrays(params: ReliabilityParams, cfg: StairConfig) -> int:
     """Arrays of n devices needed to hold the user data at this efficiency."""
-    data_cells = cfg.r * (cfg.n - cfg.m) - cfg.s
+    data_cells = cfg.data_cell_count
     if data_cells <= 0:
         raise ValueError("config stores no data")
     # ceil((U / E) / (C * n)) with E = data_cells / (r * n); exact in integers
@@ -181,22 +178,23 @@ def chunk_dist(params: ReliabilityParams, r: int, sector_prob: float) -> ChunkFa
 def _p_str_dp(n_chunks: int, dist: ChunkFailureDist, start, step) -> float:
     """P(a stripe of ``n_chunks`` i.i.d. chunks is unrecoverable), by DP
     over chunks.  ``step(state, c)`` is the state after a chunk with c > 0
-    failures, or None when that chunk makes the stripe unrecoverable.  Mass
-    that fails never recovers, so it is summed as it leaves the states."""
+    failures, or None when that chunk makes the stripe unrecoverable; each
+    state's moves are built once.  Mass that fails never recovers, so it is
+    summed as it leaves the states."""
     probs = dist.probs
     p0 = probs[0]
+    moves = {}
     states = {start: 1.0}
     p_fail = 0.0
     for _ in range(n_chunks):
         nxt = {}
         for state, pr in states.items():
+            if state not in moves:
+                moves[state] = [(step(state, c), pc)
+                                for c, pc in enumerate(probs[1:], 1) if pc != 0.0]
             nxt[state] = nxt.get(state, 0.0) + pr * p0
             fail_mass = 0.0
-            for c in range(1, dist.r + 1):
-                pc = probs[c]
-                if pc == 0.0:
-                    continue
-                new = step(state, c)
+            for new, pc in moves[state]:
                 if new is None:
                     fail_mass += pc
                 else:
@@ -206,19 +204,20 @@ def _p_str_dp(n_chunks: int, dist: ChunkFailureDist, start, step) -> float:
     return p_fail
 
 
+@lru_cache(maxsize=1 << 16)
+def _stair_step(cfg: StairConfig, state: tuple[int, ...], c: int) -> tuple[int, ...] | None:
+    """The sorted nonzero counts after a chunk with c failures, or None when
+    they leave the coverage of cfg.e; kept across calls and distributions."""
+    new = tuple(sorted(state + (c,)))
+    return new if counts_within_coverage(cfg, new) else None
+
+
 def p_str_stair(cfg: StairConfig, dist: ChunkFailureDist) -> float:
     """P(an n-m chunk stripe in critical mode is unrecoverable) for the
     stair coverage e.  The DP state is the sorted multiset of nonzero
     failure counts seen so far (a non-dominated prefix can never become
-    dominated again); every chunk meets the same transitions, so they are
-    cached."""
-
-    @cache
-    def step(state: tuple[int, ...], c: int) -> tuple[int, ...] | None:
-        new = tuple(sorted(state + (c,)))
-        return new if counts_within_coverage(cfg, new) else None
-
-    return _p_str_dp(cfg.n - cfg.m, dist, (), step)
+    dominated again)."""
+    return _p_str_dp(cfg.n - cfg.m, dist, (), partial(_stair_step, cfg))
 
 
 def p_str_rs(cfg: StairConfig, dist: ChunkFailureDist) -> float:

@@ -11,8 +11,9 @@ A block draws its chunks by inverse CDF, as ``Generator.choice(p=)`` does,
 in sub-blocks of 4Ki trials whose arrays stay in cache.  Each uniform is
 compared with P(0) once and only the chunks that failed are searched in
 the CDF; the predicates and the histogram then sort only the trials with a
-failed chunk.  Every estimate and histogram is bit-identical to drawing each
-whole block with ``choice``.
+failed chunk.  The STAIR predicate is ``stair.counts_within_coverage``.
+Every estimate and histogram is bit-identical to drawing each whole block
+with ``choice``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reliability import _Z99, ChunkFailureDist
-from .stair import FailurePattern, StairConfig
+from .stair import FailurePattern, StairConfig, counts_within_coverage
 
 _BLOCK = 1 << 16
 _SUB_BLOCK = 1 << 12
@@ -107,15 +108,7 @@ def _on_failed_trials(rule):
 
 def stair_recoverable(cfg: StairConfig):
     """Vectorised coverage predicate on (trials, chunks) count arrays."""
-    e_desc = sorted(cfg.e, reverse=True)
-
-    def rule(counts: np.ndarray) -> np.ndarray:
-        limit = np.zeros(counts.shape[1], dtype=counts.dtype)
-        limit[:len(e_desc)] = e_desc
-        ranked = np.sort(counts, axis=1)[:, ::-1]
-        return np.all(ranked <= limit, axis=1)
-
-    return _on_failed_trials(rule)
+    return _on_failed_trials(lambda counts: counts_within_coverage(cfg, counts))
 
 
 def rs_recoverable():

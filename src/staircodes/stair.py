@@ -16,6 +16,8 @@ the one executor ``_Codec.run``; ``encoding_steps`` and
 run.  A step solves positions along a line, whichever row or column it
 is, so each distinct one is built once (``_Codec.line_step``) and serves
 every line; a plan is a tuple of line indices and a tuple of steps.
+One rule, ``counts_within_coverage``, decides coverage for the planner,
+the stripe-loss DP (``reliability``) and the Monte-Carlo predicates (``sim``).
 
 Two reuse-based encoders are provided ("upstairs" recovers parities
 bottom-up and generalises to arbitrary decoding, "downstairs" sweeps
@@ -225,20 +227,21 @@ class FailurePattern:
                 yield i, j
 
 
-def counts_within_coverage(cfg: StairConfig, counts) -> bool:
-    """True iff the nonzero per-chunk loss counts fit the tail of e."""
-    counts = sorted(c for c in counts if c)
-    if len(counts) > cfg.m_prime:
-        return False
-    off = cfg.m_prime - len(counts)
-    return all(c <= cfg.e[off + t] for t, c in enumerate(counts))
+def counts_within_coverage(cfg: StairConfig, counts):
+    """The coverage rule, along the last axis: counts sorted descending lie
+    under e sorted descending (zeros past m', cut to the width given).  A
+    vector gives a bool, a (rows, chunks) array one bool per row."""
+    counts = np.asarray(counts, dtype=np.int64)
+    limit = np.zeros(counts.shape[-1], dtype=np.int64)
+    limit[:cfg.m_prime] = cfg.e[::-1][:len(limit)]
+    ok = (np.sort(counts, axis=-1)[..., ::-1] <= limit).all(axis=-1)
+    return ok if ok.ndim else bool(ok)
 
 
 def pattern_within_coverage(cfg: StairConfig, pattern: FailurePattern) -> bool:
     pattern.validate_for(cfg)
-    if len(pattern.failed_chunks) > cfg.m:
-        return False
-    return counts_within_coverage(cfg, (len(rows) for _, rows in pattern.sector_failures))
+    return len(pattern.failed_chunks) <= cfg.m and counts_within_coverage(
+        cfg, [len(rows) for _, rows in pattern.sector_failures])
 
 
 def worst_case_pattern(cfg: StairConfig) -> FailurePattern:

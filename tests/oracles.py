@@ -182,14 +182,13 @@ def coverage_by_assignment(e: tuple[int, ...], counts) -> bool:
 def iter_within_coverage_patterns(cfg):
     """Every within-coverage failure pattern of a config, exactly once."""
     from staircodes import FailurePattern
-    from staircodes.stair import counts_within_coverage
 
     def multisets(prefix):
         yield prefix
         start = prefix[-1] if prefix else 1
         for c in range(start, cfg.e_max + 1):
             new = prefix + (c,)
-            if counts_within_coverage(cfg, new):
+            if coverage_by_assignment(cfg.e, new):
                 yield from multisets(new)
 
     count_multisets = list(multisets(()))

@@ -433,6 +433,26 @@ def test_reliability_report(tmp_path):
     assert by_code["stair(1)"]["mttdl_sys_hours"] > 100 * by_code["rs"]["mttdl_sys_hours"]
 
 
+@pytest.mark.parametrize("size, want", [
+    ("1e15", 10 ** 15), ("1.5", 1), ("11258999068426240", 10 * 2 ** 50),
+    ("1e15 B", 10 ** 15), ("1.5 KB", 1536), ("9007199254740993 B", 2 ** 53 + 1),
+])
+def test_scenario_sizes_bare_or_with_unit(tmp_path, size, want):
+    """A bare number is a byte count, and integers stay exact above 2^53."""
+    assert cli._parse_size(size) == want
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO.replace("user_data = 10 PB", f"user_data = {size}"))
+    assert cli.main(["reliability", str(scenario), "-o", str(tmp_path / "rel.csv")]) == 0
+
+
+@pytest.mark.parametrize("size", ["inf", "nan PB", "ten GB"])
+def test_scenario_bad_size_exits_1(tmp_path, size, capsys):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO.replace("user_data = 10 PB", f"user_data = {size}"))
+    assert cli.main(["reliability", str(scenario)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_reliability_validate(tmp_path):
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO)

@@ -187,6 +187,48 @@ def test_tiny_probabilities_keep_precision():
     assert 1e-19 < val < 1e-15
 
 
+# float.hex of stair (1,2), stair (1,1,2), stair (4,), sd(2) and rs on n = 8,
+# m = 1, recorded before the DP built each state's moves once: every float
+# operation of the DP must keep its order.
+P_STR_HEX = {
+    (4, "independent", 0.0001): (
+        '0x1.3736cd317b482p-29', '0x1.fd9c9a379b200p-36', '0x1.c23c52340d744p-19',
+        '0x1.c168171de97e8p-29', '0x1.6e81af0723b3ap-9'),
+    (4, "independent", 0.01): (
+        '0x1.fabeaa1693e85p-10', '0x1.d3ec80700b4bbp-14', '0x1.d411f8639f100p-6',
+        '0x1.64237b1f5627dp-9', '0x1.f655bbfe6654bp-3'),
+    (4, "correlated", 0.0001): (
+        '0x1.082d69b4123acp-16', '0x1.0824be4fb28c0p-16', '0x1.a9b44df43ed6dp-19',
+        '0x1.09a8c05f817bep-16', '0x1.646328a8a4683p-9'),
+    (4, "correlated", 0.01): (
+        '0x1.ba79904f55d88p-9', '0x1.b0bc16ce4eda2p-10', '0x1.c8b26c6654a10p-6',
+        '0x1.0cccaad708640p-8', '0x1.f084e22eba6b1p-3'),
+    (16, "independent", 0.0001): (
+        '0x1.3a2cbd6f6c89dp-23', '0x1.1ed85d7a2d6ecp-28', '0x1.bfe6d276dc87cp-15',
+        '0x1.e5786d4071220p-23', '0x1.6cf8e165caccdp-7'),
+    (16, "independent", 0.01): (
+        '0x1.365b4cd730bf8p-4', '0x1.158aa361f81cbp-6', '0x1.1e0c765e60207p-2',
+        '0x1.a4cd42abed541p-4', '0x1.59e24687ce6f8p-1'),
+    (16, "correlated", 0.0001): (
+        '0x1.070d10a80c971p-14', '0x1.06859069e4551p-14', '0x1.1c986d9a3eacfp-14',
+        '0x1.0cdee143437cap-14', '0x1.60ef80623e6c0p-7'),
+    (16, "correlated", 0.01): (
+        '0x1.5985ffd19dc70p-4', '0x1.3f55f9ea51c7bp-6', '0x1.300892bfc1389p-2',
+        '0x1.7242178f144a4p-4', '0x1.61f5afef56a44p-1'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(P_STR_HEX), ids=str)
+def test_p_str_bytes_pinned(key):
+    r, model, sector_prob = key
+    dist = (rel.p_chk_independent(r, sector_prob) if model == "independent"
+            else rel.p_chk_correlated(r, sector_prob, 0.98, 1.79))
+    got = [rel.p_str_stair(sc.config_new(8, r, 1, e), dist) for e in ((1, 2), (1, 1, 2), (4,))]
+    cfg = sc.config_new(8, r, 1, ())
+    got += [rel.p_str_sd(2, cfg, dist), rel.p_str_rs(cfg, dist)]
+    assert tuple(v.hex() for v in got) == P_STR_HEX[key]
+
+
 # -- mttdl ------------------------------------------------------------------------
 
 def test_mttdl_requires_m1():

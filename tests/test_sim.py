@@ -6,6 +6,7 @@ import pytest
 import staircodes as sc
 from staircodes import reliability as rel
 from staircodes import sim
+from oracles import coverage_by_assignment
 
 
 def test_within_samples_all_pass_coverage(exemplar):
@@ -126,11 +127,10 @@ def test_outcome_histogram():
 
 def test_predicates_agree_with_scalar_rules():
     cfg = sc.config_new(8, 4, 1, (1, 2))
-    from staircodes.stair import counts_within_coverage
     gen = np.random.default_rng(5)
     counts = gen.integers(0, 5, size=(500, 7))
     got = sim.stair_recoverable(cfg)(counts)
-    want = np.array([counts_within_coverage(cfg, row.tolist()) for row in counts])
+    want = np.array([coverage_by_assignment(cfg.e, row.tolist()) for row in counts])
     assert np.array_equal(got, want)
     assert np.array_equal(sim.rs_recoverable()(counts), ~counts.any(axis=1))
     assert np.array_equal(sim.sd_recoverable(3)(counts), counts.sum(axis=1) <= 3)
@@ -145,10 +145,9 @@ def test_predicates_agree_with_scalar_rules():
     np.random.default_rng(10).integers(1, 4, (500, 7)),       # no zeros at all
 ], ids=["sparse", "all-zero", "empty", "no-zeros"])
 def test_sparse_predicates_agree_with_scalar_rules(counts):
-    from staircodes.stair import counts_within_coverage
     for cfg in (sc.config_new(8, 4, 1, (1, 2)), sc.config_new(8, 4, 1, (1, 1, 1, 3)),
                 sc.config_new(8, 4, 1, ())):
-        want = [counts_within_coverage(cfg, row) for row in counts.tolist()]
+        want = [coverage_by_assignment(cfg.e, row) for row in counts.tolist()]
         assert sim.stair_recoverable(cfg)(counts).tolist() == want
     assert sim.rs_recoverable()(counts).tolist() == [not any(row) for row in counts.tolist()]
     for s in (0, 1, 3):

@@ -118,14 +118,20 @@ def test_worst_case_pattern_is_covered():
 
 
 def test_coverage_matches_assignment_oracle_exhaustively():
-    """Sorted-tail dominance == injective slot assignment, for all count
-    multisets reachable with r <= 4 over n <= 8 chunks."""
-    for e in [(1,), (2,), (4,), (1, 1), (1, 2), (2, 2), (1, 4), (1, 1, 2), (1, 1, 1, 1)]:
-        cfg = sc.config_new(8, 4, 2, e) if max(e) <= 4 else None
-        for k in range(0, 7):
-            for counts in itertools.combinations_with_replacement(range(0, 5), k):
-                assert counts_within_coverage(cfg, counts) == \
-                    coverage_by_assignment(cfg.e, counts), (e, counts)
+    """The one coverage rule == injective slot assignment, for every vector
+    of counts 0..4 over 0..5 chunks (below, at and above m', all-zero
+    included), one vector at a time and as one (rows, chunks) array."""
+    for e in [(), (1,), (2,), (4,), (1, 1), (1, 2), (2, 2), (1, 4), (1, 1, 2), (1, 1, 1, 1)]:
+        cfg = sc.config_new(8, 4, 2, e)
+        for k in range(6):
+            vectors = list(itertools.product(range(5), repeat=k))
+            want = [coverage_by_assignment(cfg.e, v) for v in vectors]
+            got = [counts_within_coverage(cfg, v) for v in vectors]
+            assert all(type(ok) is bool for ok in got)
+            assert got == want, (e, k)
+            rows = np.array(vectors, dtype=np.int64).reshape(len(vectors), k)
+            assert counts_within_coverage(cfg, rows).tolist() == want, (e, k)
+            assert counts_within_coverage(cfg, rows[:0]).shape == (0,)
 
 
 @st.composite
