@@ -30,9 +30,9 @@ from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_
 #: Bytes of stripes one batch of a grouped repair lays side by side (its memory bound).
 BLOCK_BYTES = 1 << 22
 
-_SIZE_UNITS = {
-    "B": 1, "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50,
+_SIZE_UNITS = {   # longest first: a unit is matched as a suffix
     "KIB": 2 ** 10, "MIB": 2 ** 20, "GIB": 2 ** 30, "TIB": 2 ** 40, "PIB": 2 ** 50,
+    "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50, "B": 1,
 }
 
 
@@ -40,13 +40,14 @@ def _parse_size(text: str) -> int:
     """Parse '10 PB', '300GB', '1.5 KB', '512' or '1e15' (bytes); size units
     are binary.  Integers are read exactly, whatever their size."""
     text = text.strip()
-    unit = next((u for u in sorted(_SIZE_UNITS, key=len, reverse=True)
-                 if text.upper().endswith(u)), "")
+    unit = next((u for u in _SIZE_UNITS if text.upper().endswith(u)), "")
     num, scale = text[:len(text) - len(unit)].strip(), _SIZE_UNITS.get(unit, 1)
-    try:
+    if num.isdecimal():
         return int(num) * scale
-    except ValueError:
-        return int(float(num) * scale)
+    value = float(num) * scale
+    if not math.isfinite(value):
+        raise ValueError(f"bad size {text!r}")
+    return int(value)
 
 
 def _parse_e(text: str) -> tuple[int, ...]:
@@ -701,7 +702,7 @@ def main(argv=None) -> int:
     except UnrecoverableError as exc:
         print(f"unrecoverable: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

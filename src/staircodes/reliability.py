@@ -95,11 +95,10 @@ def storage_efficiency(cfg: StairConfig) -> float:
 
 def num_arrays(params: ReliabilityParams, cfg: StairConfig) -> int:
     """Arrays of n devices needed to hold the user data at this efficiency."""
-    data_cells = cfg.data_cell_count
-    if data_cells <= 0:
+    if cfg.data_cell_count <= 0:
         raise ValueError("config stores no data")
-    # ceil((U / E) / (C * n)) with E = data_cells / (r * n); exact in integers
-    return -(-params.user_bytes * cfg.r // (data_cells * params.device_bytes))
+    # ceil((U / E) / (C * n)) with E = data_cell_count / (r * n); exact in integers
+    return -(-params.user_bytes * cfg.r // (cfg.data_cell_count * params.device_bytes))
 
 
 # ---------------------------------------------------------------------------

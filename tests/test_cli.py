@@ -445,7 +445,7 @@ def test_scenario_sizes_bare_or_with_unit(tmp_path, size, want):
     assert cli.main(["reliability", str(scenario), "-o", str(tmp_path / "rel.csv")]) == 0
 
 
-@pytest.mark.parametrize("size", ["inf", "nan PB", "ten GB"])
+@pytest.mark.parametrize("size", ["inf", "nan PB", "ten GB", "1e300 PB"])
 def test_scenario_bad_size_exits_1(tmp_path, size, capsys):
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO.replace("user_data = 10 PB", f"user_data = {size}"))

@@ -119,11 +119,12 @@ def test_worst_case_pattern_is_covered():
 
 def test_coverage_matches_assignment_oracle_exhaustively():
     """The one coverage rule == injective slot assignment, for every vector
-    of counts 0..4 over 0..5 chunks (below, at and above m', all-zero
-    included), one vector at a time and as one (rows, chunks) array."""
+    of counts 0..4 over 0..6 chunks (below, at and above m', up to the
+    full n-m width, all-zero included), one vector at a time and as one
+    (rows, chunks) array."""
     for e in [(), (1,), (2,), (4,), (1, 1), (1, 2), (2, 2), (1, 4), (1, 1, 2), (1, 1, 1, 1)]:
         cfg = sc.config_new(8, 4, 2, e)
-        for k in range(6):
+        for k in range(7):
             vectors = list(itertools.product(range(5), repeat=k))
             want = [coverage_by_assignment(cfg.e, v) for v in vectors]
             got = [counts_within_coverage(cfg, v) for v in vectors]
