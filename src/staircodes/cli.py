@@ -12,6 +12,8 @@ import contextlib
 import csv
 import json
 import math
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -27,7 +29,8 @@ from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_
                     decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
-#: Bytes of stripes one batch of a grouped repair lays side by side (its memory bound).
+#: Bytes of stripes in one block of ``encode`` and ``decode`` and in one
+#: batch of a grouped repair: the bound on the memory they use per block.
 BLOCK_BYTES = 1 << 22
 
 _SIZE_UNITS = {   # longest first: a unit is matched as a suffix
@@ -83,22 +86,50 @@ def _open_out(path: str | None):
 # encode / decode
 # ---------------------------------------------------------------------------
 
+def _blocks(header: cont.ContainerHeader):
+    """The container's stripes a block of at most ``BLOCK_BYTES`` at a time
+    (one stripe when a stripe is larger): (first stripe, block, buffer)
+    per block, where the (B, n, r, symbol_size) block and the (B, data
+    bytes per stripe) buffer for its user bytes are views of two arrays
+    that every block reuses."""
+    per_block = max(1, min(BLOCK_BYTES // header.stripe_bytes, header.stripe_count))
+    body = np.zeros((per_block, header.n, header.r, header.symbol_size), dtype=np.uint8)
+    data = np.empty((per_block, header.data_bytes_per_stripe), dtype=np.uint8)
+    for k in range(0, header.stripe_count, per_block):
+        b = min(per_block, header.stripe_count - k)
+        yield k, body[:b], data[:b]
+
+
 def cmd_encode(args) -> int:
+    """Stream the input through one block at a time: read its user bytes,
+    copy them into the data cells, encode each stripe, write the block."""
     if not args.output and not args.devices:
         raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
-    data = Path(args.input).read_bytes()
-    header = cont.header_for(cfg, args.symbol_size, len(data))
-    body = cont.fill_data(header, data)
-    for k in range(header.stripe_count):
-        stair_encode(cfg, cont.stripe_view(body, k), args.method)
-    cont.write(header, body, args.output, args.devices)
+    with open(args.input, "rb") as src:
+        st = os.fstat(src.fileno())
+        if not stat.S_ISREG(st.st_mode):     # its length goes in the header first
+            raise ValueError(f"{args.input} is not a regular file")
+        header = cont.header_for(cfg, args.symbol_size, st.st_size)
+        with cont.writer(header, args.output, args.devices) as write:
+            for k, body, data in _blocks(header):
+                user = data.reshape(-1)[:cont.user_bytes(header, len(body), k)]
+                cont.read_exact(src, user)
+                cont.fill_data(header, user, body, k)
+                for s in range(len(body)):
+                    stair_encode(cfg, cont.stripe_view(body, s), args.method)
+                write(body)
     return 0
 
 
 def cmd_decode(args) -> int:
-    header, body = cont.read(args.input, args.devices)
-    Path(args.output).write_bytes(cont.extract_data(header, body))
+    """Stream the container through one block at a time: read the block,
+    copy the data cells out, write the user bytes."""
+    with cont.reader(args.input, args.devices) as (header, readinto), \
+            cont.replaced(args.output, header.data_length) as out:
+        for k, body, data in _blocks(header):
+            readinto(body)
+            out.write(cont.extract_data(header, body, k, data))
     return 0
 
 
@@ -270,7 +301,7 @@ def cmd_repair(args) -> int:
         groups.setdefault(pattern, []).append(k)
     for pattern in groups:
         decoding_steps(cfg, pattern)
-    per_batch = max(1, BLOCK_BYTES // math.prod(body.shape[1:]))
+    per_batch = max(1, BLOCK_BYTES // header.stripe_bytes)
     # newest plans first: the plan cache is bounded, and they are the ones still in it
     for pattern, stripes in reversed(groups.items()):
         for b in range(0, len(stripes), per_batch):

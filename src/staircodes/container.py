@@ -17,7 +17,9 @@ polynomial of each width (``gf.DEFAULT_POLY``) is accepted.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -62,6 +64,10 @@ class ContainerHeader:
     @property
     def data_bytes_per_stripe(self) -> int:
         return self.config().data_cell_count * self.symbol_size
+
+    @property
+    def stripe_bytes(self) -> int:
+        return self.n * self.r * self.symbol_size
 
     @property
     def stripe_count(self) -> int:
@@ -109,8 +115,9 @@ def parse_header(buf: bytes) -> ContainerHeader:
 
 
 # ---------------------------------------------------------------------------
-# the stripe body: every stripe as one (stripes, n, r, symbol_size) uint8
-# array in the on-disk order, so body[:, j] is what device j stores
+# the stripe body: stripes as a (stripes, n, r, symbol_size) uint8 array in
+# the on-disk order, so body[:, j] is what device j stores.  Files are read
+# and written a block of stripes at a time.
 # ---------------------------------------------------------------------------
 
 def _device_file(devdir: Path, j: int) -> Path:
@@ -126,45 +133,135 @@ def _check_length(size: int, shape: tuple, what: str) -> None:
         raise ValueError(f"{what} is {size} bytes, expected {math.prod(shape)}")
 
 
-def read(path=None, devices=None) -> tuple[ContainerHeader, np.ndarray]:
-    """The header and a writable body, from a single container file at
-    ``path`` or from a ``devices`` directory (a header file plus one file
-    per device).  Raises ValueError unless every length is exact."""
-    if devices:
-        devdir = Path(devices)
-        header = parse_header((devdir / "header.stairc").read_bytes())
-        stripes, n, r, symbol_size = shape = _body_shape(header)
-        # the header may be forged: check every file before allocating the body
-        for j in range(n):
-            _check_length(_device_file(devdir, j).stat().st_size,
-                          (stripes, r, symbol_size), f"device file {j}")
-        body = np.empty(shape, dtype=np.uint8)
-        for j in range(n):
-            body[:, j] = np.fromfile(_device_file(devdir, j), dtype=np.uint8).reshape(
-                stripes, r, symbol_size)
-        return header, body
-    if not path:
-        raise ValueError("need a container file or a devices directory")
-    blob = np.fromfile(path, dtype=np.uint8)
-    header = parse_header(blob.data)
-    body = blob[header.size:]
-    _check_length(body.size, _body_shape(header), "container body")
-    return header, body.reshape(_body_shape(header))
+def read_exact(f, buf) -> None:
+    """Fill the writable buffer ``buf`` from the binary file ``f``;
+    ValueError when the file ends first."""
+    want = memoryview(buf).nbytes
+    got = f.readinto(buf)
+    if got != want:
+        raise ValueError(f"{f.name} ended after {got} of {want} bytes")
 
 
-def write(header: ContainerHeader, body: np.ndarray, path=None, devices=None) -> None:
-    """Store ``body`` as a single container file at ``path`` and/or as a
-    ``devices`` directory."""
-    if path:
+def _read_header(f) -> ContainerHeader:
+    head = f.read(_FIXED.size)
+    if len(head) == _FIXED.size:      # the coverage entries and the trailer
+        head += f.read(2 * _FIXED.unpack(head)[-1] + _TRAILER.size)
+    return parse_header(head)
+
+
+@contextmanager
+def reader(path=None, devices=None):
+    """The header of a single container file at ``path``, or of a
+    ``devices`` directory (a header file plus one file per device), and a
+    function that fills a C-contiguous (B, n, r, symbol_size) block with
+    the next B stripes.  Every file length is checked from the file sizes
+    first, so a forged header is refused before anything is allocated."""
+    with ExitStack() as stack:
+        if devices:
+            devdir = Path(devices)
+            header = _read_header(stack.enter_context(open(devdir / "header.stairc", "rb")))
+            files = [stack.enter_context(open(_device_file(devdir, j), "rb"))
+                     for j in range(header.n)]
+            for j, f in enumerate(files):
+                _check_length(os.fstat(f.fileno()).st_size,
+                              (header.stripe_count, header.r, header.symbol_size),
+                              f"device file {j}")
+
+            def readinto(block):
+                chunk = np.empty((len(block), header.r, header.symbol_size), dtype=np.uint8)
+                for j, f in enumerate(files):
+                    read_exact(f, chunk)
+                    block[:, j] = chunk
+        elif path:
+            f = stack.enter_context(open(path, "rb"))
+            header = _read_header(f)
+            _check_length(os.fstat(f.fileno()).st_size - header.size, _body_shape(header),
+                          "container body")
+
+            def readinto(block):
+                read_exact(f, block)
+        else:
+            raise ValueError("need a container file or a devices directory")
+        yield header, readinto
+
+
+@contextmanager
+def replaced(path, size: int):
+    """A binary file opened for writing on a new name beside ``path`` and
+    renamed over ``path`` when the block ends, or deleted when it raises:
+    an output never clobbers an input still being read, and a failed
+    command leaves no partial output.  A ``path`` that exists and is not a
+    regular file (a device such as /dev/null, or a pipe) is written to
+    directly.  A symbolic link keeps pointing at the file it names.
+
+    The file is given its final ``size`` up front: a full disk fails
+    before any byte is written, and the writes that follow, block by
+    block, run several times faster than into a growing file (32 MiB on
+    ext4 in 4 MiB writes: 9 ms against 30 ms)."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
         with open(path, "wb") as f:
+            yield f
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            if size:
+                os.posix_fallocate(f.fileno(), 0, size)
+            yield f
+            if f.tell() != size:      # short of its size, the file would end in zeros
+                raise ValueError(f"wrote {f.tell()} bytes to {path}, expected {size}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def writer(header: ContainerHeader, path=None, devices=None):
+    """A function that appends a (B, n, r, symbol_size) block of stripes
+    to a single container file at ``path`` and/or a ``devices``
+    directory; every file is :func:`replaced` when the block ends."""
+    with ExitStack() as stack:
+        sinks = []
+        if path:
+            f = stack.enter_context(replaced(path, header.size + header.stripe_count
+                                             * header.stripe_bytes))
             f.write(pack_header(header))
-            body.tofile(f)
-    if devices:
-        devdir = Path(devices)
-        devdir.mkdir(parents=True, exist_ok=True)
-        (devdir / "header.stairc").write_bytes(pack_header(header))
-        for j in range(header.n):
-            body[:, j].tofile(_device_file(devdir, j))
+            sinks.append(f.write)
+        if devices:
+            devdir = Path(devices)
+            devdir.mkdir(parents=True, exist_ok=True)
+            stack.enter_context(replaced(devdir / "header.stairc", header.size)).write(
+                pack_header(header))
+            files = [stack.enter_context(replaced(_device_file(devdir, j), header.stripe_count
+                                                  * header.stripe_bytes // header.n))
+                     for j in range(header.n)]
+
+            def to_devices(block):
+                for j, f in enumerate(files):
+                    f.write(np.ascontiguousarray(block[:, j]))
+            sinks.append(to_devices)
+
+        def write(block):
+            for sink in sinks:
+                sink(block)
+        yield write
+
+
+def read(path) -> tuple[ContainerHeader, np.ndarray]:
+    """The header and a writable body of every stripe of the container
+    file at ``path``.  Raises ValueError unless its length is exact."""
+    with reader(path) as (header, readinto):
+        body = np.empty(_body_shape(header), dtype=np.uint8)
+        readinto(body)
+    return header, body
+
+
+def write(header: ContainerHeader, body: np.ndarray, path) -> None:
+    """Store ``body`` as a single container file at ``path``."""
+    with writer(header, path) as write_block:
+        write_block(body)
 
 
 def check_stripe(body: np.ndarray, k) -> int:
@@ -211,28 +308,68 @@ def stripe_from_bytes(cfg: StairConfig, symbol_size: int, buf: bytes) -> np.ndar
     return stripe_view(body.reshape(1, cfg.n, cfg.r, symbol_size), 0).copy()
 
 
-@lru_cache(maxsize=None)
-def _data_idx(cfg: StairConfig):
-    """Data cells as (chunk, row) index arrays, in the container fill order."""
-    cells = data_cells(cfg)
-    return (np.array([j for _, j in cells], dtype=np.intp),
-            np.array([i for i, _ in cells], dtype=np.intp))
+# ---------------------------------------------------------------------------
+# user data in the data cells
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _runs(cfg: StairConfig, symbol_size: int) -> tuple[tuple[int, int, int], ...]:
+    """The data cells of a stored stripe as (stripe offset, data offset,
+    length) byte runs, in the fill order.  Cells are stored chunk-major and
+    a stair column's data rows come before its parity rows, so there are
+    at most 1 + m' runs."""
+    runs: list[list[int]] = []
+    for d, (i, j) in enumerate(data_cells(cfg)):
+        s = (j * cfg.r + i) * symbol_size
+        if runs and runs[-1][0] + runs[-1][2] == s:
+            runs[-1][2] += symbol_size
+        else:
+            runs.append([s, d * symbol_size, symbol_size])
+    return tuple(tuple(run) for run in runs)
 
 
-def fill_data(header: ContainerHeader, data: bytes) -> np.ndarray:
-    """A new body holding ``data``, zero-padded to whole stripes, in the
-    data cells of its stripes; every parity cell is zero."""
-    if len(data) != header.data_length:
-        raise ValueError(f"data is {len(data)} bytes, the header says {header.data_length}")
-    body = np.zeros(_body_shape(header), dtype=np.uint8)
-    chunks, rows = _data_idx(header.config())
-    padded = np.zeros((len(body), len(chunks), header.symbol_size), dtype=np.uint8)
-    padded.reshape(-1)[:len(data)] = np.frombuffer(data, dtype=np.uint8)
-    body[:, chunks, rows] = padded
+def user_bytes(header: ContainerHeader, stripes: int, first: int) -> int:
+    """Input bytes held by ``stripes`` stripes from stripe ``first`` on."""
+    per = header.data_bytes_per_stripe
+    return min(stripes * per, header.data_length - first * per)
+
+
+def fill_data(header: ContainerHeader, data, body: np.ndarray | None = None,
+              first: int = 0) -> np.ndarray:
+    """Copy the user bytes ``data`` into the data cells of ``body`` and
+    return it; data cells past their end are zeroed, parity cells are left
+    as they are.  ``body`` is a C-contiguous block of stripes ``first``,
+    ``first`` + 1, ... of the container, and ``data`` must be all the input
+    those stripes hold.  By default ``body`` is a new one of every stripe,
+    with zero parity cells, and ``data`` the whole input."""
+    per = header.data_bytes_per_stripe
+    if body is None:
+        body = np.zeros(_body_shape(header), dtype=np.uint8)
+    want = user_bytes(header, len(body), first)
+    if len(data) != want:
+        raise ValueError(f"data is {len(data)} bytes, the header says {want}")
+    src = np.frombuffer(data, dtype=np.uint8)
+    full = want // per
+    tail = np.zeros((len(body) - full, per), dtype=np.uint8)    # zero-padded last stripe
+    tail.reshape(-1)[:want - full * per] = src[full * per:]
+    runs = _runs(header.config(), header.symbol_size)
+    for stored, cells in ((body[:full], src[:full * per].reshape(full, per)),
+                          (body[full:], tail)):
+        stored = stored.reshape(len(stored), header.stripe_bytes)
+        for s, d, length in runs:
+            stored[:, s:s + length] = cells[:, d:d + length]
     return body
 
 
-def extract_data(header: ContainerHeader, body: np.ndarray) -> bytes:
-    """The user bytes held in the data cells of ``body``."""
-    chunks, rows = _data_idx(header.config())
-    return body[:, chunks, rows].reshape(-1)[:header.data_length].tobytes()
+def extract_data(header: ContainerHeader, body: np.ndarray, first: int = 0,
+                 out: np.ndarray | None = None) -> memoryview:
+    """The user bytes held in the data cells of ``body``, a block of
+    stripes ``first``, ``first`` + 1, ... of the container: a view of
+    ``out``, a (len(body), data bytes per stripe) uint8 array (new by
+    default) into which they are copied."""
+    if out is None:
+        out = np.empty((len(body), header.data_bytes_per_stripe), dtype=np.uint8)
+    stored = body.reshape(len(body), header.stripe_bytes)
+    for s, d, length in _runs(header.config(), header.symbol_size):
+        out[:, d:d + length] = stored[:, s:s + length]
+    return memoryview(out).cast("B")[:user_bytes(header, len(body), first)]

@@ -3,8 +3,12 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
+import stat
 import struct
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +380,7 @@ def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
         raw = dev.read_bytes()
         dev.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
     assert cli.main(["decode", "--devices", str(devdir), "-o", str(tmp_path / "o.bin")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["devices", "input.bin"]
 
 
 @pytest.mark.parametrize("damage", ["short", "long"])
@@ -386,6 +391,136 @@ def test_decode_wrong_length_container_exits_1(tmp_path, payload, damage):
     raw = box.read_bytes()
     box.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
     assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.stairc", "input.bin"]
+
+
+def test_in_place_encode_and_decode_roundtrip(tmp_path, payload):
+    """``-o`` naming the input replaces it only once the output is whole."""
+    src, data = payload
+    ref, x = tmp_path / "ref.stairc", tmp_path / "x"
+    x.write_bytes(data)
+    assert cli.main(["encode", str(src), "-o", str(ref)] + CFG_FLAGS) == 0
+    assert cli.main(["encode", str(x), "-o", str(x)] + CFG_FLAGS) == 0
+    assert x.read_bytes() == ref.read_bytes()
+    assert cli.main(["decode", str(x), "-o", str(x)]) == 0
+    assert x.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "ref.stairc", "x"]
+    link = tmp_path / "link"                       # a link keeps naming its file
+    link.symlink_to(x)
+    assert cli.main(["encode", str(src), "-o", str(link)] + CFG_FLAGS) == 0
+    assert link.is_symlink() and x.read_bytes() == ref.read_bytes()
+
+
+def test_failed_encode_keeps_the_old_output(tmp_path, payload):
+    src, _ = payload
+    box = tmp_path / "c.stairc"
+    box.write_bytes(b"old")
+    assert cli.main(["encode", str(src), "-o", str(box), "--n", "4", "--r", "4", "--m", "2",
+                     "--e", "1,1,1"]) == 1
+    r, w = os.pipe()           # a pipe has no length to put in the header: refused
+    try:
+        os.write(w, b"data")
+        assert cli.main(["encode", f"/dev/fd/{r}", "-o", str(box)] + CFG_FLAGS) == 1
+    finally:
+        os.close(r)
+        os.close(w)
+    assert box.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.stairc", "input.bin"]
+
+
+def test_decode_to_a_pipe(tmp_path, payload):
+    """An output that is not a regular file is written to, not replaced."""
+    src, data = payload
+    box, fifo = tmp_path / "c.stairc", tmp_path / "fifo"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["decode", str(box), "-o", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [data]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def _tree(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("method", ["auto", "downstairs", "upstairs", "standard"])
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, method):
+    """Encode and decode stream a block of stripes at a time.  With blocks
+    of one and of three stripes, containers (to -o, to --devices and to
+    both) equal those of one whole-file block, and decoding them from the
+    file or the devices gives the input back, for inputs that end at,
+    before, after and inside a block, and in the middle of a data run."""
+    cfg = config_new(8, 4, 2, (1, 1, 2), w)
+    flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
+             "--symbol-size", "16", "--method", method]
+    header = cont.header_for(cfg, 16, 0)
+    per, block = header.data_bytes_per_stripe, 3
+    (_, d0, l0), (_, d1, l1), *_ = cont._runs(cfg, 16)
+    assert l0 < per and d1 == d0 + l0                 # the data cells form several runs
+    sizes = [0, 1, block * per, (block - 1) * per, (block + 1) * per,
+             2 * block * per + d1 + l1 // 2]
+    src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    for size in sizes:
+        data = rng.bytes(size)
+        src.write_bytes(data)
+        ref, refdev = tmp_path / "ref.stairc", tmp_path / "refdev"
+        assert cli.main(["encode", str(src), "-o", str(ref), "--devices", str(refdev)]
+                        + flags) == 0
+        assert cli.main(["decode", str(ref), "-o", str(out)]) == 0 and out.read_bytes() == data
+        for stripes in (1, block):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "BLOCK_BYTES", stripes * header.stripe_bytes)
+                for sinks in ("file", "devices", "both"):
+                    box, devdir = tmp_path / f"{sinks}.stairc", tmp_path / f"{sinks}.dev"
+                    argv = ["encode", str(src)] + flags
+                    if sinks != "devices":
+                        argv += ["-o", str(box)]
+                    if sinks != "file":
+                        argv += ["--devices", str(devdir)]
+                    assert cli.main(argv) == 0
+                    if sinks != "devices":
+                        assert box.read_bytes() == ref.read_bytes()
+                        assert cli.main(["decode", str(box), "-o", str(out)]) == 0
+                        assert out.read_bytes() == data
+                    if sinks != "file":
+                        assert _tree(devdir) == _tree(refdev)
+                        assert cli.main(["decode", "--devices", str(devdir), "-o", str(out)]) == 0
+                        assert out.read_bytes() == data
+
+
+def test_encode_and_decode_memory_does_not_grow_with_file_size(tmp_path, rng):
+    """Peak RSS of an encode plus a decode in a fresh process, in the
+    archive_large geometry (16 KiB symbols, 4 MiB stripes): an 8 MiB and
+    a 64 MiB input differ by less than three blocks."""
+    script = (
+        "import resource, sys\n"
+        "from staircodes import cli\n"
+        "flags = ['--n', '16', '--r', '16', '--m', '1', '--e', '2', '--symbol-size', '16384']\n"
+        "assert cli.main(['encode', sys.argv[1], '-o', sys.argv[2], *flags]) == 0\n"
+        "assert cli.main(['decode', sys.argv[2], '-o', sys.argv[3]]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(staircodes.__file__).resolve().parent.parent))
+    src, box, out = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "out.bin"
+    peaks = []
+    for mib in (8, 64):
+        digest = hashlib.sha256()
+        with open(src, "wb") as f:
+            for _ in range(mib):
+                chunk = rng.bytes(1 << 20)
+                digest.update(chunk)
+                f.write(chunk)
+        done = subprocess.run([sys.executable, "-c", script, str(src), str(box), str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        with open(out, "rb") as f:
+            assert hashlib.file_digest(f, "sha256").digest() == digest.digest()
+        peaks.append(int(done.stdout) * 1024)      # ru_maxrss is in KiB on Linux
+    assert abs(peaks[1] - peaks[0]) < 3 * cli.BLOCK_BYTES, peaks
 
 
 def test_cost_report(tmp_path, capsys):
