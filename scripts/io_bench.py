@@ -10,7 +10,7 @@ the same input sizes: n=8 r=4 m=2 e=1,1,2 at 512 B symbols, 1500 stripes
 (about 14.6 MiB), and n=16 r=16 m=1 e=2 at 16 KiB symbols, 8 stripes
 (about 29.8 MiB); the last stripe of each input is part full.  Each
 command goes through ``cli.main`` in this process, warm, and is timed
---reps times; the run with the least total time is reported, split into:
+REPS times; the run with the least total time is reported, split into:
 
   read   reading the input or the container (``container.read``,
          ``container.read_exact`` or ``Path.read_bytes``, whichever the
@@ -43,6 +43,7 @@ GEOMETRIES = {   # label: (n, r, m, e, symbol size, stripes)
     "archive_small": (8, 4, 2, (1, 1, 2), 512, 1500),
     "archive_large": (16, 16, 1, (2,), 16384, 8),
 }
+REPS = 5
 PHASES = ("read", "copy", "codec")
 
 
@@ -96,8 +97,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", type=Path, default=ROOT)
-    parser.add_argument("--reps", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src / "src"))
     from staircodes import cli
@@ -110,8 +109,8 @@ def main(argv=None) -> int:
                                (cli, "stair_encode", "codec")]:
         timer.wrap(owner, attr, phase)
 
-    rng = np.random.default_rng(args.seed)
-    out = {"reps": args.reps}
+    rng = np.random.default_rng(0)
+    out = {"reps": REPS}
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         src, box, dst = work / "input.bin", work / "c.stairc", work / "output.bin"
@@ -122,8 +121,8 @@ def main(argv=None) -> int:
             flags = ["--n", str(n), "--r", str(r), "--m", str(m),
                      "--e", ",".join(map(str, e)), "--symbol-size", str(symbol)]
             encode = best_split(cli, ["encode", str(src), "-o", str(box), *flags],
-                                timer, args.reps)
-            decode = best_split(cli, ["decode", str(box), "-o", str(dst)], timer, args.reps)
+                                timer, REPS)
+            decode = best_split(cli, ["decode", str(box), "-o", str(dst)], timer, REPS)
             if dst.read_bytes() != data:
                 raise SystemExit(f"{label}: decode did not return the input")
             out[label] = {"input_bytes": len(data), "stripes": stripes,

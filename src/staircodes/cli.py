@@ -13,8 +13,10 @@ import csv
 import json
 import math
 import os
+import shutil
 import stat
 import sys
+import tempfile
 import time
 from functools import cache
 from pathlib import Path
@@ -106,11 +108,16 @@ def cmd_encode(args) -> int:
     if not args.output and not args.devices:
         raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
-    with open(args.input, "rb") as src:
-        st = os.fstat(src.fileno())
-        if not stat.S_ISREG(st.st_mode):     # its length goes in the header first
-            raise ValueError(f"{args.input} is not a regular file")
-        header = cont.header_for(cfg, args.symbol_size, st.st_size)
+    with contextlib.ExitStack() as stack:
+        src = stack.enter_context(open(args.input, "rb"))
+        if not stat.S_ISREG(os.fstat(src.fileno()).st_mode):
+            # a pipe's length, which goes in the header first, is known
+            # only at its end: spool it to an unnamed file
+            spool = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(src, spool)
+            spool.seek(0)
+            src = spool
+        header = cont.header_for(cfg, args.symbol_size, os.fstat(src.fileno()).st_size)
         with cont.writer(header, args.output, args.devices) as write:
             for k, body, data in _blocks(header):
                 user = data.reshape(-1)[:cont.user_bytes(header, len(body), k)]

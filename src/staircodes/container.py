@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -191,22 +192,28 @@ def replaced(path, size: int):
     renamed over ``path`` when the block ends, or deleted when it raises:
     an output never clobbers an input still being read, and a failed
     command leaves no partial output.  A ``path`` that exists and is not a
-    regular file (a device such as /dev/null, or a pipe) is written to
-    directly.  A symbolic link keeps pointing at the file it names.
+    regular file (a device such as /dev/null, or a pipe, also when named
+    as /dev/stdout or /dev/fd/N) is written to directly.  A symbolic link
+    keeps pointing at the file it names.
 
     The file is given its final ``size`` up front: a full disk fails
     before any byte is written, and the writes that follow, block by
     block, run several times faster than into a growing file (32 MiB on
-    ext4 in 4 MiB writes: 9 ms against 30 ms)."""
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():
+    ext4 in 4 MiB writes: 9 ms against 30 ms), where the system has
+    ``posix_fallocate``."""
+    try:      # /dev/stdout or /dev/fd/N on a pipe links to no real name
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
         with open(path, "wb") as f:
             yield f
         return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            if size:
+            if size and hasattr(os, "posix_fallocate"):
                 os.posix_fallocate(f.fileno(), 0, size)
             yield f
             if f.tell() != size:      # short of its size, the file would end in zeros

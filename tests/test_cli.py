@@ -417,19 +417,36 @@ def test_failed_encode_keeps_the_old_output(tmp_path, payload):
     box.write_bytes(b"old")
     assert cli.main(["encode", str(src), "-o", str(box), "--n", "4", "--r", "4", "--m", "2",
                      "--e", "1,1,1"]) == 1
-    r, w = os.pipe()           # a pipe has no length to put in the header: refused
-    try:
-        os.write(w, b"data")
-        assert cli.main(["encode", f"/dev/fd/{r}", "-o", str(box)] + CFG_FLAGS) == 1
-    finally:
-        os.close(r)
-        os.close(w)
     assert box.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.stairc", "input.bin"]
 
 
+def test_encode_from_a_pipe(tmp_path, payload):
+    """An input that is not a regular file, such as /dev/stdin on a pipe,
+    gives the same container as the file it carries."""
+    src, data = payload
+    ref, box = tmp_path / "ref.stairc", tmp_path / "c.stairc"
+    assert cli.main(["encode", str(src), "-o", str(ref)] + CFG_FLAGS) == 0
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as f:
+            f.write(data)
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    try:
+        assert cli.main(["encode", f"/dev/fd/{r}", "-o", str(box)] + CFG_FLAGS) == 0
+    finally:
+        feeder.join(timeout=30)
+        os.close(r)
+    assert box.read_bytes() == ref.read_bytes()
+    assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 0
+    assert (tmp_path / "o.bin").read_bytes() == data
+
+
 def test_decode_to_a_pipe(tmp_path, payload):
-    """An output that is not a regular file is written to, not replaced."""
+    """An output that is not a regular file is written to, not replaced:
+    a named FIFO, and a pipe named as /dev/fd/N (as /dev/stdout is)."""
     src, data = payload
     box, fifo = tmp_path / "c.stairc", tmp_path / "fifo"
     assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
@@ -441,6 +458,22 @@ def test_decode_to_a_pipe(tmp_path, payload):
     reader.join(timeout=30)
     assert not reader.is_alive() and got == [data]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    r, w = os.pipe()
+    got = []
+
+    def drain():
+        with os.fdopen(r, "rb") as f:
+            got.append(f.read())
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert cli.main(["decode", str(box), "-o", f"/dev/fd/{w}"]) == 0
+    finally:
+        os.close(w)
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [data]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.stairc", "fifo", "input.bin"]
 
 
 def _tree(path: Path) -> dict:
