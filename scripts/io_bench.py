@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""L3 benchmark: `stair encode` and healthy `stair decode` of a real file,
-timed by phase.
+"""L3 benchmark: `stair encode`, healthy `stair decode`, and `stair inject`
+and `stair repair` of one failed chunk per stripe, on a real file, timed
+by phase.
 
     python3 scripts/io_bench.py                 # the package in ./src
     python3 scripts/io_bench.py --src OTHER     # the package in OTHER/src
@@ -12,12 +13,14 @@ the same input sizes: n=8 r=4 m=2 e=1,1,2 at 512 B symbols, 1500 stripes
 command goes through ``cli.main`` in this process, warm, and is timed
 REPS times; the run with the least total time is reported, split into:
 
-  read   reading the input or the container (``container.read``,
-         ``container.read_exact`` or ``Path.read_bytes``, whichever the
-         package calls)
+  read   reading the input or the container (``container.read_exact``
+         or ``Path.read_bytes``, whichever the package calls)
   copy   moving user bytes into or out of the data cells
-         (``container.fill_data``, ``container.extract_data``)
-  codec  ``stair_encode`` of every stripe (encode only)
+         (``container.fill_data``, ``container.extract_data``), and
+         stripes into and out of repair's wide stripes
+         (``container.gather``, ``container.scatter``)
+  codec  ``stair_encode`` of every stripe (encode) and ``stair_decode``
+         of every wide stripe (repair)
   rest   everything else: writing the output, opening, renaming and
          closing files, header and argument parsing
 
@@ -103,10 +106,10 @@ def main(argv=None) -> int:
     from staircodes import container as cont
 
     timer = PhaseTimer()
-    for owner, attr, phase in [(cont, "read", "read"), (cont, "read_exact", "read"),
-                               (pathlib.Path, "read_bytes", "read"),
+    for owner, attr, phase in [(cont, "read_exact", "read"), (pathlib.Path, "read_bytes", "read"),
                                (cont, "fill_data", "copy"), (cont, "extract_data", "copy"),
-                               (cli, "stair_encode", "codec")]:
+                               (cont, "gather", "copy"), (cont, "scatter", "copy"),
+                               (cli, "stair_encode", "codec"), (cli, "stair_decode", "codec")]:
         timer.wrap(owner, attr, phase)
 
     rng = np.random.default_rng(0)
@@ -114,6 +117,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         src, box, dst = work / "input.bin", work / "c.stairc", work / "output.bin"
+        dmg, fixed, manifest = work / "d.stairc", work / "f.stairc", work / "m.json"
         for label, (n, r, m, e, symbol, stripes) in GEOMETRIES.items():
             per = (r * (n - m) - sum(e)) * symbol
             data = rng.bytes(stripes * per - per // 3)
@@ -125,8 +129,15 @@ def main(argv=None) -> int:
             decode = best_split(cli, ["decode", str(box), "-o", str(dst)], timer, REPS)
             if dst.read_bytes() != data:
                 raise SystemExit(f"{label}: decode did not return the input")
+            inject = best_split(cli, ["inject", str(box), "-o", str(dmg), "--spec", "chunks=0",
+                                      "--manifest", str(manifest)], timer, REPS)
+            repair = best_split(cli, ["repair", str(dmg), "--manifest", str(manifest),
+                                      "-o", str(fixed)], timer, REPS)
+            if fixed.read_bytes() != box.read_bytes():
+                raise SystemExit(f"{label}: repair did not restore the container")
             out[label] = {"input_bytes": len(data), "stripes": stripes,
-                          "encode_ms": encode, "decode_ms": decode}
+                          "encode_ms": encode, "decode_ms": decode,
+                          "inject_ms": inject, "repair_ms": repair}
     print(json.dumps(out, indent=2))
     return 0
 

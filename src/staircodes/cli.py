@@ -31,8 +31,8 @@ from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_
                     decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
-#: Bytes of stripes in one block of ``encode`` and ``decode`` and in one
-#: batch of a grouped repair: the bound on the memory they use per block.
+#: Bytes of stripes in one block of ``encode``, ``decode``, ``inject`` and
+#: ``repair``: the bound on the memory each uses per block.
 BLOCK_BYTES = 1 << 22
 
 _SIZE_UNITS = {   # longest first: a unit is matched as a suffix
@@ -246,75 +246,98 @@ def _merge_by_stripe(cfg: StairConfig, entries) -> dict[int, FailurePattern]:
     return {k: _merge(cfg, ps) for k, ps in by_stripe.items()}
 
 
+def _rewrite(path, header: cont.ContainerHeader, readinto,
+             by_stripe: dict[int, FailurePattern], fix) -> None:
+    """Copy the container to ``path`` a block at a time.  Before a block is
+    written, ``fix(body, idx, pattern)`` runs once for each pattern of
+    ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the block's
+    stripes that have it."""
+    with cont.writer(header, path) as write:
+        for k, body, _ in _blocks(header):
+            readinto(body)
+            groups: dict[FailurePattern, list[int]] = {}
+            for s in range(len(body)):
+                if k + s in by_stripe:
+                    groups.setdefault(by_stripe[k + s], []).append(s)
+            for pattern, idx in groups.items():
+                fix(body, idx, pattern)
+            write(body)
+
+
 def cmd_inject(args) -> int:
-    header, body = cont.read(args.input)
-    cfg = header.config()
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    targets = (list(range(header.stripe_count)) if args.stripes == "all"
-               else [int(x) for x in args.stripes.split(",") if x.strip()])
-    patterns, injected = [], []
-    for idx in targets:
-        cells = cont.stripe_view(body, idx)
-        pattern = parse_pattern_spec(args.spec, cfg, rng)
-        cells[:] = sim.inject(cfg, cells, pattern)
-        injected.append((idx, pattern))
-        patterns.append({"stripe": idx, **_pattern_to_json(pattern)})
-    cont.write(header, body, args.output)
+    """Zero the cells that ``--spec`` loses in each of ``--stripes`` and
+    write the result, plus a manifest of one entry per stripe named.  A
+    stripe named more than once loses the union of its patterns' cells."""
+    with cont.reader(args.input) as (header, readinto):
+        cfg = header.config()
+        rng = np.random.default_rng(args.seed) if args.seed is not None else None
+        stripes = header.stripe_count
+        targets = (range(stripes) if args.stripes == "all"
+                   else [cont.check_stripe(stripes, int(x))
+                         for x in args.stripes.split(",") if x.strip()])
+        injected = [(k, parse_pattern_spec(args.spec, cfg, rng)) for k in targets]
+        by_stripe = _merge_by_stripe(cfg, injected)
+
+        def zero(body, idx, pattern):
+            for i, j in pattern.lost_cells(cfg):
+                body[idx, j, i] = 0
+        _rewrite(args.output, header, readinto, by_stripe, zero)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
         "within_coverage": all(pattern_within_coverage(cfg, pattern)
-                               for pattern in _merge_by_stripe(cfg, injected).values()),
-        "patterns": patterns,
+                               for pattern in by_stripe.values()),
+        "patterns": [{"stripe": k, **_pattern_to_json(pattern)} for k, pattern in injected],
     }
     Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
-def _read_manifest(path: str, cfg: StairConfig, body: np.ndarray) -> dict[int, FailurePattern]:
+def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, FailurePattern]:
     """Stripe index -> failure pattern, from a repair manifest written for
-    cfg, with the entries of a stripe merged into one pattern; ValueError
-    when the manifest is malformed, for another config, or names a stripe
-    that ``body`` does not hold."""
+    the container of ``header``, with the entries of a stripe merged into
+    one pattern; ValueError when the manifest is malformed, for another
+    config or symbol size, or names a stripe that the container does not
+    hold."""
+    cfg = header.config()
     manifest = json.loads(Path(path).read_text())
     try:
         mc = manifest["config"]
         n, r, m, w = (_manifest_int(mc[k]) for k in ("n", "r", "m", "w"))
-        same = config_new(n, r, m, [_manifest_int(x) for x in mc["e"]], w) == cfg
+        same = (config_new(n, r, m, [_manifest_int(x) for x in mc["e"]], w) == cfg
+                and _manifest_int(manifest["symbol_size"]) == header.symbol_size)
         entries = [(entry.get("stripe"), _pattern_from_json(entry))
                    for entry in manifest.get("patterns", [])]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed repair manifest: {type(exc).__name__}: {exc}") from None
     if not same:
-        raise ValueError("manifest config does not match the container header")
-    return _merge_by_stripe(cfg, [(cont.check_stripe(body, k), pattern)
+        raise ValueError("manifest config or symbol size does not match the container header")
+    stripes = header.stripe_count
+    return _merge_by_stripe(cfg, [(cont.check_stripe(stripes, k), pattern)
                                   for k, pattern in entries])
 
 
 def cmd_repair(args) -> int:
     """Restore the cells that a manifest lists as lost, and write the result.
 
-    The entries of one stripe are merged into one pattern, and stripes with
-    the same pattern form a group.  Every group is planned before any is
-    decoded, so an unrecoverable one exits 2 having done no kernel work and
-    written nothing.  Each group is then decoded once per batch of at most
-    ``BLOCK_BYTES`` of body, as one stripe of the batch's stripes side by
-    side (``container.gather``).
+    The entries of one stripe are merged into one pattern.  Every distinct
+    pattern is planned before any block is read, so an unrecoverable one
+    exits 2 having done no kernel work and written nothing.  They are
+    planned in reverse order of first use: the plan cache is bounded, and
+    the patterns needed first are then the newest in it.  The container
+    then streams through a block at a time, and the block's stripes of
+    each pattern are decoded once, side by side as one wide stripe
+    (``container.gather``).
     """
-    header, body = cont.read(args.input)
-    cfg = header.config()
-    groups: dict[FailurePattern, list[int]] = {}
-    for k, pattern in _read_manifest(args.manifest, cfg, body).items():
-        groups.setdefault(pattern, []).append(k)
-    for pattern in groups:
-        decoding_steps(cfg, pattern)
-    per_batch = max(1, BLOCK_BYTES // header.stripe_bytes)
-    # newest plans first: the plan cache is bounded, and they are the ones still in it
-    for pattern, stripes in reversed(groups.items()):
-        for b in range(0, len(stripes), per_batch):
-            idx = stripes[b:b + per_batch]
+    with cont.reader(args.input) as (header, readinto):
+        cfg = header.config()
+        by_stripe = _read_manifest(args.manifest, header)
+        for pattern in reversed(dict.fromkeys(by_stripe[k] for k in sorted(by_stripe))):
+            decoding_steps(cfg, pattern)
+
+        def decode(body, idx, pattern):
             cont.scatter(body, idx, stair_decode(cfg, cont.gather(body, idx), pattern))
-    cont.write(header, body, args.output)
+        _rewrite(args.output, header, readinto, by_stripe, decode)
     return 0
 
 

@@ -125,10 +125,6 @@ def _device_file(devdir: Path, j: int) -> Path:
     return devdir / f"device_{j:02d}.bin"
 
 
-def _body_shape(header: ContainerHeader) -> tuple[int, int, int, int]:
-    return header.stripe_count, header.n, header.r, header.symbol_size
-
-
 def _check_length(size: int, shape: tuple, what: str) -> None:
     if size != math.prod(shape):
         raise ValueError(f"{what} is {size} bytes, expected {math.prod(shape)}")
@@ -176,8 +172,8 @@ def reader(path=None, devices=None):
         elif path:
             f = stack.enter_context(open(path, "rb"))
             header = _read_header(f)
-            _check_length(os.fstat(f.fileno()).st_size - header.size, _body_shape(header),
-                          "container body")
+            _check_length(os.fstat(f.fileno()).st_size - header.size,
+                          (header.stripe_count, header.stripe_bytes), "container body")
 
             def readinto(block):
                 read_exact(f, block)
@@ -256,31 +252,16 @@ def writer(header: ContainerHeader, path=None, devices=None):
         yield write
 
 
-def read(path) -> tuple[ContainerHeader, np.ndarray]:
-    """The header and a writable body of every stripe of the container
-    file at ``path``.  Raises ValueError unless its length is exact."""
-    with reader(path) as (header, readinto):
-        body = np.empty(_body_shape(header), dtype=np.uint8)
-        readinto(body)
-    return header, body
-
-
-def write(header: ContainerHeader, body: np.ndarray, path) -> None:
-    """Store ``body`` as a single container file at ``path``."""
-    with writer(header, path) as write_block:
-        write_block(body)
-
-
-def check_stripe(body: np.ndarray, k) -> int:
-    """``k``, when it is the index of a stripe of ``body``; ValueError otherwise."""
-    if type(k) is not int or not 0 <= k < len(body):
-        raise ValueError(f"stripe index {k!r} is not in 0..{len(body) - 1}")
+def check_stripe(stripes: int, k) -> int:
+    """``k``, when it is the index of one of ``stripes`` stripes; ValueError otherwise."""
+    if type(k) is not int or not 0 <= k < stripes:
+        raise ValueError(f"stripe index {k!r} is not in 0..{stripes - 1}")
     return k
 
 
 def stripe_view(body: np.ndarray, k) -> np.ndarray:
     """Stripe ``k`` of ``body`` as an (r, n, symbol_size) view: writes go to the body."""
-    return body[check_stripe(body, k)].transpose(1, 0, 2)
+    return body[check_stripe(len(body), k)].transpose(1, 0, 2)
 
 
 def gather(body: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -341,17 +322,13 @@ def user_bytes(header: ContainerHeader, stripes: int, first: int) -> int:
     return min(stripes * per, header.data_length - first * per)
 
 
-def fill_data(header: ContainerHeader, data, body: np.ndarray | None = None,
-              first: int = 0) -> np.ndarray:
-    """Copy the user bytes ``data`` into the data cells of ``body`` and
-    return it; data cells past their end are zeroed, parity cells are left
-    as they are.  ``body`` is a C-contiguous block of stripes ``first``,
-    ``first`` + 1, ... of the container, and ``data`` must be all the input
-    those stripes hold.  By default ``body`` is a new one of every stripe,
-    with zero parity cells, and ``data`` the whole input."""
+def fill_data(header: ContainerHeader, data, body: np.ndarray, first: int) -> None:
+    """Copy the user bytes ``data`` into the data cells of ``body``; data
+    cells past their end are zeroed, parity cells are left as they are.
+    ``body`` is a C-contiguous block of stripes ``first``, ``first`` + 1,
+    ... of the container, and ``data`` must be all the input those stripes
+    hold."""
     per = header.data_bytes_per_stripe
-    if body is None:
-        body = np.zeros(_body_shape(header), dtype=np.uint8)
     want = user_bytes(header, len(body), first)
     if len(data) != want:
         raise ValueError(f"data is {len(data)} bytes, the header says {want}")
@@ -365,17 +342,14 @@ def fill_data(header: ContainerHeader, data, body: np.ndarray | None = None,
         stored = stored.reshape(len(stored), header.stripe_bytes)
         for s, d, length in runs:
             stored[:, s:s + length] = cells[:, d:d + length]
-    return body
 
 
-def extract_data(header: ContainerHeader, body: np.ndarray, first: int = 0,
-                 out: np.ndarray | None = None) -> memoryview:
+def extract_data(header: ContainerHeader, body: np.ndarray, first: int,
+                 out: np.ndarray) -> memoryview:
     """The user bytes held in the data cells of ``body``, a block of
     stripes ``first``, ``first`` + 1, ... of the container: a view of
-    ``out``, a (len(body), data bytes per stripe) uint8 array (new by
-    default) into which they are copied."""
-    if out is None:
-        out = np.empty((len(body), header.data_bytes_per_stripe), dtype=np.uint8)
+    ``out``, a (len(body), data bytes per stripe) uint8 array into which
+    they are copied."""
     stored = body.reshape(len(body), header.stripe_bytes)
     for s, d, length in _runs(header.config(), header.symbol_size):
         out[:, d:d + length] = stored[:, s:s + length]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import staircodes
-from staircodes import cli, config_new, encoding_steps, stair, xor_count
+from staircodes import cli, config_new, encoding_steps, sim, stair, xor_count
 from staircodes import container as cont
 from staircodes.stair import FailurePattern, pattern_within_coverage, worst_case_pattern
 
@@ -184,6 +184,10 @@ MALFORMED_MANIFESTS = {
     "key-leading-zero": lambda doc: _rekey(doc, "03"),
     "key-leading-space": lambda doc: _rekey(doc, " 3"),
     "key-plus-sign": lambda doc: _rekey(doc, "+3"),
+    # the manifest of a container with the same config but other symbols
+    "other-symbol-size": lambda doc: {**doc, "symbol_size": 2 * doc["symbol_size"]},
+    "float-symbol-size": lambda doc: {**doc, "symbol_size": float(doc["symbol_size"])},
+    "no-symbol-size": lambda doc: _without(doc, "symbol_size"),
 }
 
 
@@ -221,6 +225,14 @@ def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
     assert doc["within_coverage"] is pattern_within_coverage(cfg, union)
 
 
+def _read_body(path: Path) -> tuple[cont.ContainerHeader, np.ndarray]:
+    """The header of the container file at ``path`` and its stripes as a
+    writable (stripes, n, r, symbol_size) array."""
+    header = cont.parse_header(path.read_bytes())
+    body = np.fromfile(path, dtype=np.uint8, offset=header.size)
+    return header, body.reshape(header.stripe_count, header.n, header.r, header.symbol_size)
+
+
 def _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns):
     """Encode random data at field width w, then overwrite with noise the
     cells that ``patterns[k]`` loses in stripe k, writing the damaged
@@ -231,7 +243,7 @@ def _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns):
     src.write_bytes(rng.bytes(stripes * cfg.data_cell_count * symbol - symbol))
     assert cli.main(["encode", str(src), "-o", str(box), "--w", str(w),
                      "--symbol-size", str(symbol)] + CFG_FLAGS[:-2]) == 0
-    header, body = cont.read(box)
+    header, body = _read_body(box)
     assert header.stripe_count == stripes
     entries = []
     for k, pattern in enumerate(patterns):
@@ -239,7 +251,7 @@ def _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns):
         for i, j in pattern.lost_cells(cfg):
             cells[i, j] = rng.integers(0, 256, symbol, dtype=np.uint8)
         entries.append({"stripe": k, **cli._pattern_to_json(pattern)})
-    cont.write(header, body, dmg)
+    dmg.write_bytes(cont.pack_header(header) + body.tobytes())
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
         "config": {"n": 8, "r": 4, "m": 2, "e": [1, 1, 2], "w": w},
@@ -260,11 +272,13 @@ def _random_pattern(rng, cfg) -> FailurePattern:
 
 @pytest.mark.parametrize("case", ["shared", "mixed", "large-symbols"])
 @pytest.mark.parametrize("w", [8, 16, 32])
-def test_grouped_repair_is_byte_identical(tmp_path, rng, w, case):
-    """Repair decodes each group of stripes with one pattern as one wide
-    stripe; the result must equal the clean container and a per-stripe
-    decode of the same damaged body.  The 64 KiB symbols make 2 MiB
-    stripes, so their one group spans three batches."""
+def test_grouped_repair_is_byte_identical(tmp_path, monkeypatch, rng, w, case):
+    """Repair decodes the stripes of a block that share a pattern as one
+    wide stripe; the result must equal the clean container and a
+    per-stripe decode of the same damaged body, with blocks of one stripe,
+    of three and of the default size.  Then groups span blocks, and the
+    64 KiB symbols make 2 MiB stripes, so their one group spans three
+    default blocks."""
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     symbol, stripes = (65536, 5) if case == "large-symbols" else (32, 40)
     if case == "mixed":
@@ -273,14 +287,19 @@ def test_grouped_repair_is_byte_identical(tmp_path, rng, w, case):
     else:
         patterns = [worst_case_pattern(cfg)] * stripes
     box, dmg, manifest = _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns)
-    fixed = tmp_path / "f.stairc"
-    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
-    assert fixed.read_bytes() == box.read_bytes()
-    _, body = cont.read(dmg)
+    header, body = _read_body(dmg)
     for k, pattern in enumerate(patterns):
         cells = cont.stripe_view(body, k)
         cells[:] = stair.decode(cfg, cells, pattern)
-    assert cont.read(fixed)[1].tobytes() == body.tobytes()
+    fixed = tmp_path / "f.stairc"
+    for block in (1, 3, None):
+        with monkeypatch.context() as patch:
+            if block:
+                patch.setattr(cli, "BLOCK_BYTES", block * header.stripe_bytes)
+            assert cli.main(["repair", str(dmg), "--manifest", str(manifest),
+                             "-o", str(fixed)]) == 0
+        assert fixed.read_bytes() == box.read_bytes()
+        assert _read_body(fixed)[1].tobytes() == body.tobytes()
 
 
 def test_repair_decodes_once_per_distinct_pattern(tmp_path, rng, monkeypatch):
@@ -336,6 +355,34 @@ def test_inject_explicit_cells_and_seed(tmp_path, payload):
                      "--manifest", str(manifest)]) == 0
     doc = json.loads(manifest.read_text())
     assert doc["patterns"][0]["sector_failures"]["2"] == [0, 3]
+
+
+def test_inject_across_blocks_is_byte_identical(tmp_path, monkeypatch, payload):
+    """Stripes named out of order and more than once, with seeded sector
+    rows: blocks of one stripe, of three and of the default size give the
+    same container and manifest, and the container is the clean one with
+    each manifest entry's cells zeroed in turn."""
+    src, _ = payload
+    box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    header, body = _read_body(box)
+    outputs = []
+    for block in (None, 1, 3):
+        with monkeypatch.context() as patch:
+            if block:
+                patch.setattr(cli, "BLOCK_BYTES", block * header.stripe_bytes)
+            assert cli.main(["inject", str(box), "-o", str(dmg),
+                             "--spec", "chunks=1;sectors=3:1,4:2", "--stripes", "5,0,5,2",
+                             "--seed", "7", "--manifest", str(manifest)]) == 0
+        outputs.append((dmg.read_bytes(), manifest.read_text()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    doc = json.loads(outputs[0][1])
+    assert [entry["stripe"] for entry in doc["patterns"]] == [5, 0, 5, 2]
+    cfg = header.config()
+    for entry in doc["patterns"]:
+        cells = cont.stripe_view(body, entry["stripe"])
+        cells[:] = sim.inject(cfg, cells, cli._pattern_from_json(entry))
+    assert outputs[0][0] == cont.pack_header(header) + body.tobytes()
 
 
 def test_devices_mode_roundtrip(tmp_path, payload):
@@ -402,9 +449,15 @@ def test_in_place_encode_and_decode_roundtrip(tmp_path, payload):
     assert cli.main(["encode", str(src), "-o", str(ref)] + CFG_FLAGS) == 0
     assert cli.main(["encode", str(x), "-o", str(x)] + CFG_FLAGS) == 0
     assert x.read_bytes() == ref.read_bytes()
+    manifest = tmp_path / "m.json"
+    assert cli.main(["inject", str(x), "-o", str(x), "--spec", "chunks=6;sectors=3:1",
+                     "--manifest", str(manifest)]) == 0
+    assert x.read_bytes() != ref.read_bytes()
+    assert cli.main(["repair", str(x), "--manifest", str(manifest), "-o", str(x)]) == 0
+    assert x.read_bytes() == ref.read_bytes()
     assert cli.main(["decode", str(x), "-o", str(x)]) == 0
     assert x.read_bytes() == data
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "ref.stairc", "x"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.bin", "m.json", "ref.stairc", "x"]
     link = tmp_path / "link"                       # a link keeps naming its file
     link.symlink_to(x)
     assert cli.main(["encode", str(src), "-o", str(link)] + CFG_FLAGS) == 0
@@ -526,19 +579,26 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
                         assert out.read_bytes() == data
 
 
-def test_encode_and_decode_memory_does_not_grow_with_file_size(tmp_path, rng):
-    """Peak RSS of an encode plus a decode in a fresh process, in the
-    archive_large geometry (16 KiB symbols, 4 MiB stripes): an 8 MiB and
-    a 64 MiB input differ by less than three blocks."""
+def test_container_commands_memory_does_not_grow_with_file_size(tmp_path, rng):
+    """Peak RSS of an encode, an inject of one failed chunk plus sectors
+    into every stripe, its repair and a decode of the repaired container,
+    in a fresh process, in the archive_large geometry (16 KiB symbols,
+    4 MiB stripes): an 8 MiB and a 64 MiB input differ by less than three
+    blocks."""
     script = (
         "import resource, sys\n"
         "from staircodes import cli\n"
+        "src, box, dmg, manifest, fixed, out = sys.argv[1:]\n"
         "flags = ['--n', '16', '--r', '16', '--m', '1', '--e', '2', '--symbol-size', '16384']\n"
-        "assert cli.main(['encode', sys.argv[1], '-o', sys.argv[2], *flags]) == 0\n"
-        "assert cli.main(['decode', sys.argv[2], '-o', sys.argv[3]]) == 0\n"
+        "assert cli.main(['encode', src, '-o', box, *flags]) == 0\n"
+        "assert cli.main(['inject', box, '-o', dmg, '--spec', 'chunks=3;sectors=5:2',\n"
+        "                 '--manifest', manifest]) == 0\n"
+        "assert cli.main(['repair', dmg, '--manifest', manifest, '-o', fixed]) == 0\n"
+        "assert cli.main(['decode', fixed, '-o', out]) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(staircodes.__file__).resolve().parent.parent))
-    src, box, out = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "out.bin"
+    src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    files = [tmp_path / name for name in ("c.stairc", "d.stairc", "m.json", "f.stairc")]
     peaks = []
     for mib in (8, 64):
         digest = hashlib.sha256()
@@ -547,7 +607,7 @@ def test_encode_and_decode_memory_does_not_grow_with_file_size(tmp_path, rng):
                 chunk = rng.bytes(1 << 20)
                 digest.update(chunk)
                 f.write(chunk)
-        done = subprocess.run([sys.executable, "-c", script, str(src), str(box), str(out)],
+        done = subprocess.run([sys.executable, "-c", script, *map(str, [src, *files, out])],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         with open(out, "rb") as f:

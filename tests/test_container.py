@@ -84,9 +84,11 @@ def test_data_fill_and_extract_roundtrip(exemplar, rng):
     per = exemplar.data_cell_count * 4
     payload = rng.integers(0, 256, 2 * per + 5, dtype=np.uint8).tobytes()
     header = cont.header_for(exemplar, 4, len(payload))
-    body = cont.fill_data(header, payload)
-    assert body.shape == (3, exemplar.n, exemplar.r, 4)   # stripes, chunks, rows, bytes
-    assert cont.extract_data(header, body) == payload
+    assert header.stripe_count == 3
+    body = np.zeros((3, exemplar.n, exemplar.r, 4), dtype=np.uint8)   # stripes, chunks, rows, bytes
+    cont.fill_data(header, payload, body, 0)
+    out = np.empty((3, per), dtype=np.uint8)
+    assert cont.extract_data(header, body, 0, out) == payload
     # stripe k holds bytes k*per.. of the input, chunk-major from its cell (0, 0)
     assert body[1, 0, 0].tobytes() == payload[per:per + 4]
     assert body[1, 0, 1].tobytes() == payload[per + 4:per + 8]
@@ -100,7 +102,7 @@ def test_data_fill_and_extract_roundtrip(exemplar, rng):
 def test_fill_data_length_checked(exemplar):
     header = cont.header_for(exemplar, 4, 8)
     with pytest.raises(ValueError):
-        cont.fill_data(header, b"\x00" * 7)
+        cont.fill_data(header, b"\x00" * 7, np.zeros((1, exemplar.n, exemplar.r, 4), np.uint8), 0)
 
 
 def test_stripe_counts(exemplar):
