@@ -108,6 +108,7 @@ def cmd_encode(args) -> int:
     if not args.output and not args.devices:
         raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
+    method = choose_method(cfg) if args.method == "auto" else args.method
     with contextlib.ExitStack() as stack:
         src = stack.enter_context(open(args.input, "rb"))
         if not stat.S_ISREG(os.fstat(src.fileno()).st_mode):
@@ -124,7 +125,7 @@ def cmd_encode(args) -> int:
                 cont.read_exact(src, user)
                 cont.fill_data(header, user, body, k)
                 for s in range(len(body)):
-                    stair_encode(cfg, cont.stripe_view(body, s), args.method)
+                    stair_encode(cfg, cont.stripe_view(body, s), method)
                 write(body)
     return 0
 
@@ -275,7 +276,11 @@ def cmd_inject(args) -> int:
         targets = (range(stripes) if args.stripes == "all"
                    else [cont.check_stripe(stripes, int(x))
                          for x in args.stripes.split(",") if x.strip()])
-        injected = [(k, parse_pattern_spec(args.spec, cfg, rng)) for k in targets]
+        if rng is None:         # every stripe loses the same cells
+            pattern = parse_pattern_spec(args.spec, cfg, None)
+            injected = [(k, pattern) for k in targets]
+        else:                   # each stripe draws its rows from the seeded stream
+            injected = [(k, parse_pattern_spec(args.spec, cfg, rng)) for k in targets]
         by_stripe = _merge_by_stripe(cfg, injected)
 
         def zero(body, idx, pattern):
@@ -286,7 +291,7 @@ def cmd_inject(args) -> int:
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
         "within_coverage": all(pattern_within_coverage(cfg, pattern)
-                               for pattern in by_stripe.values()),
+                               for pattern in set(by_stripe.values())),
         "patterns": [{"stripe": k, **_pattern_to_json(pattern)} for k, pattern in injected],
     }
     Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -21,7 +21,7 @@ import os
 import stat
 import struct
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -48,15 +48,19 @@ class ContainerHeader:
     poly: int
     data_length: int
     version: int = VERSION
+    # built and validated once, here, not on every use of the geometry
+    _config: StairConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # every header, made by header_for or read by parse_header, passes here
-        if not self.config().data_cell_count:
+        cfg = config_new(self.n, self.r, self.m, self.e, self.w)
+        if not cfg.data_cell_count:
             raise ValueError(f"geometry n={self.n}, r={self.r}, m={self.m}, e={self.e} has no "
                              "data cells, so a container of it could hold no data")
+        object.__setattr__(self, "_config", cfg)
 
     def config(self) -> StairConfig:
-        return config_new(self.n, self.r, self.m, self.e, self.w)
+        return self._config
 
     @property
     def size(self) -> int:
@@ -64,7 +68,7 @@ class ContainerHeader:
 
     @property
     def data_bytes_per_stripe(self) -> int:
-        return self.config().data_cell_count * self.symbol_size
+        return self._config.data_cell_count * self.symbol_size
 
     @property
     def stripe_bytes(self) -> int:

@@ -10,7 +10,10 @@ field.  Multi-byte elements are interpreted little-endian.
 
 Every width computes a product one way, in the native nibble-table
 kernel of :mod:`staircodes.kernel` (built with the C compiler on its first
-call), a scalar product being a one-word region; an inverse one way, by
+call), a scalar product being a one-word region.  The kernel reads byte
+planes: at w=8 the regions are already planes and go in as they are,
+while wider words are split into one plane per byte lane and joined
+again afterwards.  An inverse is computed one way, by
 the extended Euclidean algorithm; and a matrix inverse by row elimination
 on the region kernel.
 """
@@ -137,7 +140,10 @@ class Field:
         (O, S) with out[o] = XOR_k coef[o, k] * regions[k].  The K regions
         are read as K * w/8 byte planes (lane i of every word), and the
         kernel applies the (O * w/8, K * w/8) matrix of the coefficients'
-        nibble maps to them in one call.
+        nibble maps to them in one call.  At w=8 a word is one lane, so the
+        regions are the planes and the kernel's output is the result: the
+        call copies ``regions`` only when they are not C-contiguous.  Wider
+        words are transposed into planes and back.
         """
         coef = np.asarray(coef)
         out_n, k_n = coef.shape
@@ -149,12 +155,17 @@ class Field:
         if coef.size == 0 or s == 0:
             return np.zeros((out_n, s), dtype=np.uint8)
         maps = self._maps(coef.dtype, coef.shape, coef.tobytes())
-        planes = np.ascontiguousarray(regions.reshape(k_n, -1, lanes).transpose(0, 2, 1))
-        out = np.empty((out_n, lanes, s // lanes), dtype=np.uint8)
+        if lanes == 1:
+            planes = np.ascontiguousarray(regions)
+        else:
+            planes = np.ascontiguousarray(regions.reshape(k_n, -1, lanes).transpose(0, 2, 1))
+        out = np.empty((out_n * lanes, s // lanes), dtype=np.uint8)
         ffi, lib = kernel.load()
         lib.gf_matmul(maps, ffi.from_buffer("uint8_t[]", planes), ffi.from_buffer("uint8_t[]", out),
                       out_n * lanes, k_n * lanes, s // lanes)
-        return out.transpose(0, 2, 1).reshape(out_n, s)
+        if lanes == 1:
+            return out
+        return out.reshape(out_n, lanes, -1).transpose(0, 2, 1).reshape(out_n, s)
 
     # -- small dense matrices over the field ---------------------------------
 

@@ -256,6 +256,15 @@ def worst_case_pattern(cfg: StairConfig) -> FailurePattern:
 # schedule steps
 # ---------------------------------------------------------------------------
 
+def _line_index(positions: tuple[int, ...]):
+    """Positions along a line as an index: a run of consecutive positions
+    as a slice, so that indexing gives a view and assignment fills it in
+    place; any other set as an intp array."""
+    if positions and positions == tuple(range(positions[0], positions[-1] + 1)):
+        return slice(positions[0], positions[-1] + 1)
+    return np.array(positions, dtype=np.intp)
+
+
 class Step:
     """One linear solve along a line of the augmented grid: a row or column
     MDS step, or (kind "standard") one parity cell from its data cells.
@@ -271,9 +280,14 @@ class Step:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.matrix = matrix
-        self._in = np.array(self.inputs, dtype=np.intp)
-        self._out = np.array(self.outputs, dtype=np.intp)
+        self._in = _line_index(self.inputs)
+        self._out = _line_index(self.outputs)
 
+    # One Field.matmul_regions(coef, regions) call per step per stripe:
+    # stairbench's tracer counts a step's mult-XORs from that call's
+    # arguments, and test_benchmark_tracer_contract pins the count.  Fusing
+    # steps or batching stripes into fewer calls waits for the benchmark to
+    # count work from the plan instead (ROADMAP item 1).
     def apply(self, fld: Field, line: np.ndarray) -> None:
         line[self._out] = fld.matmul_regions(self.matrix, line[self._in])
 
@@ -379,7 +393,12 @@ class _Codec:
 
     def run(self, plan: Plan, cells: np.ndarray) -> np.ndarray:
         """Execute a schedule: copy the (r, n, S) stripe cells into a fresh
-        augmented grid, apply every step in order to its line, return the grid."""
+        augmented grid, apply every step in order to its line (one kernel
+        call each, see ``Step.apply``), return the grid.
+
+        The grid comes zeroed from ``np.zeros``: a fresh large allocation
+        then leaves the pages of extension cells that the plan never writes
+        untouched, which zeroing them by hand would not."""
         cfg = self.cfg
         rows, cols = self.grid_shape
         grid = np.zeros((rows, cols, cells.shape[2]), dtype=np.uint8)

@@ -2,13 +2,15 @@
 
 Everything here is written the slow, obvious way on purpose, and stays
 independent of the code paths it verifies: bitwise field arithmetic, the
-numpy split-table region kernel, list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
+numpy split-table region kernel, a plan executor over integer-array
+indices, list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
 brute-force assignment search for the coverage rule, direct enumeration of
 stripe-loss probabilities, and the published closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -100,6 +102,14 @@ def peasant_inverse(a: int, poly: int = 0x11D, w: int = 8) -> int:
     return res
 
 
+@functools.cache
+def _split_tables(a: int, poly: int, w: int) -> np.ndarray:
+    """(w/8, 256) table: entry b of lane i is a * (b << 8i), by :func:`peasant_mul`."""
+    dtype = {8: np.uint8, 16: np.uint16, 32: np.uint32}[w]
+    return np.array([[peasant_mul(a, b << 8 * i, poly, w) for b in range(256)]
+                     for i in range(w // 8)], dtype=dtype)
+
+
 def split_table_matmul(coef, regions, poly: int = 0x11D, w: int = 8) -> np.ndarray:
     """out[o] = XOR_k coef[o, k] * regions[k] over (K, S) uint8 regions of
     little-endian w-bit words, the split-table way: byte lane i of every
@@ -109,9 +119,7 @@ def split_table_matmul(coef, regions, poly: int = 0x11D, w: int = 8) -> np.ndarr
     coef = np.asarray(coef)
     lanes = w // 8
     dtype = {8: np.uint8, 16: np.uint16, 32: np.uint32}[w]
-    tables = {a: np.array([[peasant_mul(a, b << 8 * i, poly, w) for b in range(256)]
-                           for i in range(lanes)], dtype=dtype)
-              for a in set(coef.ravel().tolist())}
+    tables = {a: _split_tables(a, poly, w) for a in set(coef.ravel().tolist())}
     lanes_of = np.asarray(regions).reshape(len(regions), -1, lanes)
     out = np.zeros((len(coef), lanes_of.shape[1]), dtype=dtype)
     for o, row in enumerate(coef.tolist()):
@@ -160,6 +168,33 @@ def matvec_parity(data: list[int], parity_block, field_mul) -> list[int]:
             acc ^= field_mul(data[j], int(parity_block[j][i]))
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# plan execution
+# ---------------------------------------------------------------------------
+
+def run_plan_by_fancy_index(cfg, plan, cells, poly: int = 0x11D) -> np.ndarray:
+    """The augmented (r + e_max, n + m', S) grid after a plan of
+    ``(indices, steps)``, the obvious way: a zeroed grid holding the
+    (r, n, S) ``cells``, then for each step its line (row ``index``,
+    column ``index`` or, for "standard", the flat grid) read and written
+    through integer-array indices of its positions, and the product taken
+    by :func:`split_table_matmul`."""
+    rows, cols = cfg.r + cfg.e_max, cfg.n + cfg.m_prime
+    grid = np.zeros((rows, cols, cells.shape[2]), dtype=np.uint8)
+    grid[:cfg.r, :cfg.n] = cells
+    for index, step in zip(*plan):
+        if step.kind == "row":
+            line = grid[index]
+        elif step.kind == "col":
+            line = grid[:, index]
+        else:
+            line = grid.reshape(rows * cols, -1)
+        inputs = np.array(step.inputs, dtype=np.intp)
+        outputs = np.array(step.outputs, dtype=np.intp)
+        line[outputs] = split_table_matmul(step.matrix, line[inputs], poly, cfg.w)
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,32 @@ def test_inject_across_blocks_is_byte_identical(tmp_path, monkeypatch, payload):
     assert outputs[0][0] == cont.pack_header(header) + body.tobytes()
 
 
+# SHA-256 of the damaged container and of the manifest of an inject into
+# every stripe, without and with --seed, recorded when every stripe still
+# parsed its own copy of --spec.
+INJECT_ALL_GOLDENS = {
+    "unseeded": ([], "4e001bf2a2fe58fce8fb47194a40c46dd5b941881a162ddea18676e172728f05",
+                 "cd89e1baed3d84b2602bf892ab1b03f90638d17bcf200a07a2114b034927237d"),
+    "seeded": (["--seed", "7"],
+               "d1e5e2796ce535741ec835cf0ebb8dd9a3f43cd44f3e48f8eb9e417a56300488",
+               "66f4ae88fa28555946384a93b2d94894064ba47c8f019a9e08948b4703790572"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INJECT_ALL_GOLDENS))
+def test_inject_all_stripes_matches_golden(tmp_path, label):
+    seed, container_sha, manifest_sha = INJECT_ALL_GOLDENS[label]
+    src, box = tmp_path / "in.bin", tmp_path / "c.stairc"
+    dmg, manifest = tmp_path / "d.stairc", tmp_path / "m.json"
+    src.write_bytes(np.random.default_rng(19).integers(0, 256, 10_000, dtype=np.uint8).tobytes())
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=1;sectors=3:1,4:2",
+                     "--stripes", "all", *seed, "--manifest", str(manifest)]) == 0
+    assert hashlib.sha256(dmg.read_bytes()).hexdigest() == container_sha
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha
+    assert len(json.loads(manifest.read_text())["patterns"]) == 16
+
+
 def test_devices_mode_roundtrip(tmp_path, payload):
     src, data = payload
     devdir = tmp_path / "devices"

@@ -21,6 +21,19 @@ def test_header_roundtrip_wide_fields():
         assert parsed.poly == header.poly      # w=32 polynomial survives truncation
 
 
+def test_header_builds_its_config_once(exemplar):
+    header = cont.header_for(exemplar, 512, 100_000)
+    assert header.config() is header.config()
+    assert header.config() == exemplar
+    assert header.data_bytes_per_stripe == exemplar.data_cell_count * 512
+    assert header.stripe_count == -(-100_000 // (exemplar.data_cell_count * 512))
+    # the cached config takes no part in equality, hashing or the repr
+    parsed = cont.parse_header(cont.pack_header(header))
+    assert parsed == header and hash(parsed) == hash(header)
+    assert "_config" not in repr(header)
+    assert cont.header_for(exemplar, 512, 99) != header
+
+
 def with_poly(header, poly):
     """The packed header with ``poly`` in its polynomial field."""
     blob = bytearray(cont.pack_header(header))
