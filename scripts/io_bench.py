@@ -13,8 +13,7 @@ the same input sizes: n=8 r=4 m=2 e=1,1,2 at 512 B symbols, 1500 stripes
 command goes through ``cli.main`` in this process, warm, and is timed
 REPS times; the run with the least total time is reported, split into:
 
-  read   reading the input or the container (``container.read_exact``
-         or ``Path.read_bytes``, whichever the package calls)
+  read   reading the input or the container (``container.read_exact``)
   copy   moving user bytes into or out of the data cells
          (``container.fill_data``, ``container.extract_data``), and
          stripes into and out of repair's wide stripes
@@ -25,15 +24,21 @@ REPS times; the run with the least total time is reported, split into:
          closing files, header and argument parsing
 
 A phase is timed by wrapping the named functions; a call made from inside
-another wrapped call is not counted twice.  Prints one JSON object of
-milliseconds per command and geometry.
+another wrapped call is not counted twice.  Beside the milliseconds,
+``rel`` is the median over the REPS runs of a run's time divided by the
+mean time of stairbench's ``reference_loop`` run just before and just
+after it (stairbench/workloads.py, the benchmark's own ``*_cmd_rel``
+denominator).  Other load on a shared host slows both alike, so ``rel``
+compares trees measured minutes apart where the milliseconds may not.
+Prints one JSON object per command and geometry.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import pathlib
+import statistics
 import sys
 import tempfile
 import time
@@ -80,20 +85,41 @@ class PhaseTimer:
         self.seconds = dict.fromkeys(PHASES, 0.0)
 
 
+def _load_reference_loop():
+    """stairbench's ``reference_loop``, loaded from its file without
+    writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("stairbench_workloads",
+                                                  ROOT / "stairbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module.reference_loop
+
+
+reference_loop = _load_reference_loop()
+
+
 def best_split(cli, argv: list[str], timer: PhaseTimer, reps: int) -> dict:
-    """Milliseconds of the fastest of ``reps`` runs of ``argv``, by phase."""
-    best = None
+    """Milliseconds of the fastest of ``reps`` runs of ``argv``, by phase,
+    and the median of each run's time over the reference loop's."""
+    best, rel = None, []
     for _ in range(reps):
         timer.reset()
+        before = reference_loop()
         t0 = time.perf_counter()
         if cli.main(argv) != 0:
             raise SystemExit(f"stair {' '.join(argv)} failed")
         total = time.perf_counter() - t0
+        rel.append(total / ((before + reference_loop()) / 2))
         if best is None or total < best[0]:
             best = (total, dict(timer.seconds))
     total, phases = best
     out = {"total": total, **phases, "rest": total - sum(phases.values())}
-    return {name: round(seconds * 1e3, 2) for name, seconds in out.items()}
+    return {**{name: round(seconds * 1e3, 2) for name, seconds in out.items()},
+            "rel": round(statistics.median(rel), 3)}
 
 
 def main(argv=None) -> int:
@@ -106,7 +132,7 @@ def main(argv=None) -> int:
     from staircodes import container as cont
 
     timer = PhaseTimer()
-    for owner, attr, phase in [(cont, "read_exact", "read"), (pathlib.Path, "read_bytes", "read"),
+    for owner, attr, phase in [(cont, "read_exact", "read"),
                                (cont, "fill_data", "copy"), (cont, "extract_data", "copy"),
                                (cont, "gather", "copy"), (cont, "scatter", "copy"),
                                (cli, "stair_encode", "codec"), (cli, "stair_decode", "codec")]:

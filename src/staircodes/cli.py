@@ -31,10 +31,6 @@ from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_
                     decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
-#: Bytes of stripes in one block of ``encode``, ``decode``, ``inject`` and
-#: ``repair``: the bound on the memory each uses per block.
-BLOCK_BYTES = 1 << 22
-
 _SIZE_UNITS = {   # longest first: a unit is matched as a suffix
     "KIB": 2 ** 10, "MIB": 2 ** 20, "GIB": 2 ** 30, "TIB": 2 ** 40, "PIB": 2 ** 50,
     "KB": 2 ** 10, "MB": 2 ** 20, "GB": 2 ** 30, "TB": 2 ** 40, "PB": 2 ** 50, "B": 1,
@@ -88,27 +84,12 @@ def _open_out(path: str | None):
 # encode / decode
 # ---------------------------------------------------------------------------
 
-def _blocks(header: cont.ContainerHeader):
-    """The container's stripes a block of at most ``BLOCK_BYTES`` at a time
-    (one stripe when a stripe is larger): (first stripe, block, buffer)
-    per block, where the (B, n, r, symbol_size) block and the (B, data
-    bytes per stripe) buffer for its user bytes are views of two arrays
-    that every block reuses."""
-    per_block = max(1, min(BLOCK_BYTES // header.stripe_bytes, header.stripe_count))
-    body = np.zeros((per_block, header.n, header.r, header.symbol_size), dtype=np.uint8)
-    data = np.empty((per_block, header.data_bytes_per_stripe), dtype=np.uint8)
-    for k in range(0, header.stripe_count, per_block):
-        b = min(per_block, header.stripe_count - k)
-        yield k, body[:b], data[:b]
-
-
 def cmd_encode(args) -> int:
     """Stream the input through one block at a time: read its user bytes,
     copy them into the data cells, encode each stripe, write the block."""
     if not args.output and not args.devices:
         raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
-    method = choose_method(cfg) if args.method == "auto" else args.method
     with contextlib.ExitStack() as stack:
         src = stack.enter_context(open(args.input, "rb"))
         if not stat.S_ISREG(os.fstat(src.fileno()).st_mode):
@@ -118,12 +99,14 @@ def cmd_encode(args) -> int:
             shutil.copyfileobj(src, spool)
             spool.seek(0)
             src = spool
-        header = cont.header_for(cfg, args.symbol_size, os.fstat(src.fileno()).st_size)
+        # the header refuses a geometry it cannot store before any codec work
+        header = cont.ContainerHeader(cfg, args.symbol_size, os.fstat(src.fileno()).st_size)
+        method = choose_method(cfg) if args.method == "auto" else args.method
         with cont.writer(header, args.output, args.devices) as write:
-            for k, body, data in _blocks(header):
-                user = data.reshape(-1)[:cont.user_bytes(header, len(body), k)]
+            for _, body, data, user in cont.blocks(header):
                 cont.read_exact(src, user)
-                cont.fill_data(header, user, body, k)
+                data.reshape(-1)[len(user):] = 0      # the zero padding of the last stripe
+                cont.fill_data(header, data, body)
                 for s in range(len(body)):
                     stair_encode(cfg, cont.stripe_view(body, s), method)
                 write(body)
@@ -135,9 +118,10 @@ def cmd_decode(args) -> int:
     copy the data cells out, write the user bytes."""
     with cont.reader(args.input, args.devices) as (header, readinto), \
             cont.replaced(args.output, header.data_length) as out:
-        for k, body, data in _blocks(header):
+        for _, body, data, user in cont.blocks(header):
             readinto(body)
-            out.write(cont.extract_data(header, body, k, data))
+            cont.extract_data(header, body, data)
+            out.write(user)
     return 0
 
 
@@ -254,7 +238,7 @@ def _rewrite(path, header: cont.ContainerHeader, readinto,
     ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the block's
     stripes that have it."""
     with cont.writer(header, path) as write:
-        for k, body, _ in _blocks(header):
+        for k, body, _, _ in cont.blocks(header):
             readinto(body)
             groups: dict[FailurePattern, list[int]] = {}
             for s in range(len(body)):
@@ -270,7 +254,7 @@ def cmd_inject(args) -> int:
     write the result, plus a manifest of one entry per stripe named.  A
     stripe named more than once loses the union of its patterns' cells."""
     with cont.reader(args.input) as (header, readinto):
-        cfg = header.config()
+        cfg = header.cfg
         rng = np.random.default_rng(args.seed) if args.seed is not None else None
         stripes = header.stripe_count
         targets = (range(stripes) if args.stripes == "all"
@@ -284,8 +268,7 @@ def cmd_inject(args) -> int:
         by_stripe = _merge_by_stripe(cfg, injected)
 
         def zero(body, idx, pattern):
-            for i, j in pattern.lost_cells(cfg):
-                body[idx, j, i] = 0
+            cont.zero_cells(body, idx, pattern.lost_cells(cfg))
         _rewrite(args.output, header, readinto, by_stripe, zero)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
@@ -304,7 +287,7 @@ def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, Failure
     one pattern; ValueError when the manifest is malformed, for another
     config or symbol size, or names a stripe that the container does not
     hold."""
-    cfg = header.config()
+    cfg = header.cfg
     manifest = json.loads(Path(path).read_text())
     try:
         mc = manifest["config"]
@@ -335,7 +318,7 @@ def cmd_repair(args) -> int:
     (``container.gather``).
     """
     with cont.reader(args.input) as (header, readinto):
-        cfg = header.config()
+        cfg = header.cfg
         by_stripe = _read_manifest(args.manifest, header)
         for pattern in reversed(dict.fromkeys(by_stripe[k] for k in sorted(by_stripe))):
             decoding_steps(cfg, pattern)
@@ -546,6 +529,8 @@ def cmd_reliability(args) -> int:
 
 def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0) -> dict:
     """Best-of-``reps`` encode timings per method plus a worst-case decode."""
+    if reps < 1:
+        raise ValueError(f"bench needs at least one repetition, got {reps}")
     word = cfg.w // 8
     symbol = max(word, (stripe_bytes // (cfg.r * cfg.n)) // word * word)
     rng = np.random.default_rng(seed)
@@ -663,7 +648,7 @@ def cmd_selftest(args) -> int:
                    xor_count(cost_cfg, "upstairs") == 600
                    and xor_count(cost_cfg, "downstairs") == 352))
 
-    header = cont.header_for(config_new(8, 4, 2, (1, 1, 2)), 512, 12345)
+    header = cont.ContainerHeader(config_new(8, 4, 2, (1, 1, 2)), 512, 12345)
     checks.append(("container header round-trip",
                    cont.parse_header(cont.pack_header(header)) == header))
 

@@ -7,11 +7,14 @@ and is zero-padded to a whole number of stripes; the true byte length is
 kept in the header.  Split across devices, the header goes to its own
 file and device j's file holds chunk j of every stripe, back to back.
 
-Header fields, in order: magic "STAIRC1\\0" (8 bytes), version u16,
-w u8, n u16, r u16, m u16, m' u16, then m' coverage entries (u16 each),
-symbol_size u32, field polynomial u32, data_length u64.  For w=32 the
-polynomial is stored without its (implicit) x^32 bit.  Only the default
-polynomial of each width (``gf.DEFAULT_POLY``) is accepted.
+A header holds a code's :class:`StairConfig`, its symbol size and the
+data length.  On disk, in order: magic "STAIRC1\\0" (8 bytes), version
+u16, w u8, n u16, r u16, m u16, m' u16, then m' coverage entries (u16
+each), symbol_size u32, field polynomial u32, data_length u64.  Magic,
+version and polynomial are format constants: version 1, and the default
+polynomial of each width (``gf.DEFAULT_POLY``), stored for w=32 without
+its implicit x^32 bit; a header with any other is refused.  A header
+whose fields do not fit their on-disk widths is refused when it is made.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import stat
 import struct
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,64 +36,58 @@ from .stair import StairConfig, check_symbol_size, config_new, data_cells
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
 
+#: Bytes of stripes in one block of :func:`blocks`: the bound on the
+#: memory each container command uses per block.
+BLOCK_BYTES = 1 << 22
+
 _FIXED = struct.Struct("<8sHBHHHH")
 _TRAILER = struct.Struct("<IIQ")
 
 
 @dataclass(frozen=True)
 class ContainerHeader:
-    w: int
-    n: int
-    r: int
-    m: int
-    e: tuple[int, ...]
+    cfg: StairConfig
     symbol_size: int
-    poly: int
     data_length: int
-    version: int = VERSION
-    # built and validated once, here, not on every use of the geometry
-    _config: StairConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # every header, made by header_for or read by parse_header, passes here
-        cfg = config_new(self.n, self.r, self.m, self.e, self.w)
+        # every header, made by a command or read by parse_header, passes here
+        cfg = self.cfg
+        check_symbol_size(self.symbol_size, cfg.w)
+        # m, m' and e are bounded by n and r; w by StairConfig
+        for name, value, top in (("n", cfg.n, 0xFFFF), ("r", cfg.r, 0xFFFF),
+                                 ("symbol size", self.symbol_size, 0xFFFFFFFF),
+                                 ("data length", self.data_length, 2 ** 64 - 1)):
+            if not 0 <= value <= top:
+                raise ValueError(f"{name} {value} does not fit the container header "
+                                 f"(at most {top})")
         if not cfg.data_cell_count:
-            raise ValueError(f"geometry n={self.n}, r={self.r}, m={self.m}, e={self.e} has no "
+            raise ValueError(f"geometry n={cfg.n}, r={cfg.r}, m={cfg.m}, e={cfg.e} has no "
                              "data cells, so a container of it could hold no data")
-        object.__setattr__(self, "_config", cfg)
-
-    def config(self) -> StairConfig:
-        return self._config
 
     @property
     def size(self) -> int:
-        return _FIXED.size + 2 * len(self.e) + _TRAILER.size
+        return _FIXED.size + 2 * self.cfg.m_prime + _TRAILER.size
 
     @property
     def data_bytes_per_stripe(self) -> int:
-        return self._config.data_cell_count * self.symbol_size
+        return self.cfg.data_cell_count * self.symbol_size
 
     @property
     def stripe_bytes(self) -> int:
-        return self.n * self.r * self.symbol_size
+        return self.cfg.n * self.cfg.r * self.symbol_size
 
     @property
     def stripe_count(self) -> int:
         return -(-self.data_length // self.data_bytes_per_stripe)
 
 
-def header_for(cfg: StairConfig, symbol_size: int, data_length: int) -> ContainerHeader:
-    check_symbol_size(symbol_size, cfg.w)
-    return ContainerHeader(cfg.w, cfg.n, cfg.r, cfg.m, cfg.e, symbol_size,
-                           DEFAULT_POLY[cfg.w], data_length)
-
-
 def pack_header(header: ContainerHeader) -> bytes:
-    poly32 = header.poly & 0xFFFFFFFF
-    return (_FIXED.pack(MAGIC, header.version, header.w, header.n, header.r,
-                        header.m, len(header.e))
-            + struct.pack(f"<{len(header.e)}H", *header.e)
-            + _TRAILER.pack(header.symbol_size, poly32, header.data_length))
+    cfg = header.cfg
+    return (_FIXED.pack(MAGIC, VERSION, cfg.w, cfg.n, cfg.r, cfg.m, cfg.m_prime)
+            + struct.pack(f"<{cfg.m_prime}H", *cfg.e)
+            + _TRAILER.pack(header.symbol_size, DEFAULT_POLY[cfg.w] & 0xFFFFFFFF,
+                            header.data_length))
 
 
 def parse_header(buf: bytes) -> ContainerHeader:
@@ -109,9 +106,8 @@ def parse_header(buf: bytes) -> ContainerHeader:
         raise ValueError(f"coverage vector in header is not sorted: {e}")
     off += 2 * m_prime
     symbol_size, poly32, data_length = _TRAILER.unpack_from(buf, off)
+    header = ContainerHeader(config_new(n, r, m, e, w), symbol_size, data_length)
     poly = poly32 | (1 << 32) if w == 32 else poly32
-    header = ContainerHeader(w, n, r, m, tuple(e), symbol_size, poly, data_length)
-    check_symbol_size(symbol_size, w)
     if poly != DEFAULT_POLY[w]:
         # the codec only runs the default field of each width
         raise ValueError(f"unsupported field polynomial {poly:#x} for w={w}, "
@@ -162,14 +158,14 @@ def reader(path=None, devices=None):
             devdir = Path(devices)
             header = _read_header(stack.enter_context(open(devdir / "header.stairc", "rb")))
             files = [stack.enter_context(open(_device_file(devdir, j), "rb"))
-                     for j in range(header.n)]
+                     for j in range(header.cfg.n)]
             for j, f in enumerate(files):
                 _check_length(os.fstat(f.fileno()).st_size,
-                              (header.stripe_count, header.r, header.symbol_size),
+                              (header.stripe_count, header.cfg.r, header.symbol_size),
                               f"device file {j}")
 
             def readinto(block):
-                chunk = np.empty((len(block), header.r, header.symbol_size), dtype=np.uint8)
+                chunk = np.empty((len(block), header.cfg.r, header.symbol_size), dtype=np.uint8)
                 for j, f in enumerate(files):
                     read_exact(f, chunk)
                     block[:, j] = chunk
@@ -242,8 +238,8 @@ def writer(header: ContainerHeader, path=None, devices=None):
             stack.enter_context(replaced(devdir / "header.stairc", header.size)).write(
                 pack_header(header))
             files = [stack.enter_context(replaced(_device_file(devdir, j), header.stripe_count
-                                                  * header.stripe_bytes // header.n))
-                     for j in range(header.n)]
+                                                  * header.stripe_bytes // header.cfg.n))
+                     for j in range(header.cfg.n)]
 
             def to_devices(block):
                 for j, f in enumerate(files):
@@ -301,7 +297,7 @@ def stripe_from_bytes(cfg: StairConfig, symbol_size: int, buf: bytes) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# user data in the data cells
+# blocks of stripes, and the user data in their data cells
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -320,41 +316,48 @@ def _runs(cfg: StairConfig, symbol_size: int) -> tuple[tuple[int, int, int], ...
     return tuple(tuple(run) for run in runs)
 
 
-def user_bytes(header: ContainerHeader, stripes: int, first: int) -> int:
-    """Input bytes held by ``stripes`` stripes from stripe ``first`` on."""
-    per = header.data_bytes_per_stripe
-    return min(stripes * per, header.data_length - first * per)
+def blocks(header: ContainerHeader):
+    """The container's stripes a block of at most ``BLOCK_BYTES`` at a time
+    (one stripe when a stripe is larger): (first stripe, block, data,
+    user) per block.  The C-contiguous (B, n, r, symbol_size) block and
+    the (B, data bytes per stripe) array ``data`` for its data cells are
+    views of two arrays that every block reuses, and ``user`` is the flat
+    view of ``data`` that holds the block's input bytes."""
+    cfg, per = header.cfg, header.data_bytes_per_stripe
+    per_block = max(1, min(BLOCK_BYTES // header.stripe_bytes, header.stripe_count))
+    body = np.zeros((per_block, cfg.n, cfg.r, header.symbol_size), dtype=np.uint8)
+    data = np.empty((per_block, per), dtype=np.uint8)
+    for k in range(0, header.stripe_count, per_block):
+        b = min(per_block, header.stripe_count - k)
+        yield k, body[:b], data[:b], data[:b].reshape(-1)[:header.data_length - k * per]
 
 
-def fill_data(header: ContainerHeader, data, body: np.ndarray, first: int) -> None:
-    """Copy the user bytes ``data`` into the data cells of ``body``; data
-    cells past their end are zeroed, parity cells are left as they are.
-    ``body`` is a C-contiguous block of stripes ``first``, ``first`` + 1,
-    ... of the container, and ``data`` must be all the input those stripes
-    hold."""
-    per = header.data_bytes_per_stripe
-    want = user_bytes(header, len(body), first)
-    if len(data) != want:
-        raise ValueError(f"data is {len(data)} bytes, the header says {want}")
-    src = np.frombuffer(data, dtype=np.uint8)
-    full = want // per
-    tail = np.zeros((len(body) - full, per), dtype=np.uint8)    # zero-padded last stripe
-    tail.reshape(-1)[:want - full * per] = src[full * per:]
-    runs = _runs(header.config(), header.symbol_size)
-    for stored, cells in ((body[:full], src[:full * per].reshape(full, per)),
-                          (body[full:], tail)):
-        stored = stored.reshape(len(stored), header.stripe_bytes)
-        for s, d, length in runs:
-            stored[:, s:s + length] = cells[:, d:d + length]
+def _check_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:
+    if data.shape != (len(body), header.data_bytes_per_stripe):
+        raise ValueError(f"data array of shape {data.shape} does not fit a block of "
+                         f"{len(body)} stripes of {header.data_bytes_per_stripe} data bytes")
 
 
-def extract_data(header: ContainerHeader, body: np.ndarray, first: int,
-                 out: np.ndarray) -> memoryview:
-    """The user bytes held in the data cells of ``body``, a block of
-    stripes ``first``, ``first`` + 1, ... of the container: a view of
-    ``out``, a (len(body), data bytes per stripe) uint8 array into which
-    they are copied."""
+def fill_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:
+    """Copy row b of the (B, data bytes per stripe) array ``data`` into the
+    data cells of stripe b of ``body``, a C-contiguous block of B stripes;
+    parity cells are left as they are."""
+    _check_data(header, data, body)
     stored = body.reshape(len(body), header.stripe_bytes)
-    for s, d, length in _runs(header.config(), header.symbol_size):
-        out[:, d:d + length] = stored[:, s:s + length]
-    return memoryview(out).cast("B")[:user_bytes(header, len(body), first)]
+    for s, d, length in _runs(header.cfg, header.symbol_size):
+        stored[:, s:s + length] = data[:, d:d + length]
+
+
+def extract_data(header: ContainerHeader, body: np.ndarray, data: np.ndarray) -> None:
+    """The inverse of :func:`fill_data`: copy the data cells of stripe b of
+    ``body`` into row b of ``data``."""
+    _check_data(header, data, body)
+    stored = body.reshape(len(body), header.stripe_bytes)
+    for s, d, length in _runs(header.cfg, header.symbol_size):
+        data[:, d:d + length] = stored[:, s:s + length]
+
+
+def zero_cells(body: np.ndarray, idx: list[int], cells) -> None:
+    """Zero the cells ``(i, j)`` of ``cells`` in stripes ``idx`` of ``body``."""
+    for i, j in cells:
+        body[idx, j, i] = 0

@@ -622,7 +622,8 @@ def xor_count(cfg: StairConfig, method: str) -> int:
 @lru_cache(maxsize=1024)
 def choose_method(cfg: StairConfig) -> str:
     """Cheapest encoding method; ties go downstairs < upstairs < standard.
-    Cached per config, since ``auto`` encoding asks once per stripe."""
+    Cached per config for library callers of ``encode(method="auto")``,
+    which ask once per stripe (``stair encode`` resolves ``auto`` once)."""
     return min(METHODS, key=lambda meth: (xor_count(cfg, meth), METHODS.index(meth)))
 
 

@@ -8,11 +8,14 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import staircodes
 from staircodes import cli, config_new, encoding_steps, sim, stair, xor_count
@@ -215,7 +218,7 @@ def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
     assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "sectors=2:1,3:1",
                      "--stripes", "0,0", "--seed", str(seed), "--manifest", str(manifest)]) == 0
     doc = json.loads(manifest.read_text())
-    cfg = cont.parse_header(box.read_bytes()).config()
+    cfg = cont.parse_header(box.read_bytes()).cfg
     union = FailurePattern.make((), {
         j: {i for entry in doc["patterns"] for i in entry["sector_failures"].get(str(j), ())}
         for j in (2, 3)})
@@ -225,12 +228,51 @@ def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
     assert doc["within_coverage"] is pattern_within_coverage(cfg, union)
 
 
+@pytest.fixture(scope="module")
+def small_container(tmp_path_factory):
+    """The bytes of a container of a 5,000-byte input (exemplar geometry,
+    32 B symbols), and the path of a manifest injected into it."""
+    work = tmp_path_factory.mktemp("small")
+    src, box, dmg, manifest = (work / n for n in ("in.bin", "c.stairc", "d.stairc", "m.json"))
+    src.write_bytes(np.random.default_rng(5).bytes(5000))
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6;sectors=3:1",
+                     "--manifest", str(manifest)]) == 0
+    return box.read_bytes(), manifest
+
+
+HEADER_EDITS = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 255)),
+                        min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.one_of(HEADER_EDITS, st.none()), data=st.data())
+def test_damaged_v1_container_never_raises(small_container, edits, data):
+    """The CLI's promise on a damaged container: with 1-3 of the 41 header
+    bytes changed, or the file truncated, ``decode`` and ``repair`` each
+    exit 0, 1 or 2 and raise nothing."""
+    blob, manifest = small_container
+    if edits is None:
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        blob = bytearray(blob)
+        for offset, flip in edits:
+            blob[offset] ^= flip
+    with tempfile.TemporaryDirectory() as work:
+        box = Path(work) / "c.stairc"
+        box.write_bytes(blob)
+        assert cli.main(["decode", str(box), "-o", str(Path(work) / "o.bin")]) in (0, 1, 2)
+        assert cli.main(["repair", str(box), "--manifest", str(manifest),
+                         "-o", str(Path(work) / "f.stairc")]) in (0, 1, 2)
+
+
 def _read_body(path: Path) -> tuple[cont.ContainerHeader, np.ndarray]:
     """The header of the container file at ``path`` and its stripes as a
     writable (stripes, n, r, symbol_size) array."""
     header = cont.parse_header(path.read_bytes())
     body = np.fromfile(path, dtype=np.uint8, offset=header.size)
-    return header, body.reshape(header.stripe_count, header.n, header.r, header.symbol_size)
+    return header, body.reshape(header.stripe_count, header.cfg.n, header.cfg.r,
+                                header.symbol_size)
 
 
 def _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns):
@@ -295,7 +337,7 @@ def test_grouped_repair_is_byte_identical(tmp_path, monkeypatch, rng, w, case):
     for block in (1, 3, None):
         with monkeypatch.context() as patch:
             if block:
-                patch.setattr(cli, "BLOCK_BYTES", block * header.stripe_bytes)
+                patch.setattr(cont, "BLOCK_BYTES", block * header.stripe_bytes)
             assert cli.main(["repair", str(dmg), "--manifest", str(manifest),
                              "-o", str(fixed)]) == 0
         assert fixed.read_bytes() == box.read_bytes()
@@ -370,7 +412,7 @@ def test_inject_across_blocks_is_byte_identical(tmp_path, monkeypatch, payload):
     for block in (None, 1, 3):
         with monkeypatch.context() as patch:
             if block:
-                patch.setattr(cli, "BLOCK_BYTES", block * header.stripe_bytes)
+                patch.setattr(cont, "BLOCK_BYTES", block * header.stripe_bytes)
             assert cli.main(["inject", str(box), "-o", str(dmg),
                              "--spec", "chunks=1;sectors=3:1,4:2", "--stripes", "5,0,5,2",
                              "--seed", "7", "--manifest", str(manifest)]) == 0
@@ -378,7 +420,7 @@ def test_inject_across_blocks_is_byte_identical(tmp_path, monkeypatch, payload):
     assert outputs[0] == outputs[1] == outputs[2]
     doc = json.loads(outputs[0][1])
     assert [entry["stripe"] for entry in doc["patterns"]] == [5, 0, 5, 2]
-    cfg = header.config()
+    cfg = header.cfg
     for entry in doc["patterns"]:
         cells = cont.stripe_view(body, entry["stripe"])
         cells[:] = sim.inject(cfg, cells, cli._pattern_from_json(entry))
@@ -430,10 +472,10 @@ def test_file_and_devices_hold_the_same_chunks(tmp_path, payload):
     blob = box.read_bytes()
     header = cont.parse_header(blob)
     assert (devdir / "header.stairc").read_bytes() == blob[:header.size]
-    chunk = header.r * header.symbol_size
+    n, chunk = header.cfg.n, header.cfg.r * header.symbol_size
     chunks = [blob[off:off + chunk] for off in range(header.size, len(blob), chunk)]
-    for j in range(header.n):
-        assert (devdir / f"device_{j:02d}.bin").read_bytes() == b"".join(chunks[j::header.n])
+    for j in range(n):
+        assert (devdir / f"device_{j:02d}.bin").read_bytes() == b"".join(chunks[j::n])
 
 
 @pytest.mark.parametrize("damage", ["missing", "short", "long", "forged-header"])
@@ -570,7 +612,7 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
              "--symbol-size", "16", "--method", method]
-    header = cont.header_for(cfg, 16, 0)
+    header = cont.ContainerHeader(cfg, 16, 0)
     per, block = header.data_bytes_per_stripe, 3
     (_, d0, l0), (_, d1, l1), *_ = cont._runs(cfg, 16)
     assert l0 < per and d1 == d0 + l0                 # the data cells form several runs
@@ -586,7 +628,7 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
         assert cli.main(["decode", str(ref), "-o", str(out)]) == 0 and out.read_bytes() == data
         for stripes in (1, block):
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "BLOCK_BYTES", stripes * header.stripe_bytes)
+                patch.setattr(cont, "BLOCK_BYTES", stripes * header.stripe_bytes)
                 for sinks in ("file", "devices", "both"):
                     box, devdir = tmp_path / f"{sinks}.stairc", tmp_path / f"{sinks}.dev"
                     argv = ["encode", str(src)] + flags
@@ -639,7 +681,7 @@ def test_container_commands_memory_does_not_grow_with_file_size(tmp_path, rng):
         with open(out, "rb") as f:
             assert hashlib.file_digest(f, "sha256").digest() == digest.digest()
         peaks.append(int(done.stdout) * 1024)      # ru_maxrss is in KiB on Linux
-    assert abs(peaks[1] - peaks[0]) < 3 * cli.BLOCK_BYTES, peaks
+    assert abs(peaks[1] - peaks[0]) < 3 * cont.BLOCK_BYTES, peaks
 
 
 def test_cost_report(tmp_path, capsys):
@@ -814,11 +856,15 @@ def test_encode_matches_wide_field_goldens(tmp_path, label, method):
 def test_decode_refuses_header_symbol_size(tmp_path, w, symbol_size):
     # a header whose symbol size encode refuses, followed by the body it
     # describes, must not be decoded
+    # (the constructor refuses it, so the packed bytes of a valid header are patched)
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
-    header = dataclasses.replace(cont.header_for(cfg, w // 8, 100), symbol_size=symbol_size)
-    stripes = header.stripe_count if symbol_size else 0    # cells of 0 bytes hold no data
+    header = cont.ContainerHeader(cfg, w // 8, 100)
+    blob = bytearray(cont.pack_header(header))
+    blob[header.size - 16:header.size - 12] = symbol_size.to_bytes(4, "little")
+    per = cfg.data_cell_count * symbol_size
+    stripes = -(-100 // per) if symbol_size else 0         # cells of 0 bytes hold no data
     box = tmp_path / "c.stairc"
-    box.write_bytes(cont.pack_header(header) + bytes(stripes * header.n * header.r * symbol_size))
+    box.write_bytes(bytes(blob) + bytes(stripes * cfg.n * cfg.r * symbol_size))
     assert cli.main(["decode", str(box), "-o", str(tmp_path / "o.bin")]) == 1
 
 
@@ -828,7 +874,7 @@ def test_geometry_without_data_cells_is_refused(tmp_path, payload, capsys):
     flags = ["--n", "2", "--r", "1", "--m", "1", "--e", "1", "--symbol-size", "8"]
     assert cli.main(["encode", str(src), "-o", str(tmp_path / "c.stairc")] + flags) == 1
     assert "no data cells" in capsys.readouterr().err
-    # a header naming it, written field by field (header_for refuses it),
+    # a header naming it, written field by field (the constructor refuses it),
     # with data_length 100 and an empty body
     box, out = tmp_path / "forged.stairc", tmp_path / "out.bin"
     box.write_bytes(struct.pack("<8sHBHHHHHIIQ", cont.MAGIC, cont.VERSION, 8, 2, 1, 1, 1, 1,
@@ -836,6 +882,23 @@ def test_geometry_without_data_cells_is_refused(tmp_path, payload, capsys):
     assert cli.main(["decode", str(box), "-o", str(out)]) == 1
     assert "no data cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "upstairs"])
+def test_geometry_the_header_cannot_store_is_refused(tmp_path, payload, capsys, monkeypatch,
+                                                     method):
+    # r = 70,000 is a valid code at w=32 but does not fit the header's u16;
+    # it must be refused before any codec work, which would allocate
+    # coefficient matrices of tens of GiB
+    def no_codec_work(cfg):
+        raise AssertionError("choose_method ran")
+    monkeypatch.setattr(cli, "choose_method", no_codec_work)
+    src, _ = payload
+    box = tmp_path / "c.stairc"
+    assert cli.main(["encode", str(src), "-o", str(box), "--n", "2", "--r", "70000", "--m", "1",
+                     "--w", "32", "--symbol-size", "4", "--method", method]) == 1
+    assert "does not fit the container header" in capsys.readouterr().err
+    assert not box.exists()
 
 
 def test_reliability_tables_scenario():
@@ -900,6 +963,12 @@ def test_bench_smoke(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["encode"]) == {"standard", "upstairs", "downstairs"}
     assert doc["chosen"] in doc["encode"]
+
+
+def test_bench_without_repetitions_exits_1(capsys):
+    assert cli.main(["bench", "--n", "8", "--r", "4", "--m", "1", "--e", "2",
+                     "--stripe-mib", "1", "--reps", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_selftest_quick():
