@@ -288,15 +288,15 @@ def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, Failure
     config or symbol size, or names a stripe that the container does not
     hold."""
     cfg = header.cfg
-    manifest = json.loads(Path(path).read_text())
     try:
+        manifest = json.loads(Path(path).read_text())
         mc = manifest["config"]
         n, r, m, w = (_manifest_int(mc[k]) for k in ("n", "r", "m", "w"))
         same = (config_new(n, r, m, [_manifest_int(x) for x in mc["e"]], w) == cfg
                 and _manifest_int(manifest["symbol_size"]) == header.symbol_size)
         entries = [(entry.get("stripe"), _pattern_from_json(entry))
                    for entry in manifest.get("patterns", [])]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed repair manifest: {type(exc).__name__}: {exc}") from None
     if not same:
         raise ValueError("manifest config or symbol size does not match the container header")

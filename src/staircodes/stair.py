@@ -10,12 +10,13 @@ code) and every column ends in column-code parities (an (r+e_max, r) MDS
 code); the outside global cells of that grid are pinned to zero so they
 never need storing.  Encoding and decoding are schedules of row/column
 MDS operations on that grid.  A schedule depends only on which cells are
-known, never on their bytes, so each is planned once, cached, and run by
-the one executor ``_Codec.run``; ``encoding_steps`` and
-``decoding_steps`` return the schedules that ``encode`` and ``decode``
-run.  A step solves positions along a line, whichever row or column it
-is, so each distinct one is built once (``_Codec.line_step``) and serves
-every line; a plan is a tuple of line indices and a tuple of steps.
+known, never on their bytes (the planner, ``_Solver``, holds only the set
+of cells not yet known), so each is planned once, cached, and run by the
+one executor ``_Codec.run``; ``encoding_steps`` and ``decoding_steps``
+return the schedules that ``encode`` and ``decode`` run.  A step solves
+positions along a line, whichever row or column it is, so each distinct
+one is built once (``_Codec.line_step``) and serves every line; a plan is
+a tuple of line indices and a tuple of steps.
 One rule, ``counts_within_coverage``, decides coverage for the planner,
 the stripe-loss DP (``reliability``) and the Monte-Carlo predicates (``sim``).
 
@@ -75,8 +76,8 @@ class StairConfig:
             raise ValueError("need at least one parity symbol: m + m' must be >= 1")
         if self.n + len(e) > 2 ** self.w:
             raise ValueError(f"n + m' = {self.n + len(e)} exceeds field size 2^{self.w}")
-        if self.r + (e[-1] if e else 0) > 2 ** self.w:
-            raise ValueError(f"r + e_max = {self.r + e[-1]} exceeds field size 2^{self.w}")
+        if self.r + self.e_max > 2 ** self.w:
+            raise ValueError(f"r + e_max = {self.r + self.e_max} exceeds field size 2^{self.w}")
 
     @property
     def m_prime(self) -> int:
@@ -307,33 +308,37 @@ def signature(cfg: StairConfig, index: int, step: Step) -> tuple:
 
 
 class _Solver:
-    """Schedule planner: the known-cell mask of the augmented grid plus the
-    steps emitted so far.  It decides from the mask alone, so a schedule
-    depends on which cells are known and never on their bytes."""
+    """Schedule planner: the set of augmented-grid cells ``(row, col)`` not
+    yet known, at first ``lost`` and ``_Codec.extension_cells``, plus the
+    steps emitted so far.  It decides from that set alone."""
 
-    __slots__ = ("codec", "known", "indices", "steps")
+    __slots__ = ("codec", "unknown", "indices", "steps")
 
-    def __init__(self, codec, known):
+    def __init__(self, codec, lost):
         self.codec = codec
-        self.known = known
+        self.unknown = {*codec.extension_cells, *lost}
         self.indices: list[int] = []
         self.steps: list[Step] = []
 
     def step(self, kind: str, index: int, outputs: tuple[int, ...]) -> None:
         """Restore the positions ``outputs`` of row or column ``index``
         ("row" or "col") from the first kappa known positions of that line."""
-        codec = self.codec
-        code, line = ((codec.row_code, self.known[index]) if kind == "row"
-                      else (codec.col_code, self.known[:, index]))
-        avail = line.nonzero()[0]
-        if avail.size < code.kappa:
+        unknown = self.unknown
+        if kind == "row":
+            code = self.codec.row_code
+            avail = [p for p in range(code.eta) if (index, p) not in unknown]
+            done = [(index, p) for p in outputs]
+        else:
+            code = self.codec.col_code
+            avail = [p for p in range(code.eta) if (p, index) not in unknown]
+            done = [(p, index) for p in outputs]
+        if len(avail) < code.kappa:
             raise UnrecoverableError(
-                f"{'row' if kind == 'row' else 'column'} {index}: only {avail.size} "
+                f"{'row' if kind == 'row' else 'column'} {index}: only {len(avail)} "
                 f"symbols available, need {code.kappa}")
-        step = codec.line_step(kind, tuple(avail[:code.kappa].tolist()), outputs)
-        line[step._out] = True
+        self.steps.append(self.codec.line_step(kind, tuple(avail[:code.kappa]), outputs))
         self.indices.append(index)
-        self.steps.append(step)
+        unknown.difference_update(done)
 
 
 def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
@@ -381,15 +386,15 @@ class _Codec:
     def grid_shape(self) -> tuple[int, int]:
         return self.cfg.r + self.cfg.e_max, self.cfg.n + self.cfg.m_prime
 
-    def base_known(self) -> np.ndarray:
-        """Known mask with the stripe's cells and the pinned-to-zero outside
-        global cells set."""
+    @cached_property
+    def extension_cells(self) -> frozenset:
+        """Augmented-grid cells outside the stored stripe that a plan must
+        compute: every one but the pinned-to-zero outside global cells."""
+        cfg = self.cfg
         rows, cols = self.grid_shape
-        known = np.zeros((rows, cols), dtype=bool)
-        known[:self.cfg.r, :self.cfg.n] = True
-        for l, e_l in enumerate(self.cfg.e):
-            known[self.cfg.r: self.cfg.r + e_l, self.cfg.n + l] = True
-        return known
+        pinned = {(cfg.r + h, cfg.n + l) for l, e_l in enumerate(cfg.e) for h in range(e_l)}
+        return frozenset((i, j) for i in range(rows) for j in range(cols)
+                         if (i >= cfg.r or j >= cfg.n) and (i, j) not in pinned)
 
     def run(self, plan: Plan, cells: np.ndarray) -> np.ndarray:
         """Execute a schedule: copy the (r, n, S) stripe cells into a fresh
@@ -423,9 +428,7 @@ class _Codec:
 
     def _plan_downstairs(self) -> Plan:
         cfg = self.cfg
-        known = self.base_known()
-        known[:cfg.r, :cfg.n] &= ~parity_mask(cfg)
-        solver = _Solver(self, known)
+        solver = _Solver(self, parity_cells(cfg))
         r, n, mp = cfg.r, cfg.n, cfg.m_prime
         col_done = [False] * mp
         for i in range(r):
@@ -456,7 +459,7 @@ class _Codec:
         cfg = self.cfg
         if not cfg.m_prime:
             return (), ()
-        solver = _Solver(self, self.base_known())
+        solver = _Solver(self, ())
         for i in range(cfg.r):
             solver.step("row", i, tuple(range(cfg.n, cfg.n + cfg.m_prime)))
         for c in range(cfg.n + cfg.m_prime):
@@ -498,29 +501,25 @@ def _codec(cfg: StairConfig) -> _Codec:
 # ---------------------------------------------------------------------------
 
 # Bounded: exhaustive sweeps decode hundreds of thousands of distinct
-# patterns.  A plan's two tuples, line indices and interned steps, take 16 B
-# a step plus about 120 B (241 B for sampled exemplar patterns), so 8,192
-# such plans take 2 MiB.
+# patterns.  The planner's set of unknown cells goes when the plan is made;
+# the plan's two tuples, line indices and interned steps, take 16 B a step
+# plus about 120 B (241 B for sampled exemplar patterns): 2 MiB for 8,192.
 @lru_cache(maxsize=8192)
 def _decode_plan(cfg: StairConfig, pattern: FailurePattern, practical: bool) -> Plan:
     """Schedule restoring the cells that ``pattern`` lists as lost; raises
     :class:`UnrecoverableError` (never cached) if none does."""
-    codec = _codec(cfg)
-    known = codec.base_known()
-    for j in pattern.failed_chunks:
-        known[:cfg.r, j] = False
-    for j, rows in pattern.sector_failures:
-        known[list(rows), j] = False
-
-    solver = _Solver(codec, known)
-    lost = ~known[:cfg.r, :cfg.n]
+    lost = set(pattern.lost_cells(cfg))
+    solver = _Solver(_codec(cfg), lost)
     if practical:
-        count = lost.sum(axis=1)
-        local = (count > 0) & (count <= cfg.m)
-        for i in np.flatnonzero(local).tolist():
-            solver.step("row", i, tuple(np.flatnonzero(lost[i]).tolist()))
-        lost[local] = False
-    loss = {j: set(lost[:, j].nonzero()[0].tolist()) for j in range(cfg.n) if lost[:, j].any()}
+        rows: dict[int, list[int]] = {}
+        for i, j in sorted(lost):
+            rows.setdefault(i, []).append(j)
+        for i, cols in rows.items():
+            if len(cols) <= cfg.m:
+                solver.step("row", i, tuple(cols))
+    loss: dict[int, set[int]] = {}
+    for i, j in lost & solver.unknown:
+        loss.setdefault(j, set()).add(i)
 
     if loss:
         if practical:

@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way on purpose, and stays
 independent of the code paths it verifies: bitwise field arithmetic, the
 numpy split-table region kernel, a plan executor over integer-array
-indices, list-of-lists Gauss-Jordan inversion, Rabin's irreducibility test,
-brute-force assignment search for the coverage rule, direct enumeration of
+indices, the schedule planner over a numpy known-cell mask, list-of-lists
+Gauss-Jordan inversion, Rabin's irreducibility test, brute-force
+assignment search for the coverage rule, direct enumeration of
 stripe-loss probabilities, and the published closed forms.
 """
 
@@ -195,6 +196,98 @@ def run_plan_by_fancy_index(cfg, plan, cells, poly: int = 0x11D) -> np.ndarray:
         outputs = np.array(step.outputs, dtype=np.intp)
         line[outputs] = split_table_matmul(step.matrix, line[inputs], poly, cfg.w)
     return grid
+
+
+# ---------------------------------------------------------------------------
+# the planner over a known-cell mask
+# ---------------------------------------------------------------------------
+
+def base_known(codec) -> np.ndarray:
+    """Known mask of the augmented grid: the stripe's cells and the
+    pinned-to-zero outside global cells set."""
+    cfg = codec.cfg
+    known = np.zeros(codec.grid_shape, dtype=bool)
+    known[:cfg.r, :cfg.n] = True
+    for l, e_l in enumerate(cfg.e):
+        known[cfg.r: cfg.r + e_l, cfg.n + l] = True
+    return known
+
+
+class MaskSolver:
+    """The schedule planner kept as a numpy bool mask of the known cells of
+    the augmented grid, plus the steps emitted so far.  Steps come from the
+    library's ``codec.line_step``, so equal steps are the same object."""
+
+    def __init__(self, codec, known: np.ndarray):
+        self.codec = codec
+        self.known = known
+        self.indices: list[int] = []
+        self.steps: list = []
+
+    @classmethod
+    def from_lost(cls, codec, lost) -> "MaskSolver":
+        """A solver that knows every cell of the stripe but ``lost``."""
+        known = base_known(codec)
+        for i, j in lost:
+            known[i, j] = False
+        return cls(codec, known)
+
+    def step(self, kind: str, index: int, outputs: tuple[int, ...]) -> None:
+        from staircodes import UnrecoverableError
+        codec = self.codec
+        code, line = ((codec.row_code, self.known[index]) if kind == "row"
+                      else (codec.col_code, self.known[:, index]))
+        avail = line.nonzero()[0]
+        if avail.size < code.kappa:
+            raise UnrecoverableError(
+                f"{'row' if kind == 'row' else 'column'} {index}: only {avail.size} "
+                f"symbols available, need {code.kappa}")
+        step = codec.line_step(kind, tuple(avail[:code.kappa].tolist()), outputs)
+        line[list(outputs)] = True
+        self.indices.append(index)
+        self.steps.append(step)
+
+
+def mask_decode_plan(cfg, pattern, practical: bool):
+    """The decode plan of ``pattern`` from a :class:`MaskSolver`: the known
+    mask loses the pattern's chunks and sector rows, rows that lost at most
+    m cells are repaired locally when ``practical``, and the rest go through
+    the library's bottom-up order (``stair._run_upstairs``)."""
+    from staircodes import UnrecoverableError
+    from staircodes.stair import _codec, _run_upstairs, counts_within_coverage
+    codec = _codec(cfg)
+    known = base_known(codec)
+    for j in pattern.failed_chunks:
+        known[:cfg.r, j] = False
+    for j, rows in pattern.sector_failures:
+        known[list(rows), j] = False
+
+    solver = MaskSolver(codec, known)
+    lost = ~known[:cfg.r, :cfg.n]
+    if practical:
+        count = lost.sum(axis=1)
+        local = (count > 0) & (count <= cfg.m)
+        for i in np.flatnonzero(local).tolist():
+            solver.step("row", i, tuple(np.flatnonzero(lost[i]).tolist()))
+        lost[local] = False
+    loss = {j: set(lost[:, j].nonzero()[0].tolist()) for j in range(cfg.n) if lost[:, j].any()}
+
+    if loss:
+        if practical:
+            by_size = sorted(loss, key=lambda j: (len(loss[j]), j), reverse=True)
+            defer_cols = by_size[:cfg.m]
+        else:
+            defer_cols = sorted(pattern.failed_chunks)
+            if len(defer_cols) > cfg.m:
+                raise UnrecoverableError(
+                    f"{len(defer_cols)} whole-chunk failures exceed m={cfg.m}")
+        deferred = {j: loss.pop(j) for j in defer_cols if j in loss}
+        counts = sorted(len(v) for v in loss.values())
+        if not counts_within_coverage(cfg, counts):
+            raise UnrecoverableError(
+                f"per-chunk sector losses {counts} exceed coverage e={cfg.e}")
+        _run_upstairs(solver, deferred, loss)
+    return tuple(solver.indices), tuple(solver.steps)
 
 
 # ---------------------------------------------------------------------------

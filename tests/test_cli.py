@@ -207,6 +207,17 @@ def test_malformed_manifest_exits_1(tmp_path, payload, malform):
     assert not fixed.exists()
 
 
+def test_deeply_nested_manifest_exits_1(tmp_path, payload, capsys):
+    # json.loads gives up on this with RecursionError, not a JSON error
+    src, _ = payload
+    box, manifest, fixed = tmp_path / "c.stairc", tmp_path / "m.json", tmp_path / "f.stairc"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    manifest.write_text("[" * 100_000)
+    assert cli.main(["repair", str(box), "--manifest", str(manifest), "-o", str(fixed)]) == 1
+    assert "malformed repair manifest: RecursionError" in capsys.readouterr().err
+    assert not fixed.exists()
+
+
 @pytest.mark.parametrize("seed", [4, 6])
 def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
     # two seeded patterns land on stripe 0; each entry alone leaves some of
@@ -228,15 +239,20 @@ def test_repair_merges_repeated_stripe_entries(tmp_path, payload, seed):
     assert doc["within_coverage"] is pattern_within_coverage(cfg, union)
 
 
-@pytest.fixture(scope="module")
-def small_container(tmp_path_factory):
-    """The bytes of a container of a 5,000-byte input (exemplar geometry,
-    32 B symbols), and the path of a manifest injected into it."""
+@pytest.fixture(scope="module", params=[
+    (CFG_FLAGS, "chunks=6;sectors=3:1"),
+    (["--n", "4", "--r", "4", "--m", "1", "--symbol-size", "32"], "chunks=3"),
+], ids=["exemplar", "no-stair"])
+def small_container(tmp_path_factory, request):
+    """The bytes of a container of a 5,000-byte input (32 B symbols, the
+    exemplar geometry or one with m' = 0), and the path of a manifest
+    injected into it."""
+    flags, spec = request.param
     work = tmp_path_factory.mktemp("small")
     src, box, dmg, manifest = (work / n for n in ("in.bin", "c.stairc", "d.stairc", "m.json"))
     src.write_bytes(np.random.default_rng(5).bytes(5000))
-    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
-    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6;sectors=3:1",
+    assert cli.main(["encode", str(src), "-o", str(box)] + flags) == 0
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", spec,
                      "--manifest", str(manifest)]) == 0
     return box.read_bytes(), manifest
 
@@ -263,6 +279,28 @@ def test_damaged_v1_container_never_raises(small_container, edits, data):
         box.write_bytes(blob)
         assert cli.main(["decode", str(box), "-o", str(Path(work) / "o.bin")]) in (0, 1, 2)
         assert cli.main(["repair", str(box), "--manifest", str(manifest),
+                         "-o", str(Path(work) / "f.stairc")]) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.one_of(st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                                min_size=1, max_size=3), st.none()),
+       data=st.data())
+def test_damaged_manifest_never_raises(small_container, edits, data):
+    """With 1-3 bytes of a valid manifest's text changed, or the manifest
+    truncated, ``repair`` exits 0, 1 or 2 and raises nothing."""
+    blob, manifest = small_container
+    text = bytearray(manifest.read_bytes())
+    if edits is None:
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+    else:
+        for offset, value in edits:
+            text[offset % len(text)] = value
+    with tempfile.TemporaryDirectory() as work:
+        box, damaged = Path(work) / "c.stairc", Path(work) / "m.json"
+        box.write_bytes(blob)
+        damaged.write_bytes(text)
+        assert cli.main(["repair", str(box), "--manifest", str(damaged),
                          "-o", str(Path(work) / "f.stairc")]) in (0, 1, 2)
 
 
@@ -899,6 +937,26 @@ def test_geometry_the_header_cannot_store_is_refused(tmp_path, payload, capsys, 
                      "--w", "32", "--symbol-size", "4", "--method", method]) == 1
     assert "does not fit the container header" in capsys.readouterr().err
     assert not box.exists()
+
+
+def test_code_wider_than_its_field_is_refused(tmp_path, payload, capsys):
+    # r = 300 > 2^8 with m' = 0: refused as a config, at encode and when a
+    # damaged header of a valid m' = 0 container reads r's high byte as 1
+    src, _ = payload
+    box, out = tmp_path / "c.stairc", tmp_path / "out.bin"
+    assert cli.main(["encode", str(src), "-o", str(box), "--n", "4", "--r", "300",
+                     "--m", "1"]) == 1
+    assert "r + e_max = 300 exceeds field size" in capsys.readouterr().err
+    assert not box.exists()
+    assert cli.main(["encode", str(src), "-o", str(box), "--n", "4", "--r", "44",
+                     "--m", "1"]) == 0
+    blob = bytearray(box.read_bytes())
+    assert struct.unpack_from("<H", blob, 13) == (44,)
+    blob[14] = 1                                     # r = 300
+    box.write_bytes(blob)
+    assert cli.main(["decode", str(box), "-o", str(out)]) == 1
+    assert "r + e_max = 300 exceeds field size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reliability_tables_scenario():

@@ -32,6 +32,7 @@ def test_e_is_canonicalised():
     (dict(n=4, r=4, m=0, e=()), "at least one parity"),
     (dict(n=250, r=1, m=1, e=(1,) * 10), "n + m'"),
     (dict(n=4, r=250, m=1, e=(10,)), "r + e_max"),
+    (dict(n=4, r=300, m=1, e=()), "r + e_max"),
 ])
 def test_invalid_configs_name_the_constraint(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):

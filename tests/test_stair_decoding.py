@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staircodes as sc
-from staircodes import UnrecoverableError, sim
+from staircodes import UnrecoverableError, sim, stair
 from staircodes.stair import _Codec, _codec, _decode_plan, signature
 from conftest import sweep_configs
+import oracles
 from test_stair_encoding import REFERENCE_UPSTAIRS
 
 
@@ -169,6 +170,56 @@ def test_fresh_plan_is_made_of_the_cached_steps(exemplar):
             fresh = _decode_plan.__wrapped__(exemplar, pattern, practical)
             assert fresh[0] == cached[0] and len(fresh[1]) == len(cached[1])
             assert all(a is b for a, b in zip(fresh[1], cached[1]))
+
+
+def _plan_or_message(planner, *args):
+    try:
+        return planner(*args)
+    except UnrecoverableError as exc:
+        return str(exc)
+
+
+def _assert_same_plan(got, want, where):
+    """Both plans have the same line indices and the very same step objects,
+    or both planners raised the same UnrecoverableError message."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want, where
+        return
+    assert got[0] == want[0] and len(got[1]) == len(want[1]), where
+    assert all(a is b for a, b in zip(got[1], want[1])), where
+
+
+def _assert_plans_match_mask_planner(cfg, patterns):
+    for pattern in patterns:
+        for practical in (True, False):
+            _assert_same_plan(_plan_or_message(_decode_plan.__wrapped__, cfg, pattern, practical),
+                              _plan_or_message(oracles.mask_decode_plan, cfg, pattern, practical),
+                              (cfg, pattern, practical))
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 1, (1, 2)), (4, 2, 1, (1, 1))])
+def test_planner_matches_mask_planner_within_coverage(shape):
+    cfg = sc.config_new(*shape)
+    _assert_plans_match_mask_planner(cfg, oracles.iter_within_coverage_patterns(cfg))
+
+
+@pytest.mark.parametrize("cfg", sweep_configs(), ids=str)
+def test_planner_matches_mask_planner_beyond_coverage(cfg):
+    _assert_plans_match_mask_planner(
+        cfg, (sim.sample_pattern(cfg, seed, within=False) for seed in range(100)))
+
+
+@pytest.mark.parametrize("cfg", sweep_configs(), ids=str)
+def test_encoding_plans_match_mask_planner(cfg, monkeypatch):
+    # the downstairs and extension plans run their steps through a mask
+    # solver that starts from the same lost cells
+    codec = _codec(cfg)
+    extend = type(codec).extension_plan.func
+    got = codec._plan_downstairs(), extend(codec)
+    monkeypatch.setattr(stair, "_Solver", oracles.MaskSolver.from_lost)
+    want = codec._plan_downstairs(), extend(codec)
+    for g, w in zip(got, want):
+        _assert_same_plan(g, w, cfg)
 
 
 def test_line_step_cache_holds_one_entry_per_distinct_step():
