@@ -7,8 +7,9 @@ second, by phase.
 
 Runs on the benchmark's scenario (stairbench/data/scenario.txt: 15 chunks
 of 16 sectors per trial, eight codes) with the distribution that
-``stair reliability --validate`` samples (the scenario's correlated
-sector-failure model at p_sec = 1e-3, about 1.5% of chunks failed).  Each
+``stair reliability --validate`` and ``--histogram`` sample
+(``cli.scenario_sampling``: the scenario's correlated sector-failure model
+at its validate_p_sec, 1e-3 by default, about 1.5% of chunks failed).  Each
 phase is timed over --trials trials, the best of --reps runs:
 
   draw       ``sim._count_blocks``: the per-chunk failure counts alone
@@ -32,7 +33,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "stairbench" / "data" / "scenario.txt"
-SEED = 20_000
 REPORTS = 20
 
 
@@ -54,18 +54,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src / "src"))
     from staircodes import cli, sim
-    from staircodes import reliability as rel
 
     opts = cli.parse_scenario(SCENARIO.read_text())
-    r, chunks, codes = cli._scenario_codes(opts)
-    dist = rel.chunk_dist(cli._scenario_params(opts, 0.0), r, 1e-3)
+    chunks, codes, dist = cli.scenario_sampling(opts)
+    seed = cli.VALIDATE_SEED
     predicates = {f"{kind}{e}": sim.recoverable(kind, cfg) for kind, e, cfg in codes}
 
     def draw():
-        for _ in sim._count_blocks(chunks, dist, args.trials, SEED):
+        for _ in sim._count_blocks(chunks, dist, args.trials, seed):
             pass
 
-    counts = list(sim._count_blocks(chunks, dist, args.trials, SEED))
+    counts = list(sim._count_blocks(chunks, dist, args.trials, seed))
 
     def verdicts():
         for predicate in predicates.values():
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
                 predicate(block)
 
     def histogram():
-        sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=SEED)
+        sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=seed)
 
     def analytic():
         for _ in range(REPORTS):

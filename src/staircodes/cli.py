@@ -62,22 +62,23 @@ def _config_from_args(args) -> StairConfig:
     return config_new(args.n, args.r, args.m, _parse_e(args.e), args.w)
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(rows, out, indent=2, default=str)
-        out.write("\n")
-        return
-    if not rows:
-        return
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _open_out(path: str | None):
-    if path:
-        return open(path, "w", newline="")
-    return contextlib.nullcontext(sys.stdout)
+def _write_report(args, doc, tables: list[list[dict]]) -> None:
+    """Write a report to ``-o`` or stdout: ``doc`` as JSON with ``--format
+    json``, else each table of dict rows as CSV, a blank line between
+    tables (an empty table writes no rows)."""
+    with (open(args.output, "w", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "json":
+            json.dump(doc, out, indent=2, default=str)
+            out.write("\n")
+            return
+        for k, rows in enumerate(tables):
+            if k:
+                out.write("\n")
+            if rows:
+                writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +349,13 @@ def _partitions_ascending(total: int, max_part: int, max_len: int):
 
 
 def cost_rows(cfg_base: StairConfig, sweep_s: int | None) -> list[dict]:
-    if sweep_s is None:
-        vectors = [cfg_base.e]
-    else:
-        vectors = _partitions_ascending(sweep_s, cfg_base.r, cfg_base.n - cfg_base.m)
+    n, r, m = cfg_base.n, cfg_base.r, cfg_base.m
+    vectors = [cfg_base.e] if sweep_s is None else list(_partitions_ascending(sweep_s, r, n - m))
+    if not vectors:
+        raise ValueError(f"no coverage vector of n={n}, r={r}, m={m} sums to s={sweep_s}")
     rows = []
     for e in vectors:
-        cfg = config_new(cfg_base.n, cfg_base.r, cfg_base.m, e, cfg_base.w)
+        cfg = config_new(n, r, m, e, cfg_base.w)
         counts = {meth: xor_count(cfg, meth) for meth in METHODS}
         rows.append({
             "n": cfg.n, "r": cfg.r, "m": cfg.m,
@@ -371,8 +372,7 @@ def cost_rows(cfg_base: StairConfig, sweep_s: int | None) -> list[dict]:
 def cmd_cost(args) -> int:
     cfg = _config_from_args(args)
     rows = cost_rows(cfg, args.sweep_s)
-    with _open_out(args.output) as out:
-        _emit_rows(rows, args.format, out)
+    _write_report(args, rows, [rows])
     return 0
 
 
@@ -380,8 +380,20 @@ def cmd_cost(args) -> int:
 # reliability
 # ---------------------------------------------------------------------------
 
+# Every key a scenario may set, with its default.
+_SCENARIO_DEFAULTS = {
+    "n": "8", "r": "16", "m": "1", "codes": "rs", "p_bit": "1e-14",
+    "user_data": "10 PB", "device_capacity": "300 GB", "sector_size": "512",
+    "mean_time_to_failure_hours": "500000", "mean_rebuild_hours": "17.8",
+    "model": "independent", "b1": "0.98", "alpha": "1.79", "validate_p_sec": "1e-3",
+}
+VALIDATE_SEED = 20_000   # --validate draws code i from seed VALIDATE_SEED + i
+
+
 def parse_scenario(text: str) -> dict:
-    opts = {}
+    """A scenario's ``key = value`` lines over the defaults; ValueError for
+    a line without ``=``, a key that no report reads, or no codes."""
+    opts = dict(_SCENARIO_DEFAULTS)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -389,7 +401,11 @@ def parse_scenario(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad scenario line: {raw!r}")
         key, val = (p.strip() for p in line.split("=", 1))
+        if key not in _SCENARIO_DEFAULTS:
+            raise ValueError(f"unknown scenario key {key!r}")
         opts[key] = val
+    if not opts["codes"].replace(";", "").strip():
+        raise ValueError("scenario lists no codes")
     return opts
 
 
@@ -417,11 +433,9 @@ def _scenario_codes(opts: dict) -> tuple[int, int, list]:
     Each code's e gives its parity sectors per stripe: () for rs and (s,)
     for sd(s), so its config has the same storage efficiency.
     """
-    n = int(opts.get("n", "8"))
-    r = int(opts.get("r", "16"))
-    m = int(opts.get("m", "1"))
+    n, r, m = (int(opts[k]) for k in ("n", "r", "m"))
     codes = []
-    for tok in opts.get("codes", "rs").split(";"):
+    for tok in opts["codes"].split(";"):
         if tok.strip():
             kind, e = _parse_code(tok)
             codes.append((kind, e, config_new(n, r, m, e)))
@@ -430,20 +444,20 @@ def _scenario_codes(opts: dict) -> tuple[int, int, list]:
 
 def _scenario_params(opts: dict, p_bit: float) -> rel.ReliabilityParams:
     return rel.ReliabilityParams(
-        user_bytes=_parse_size(opts.get("user_data", "10 PB")),
-        device_bytes=_parse_size(opts.get("device_capacity", "300 GB")),
-        sector_bytes=int(opts.get("sector_size", "512")),
-        mean_time_to_failure_hours=float(opts.get("mean_time_to_failure_hours", "500000")),
-        mean_rebuild_hours=float(opts.get("mean_rebuild_hours", "17.8")),
+        user_bytes=_parse_size(opts["user_data"]),
+        device_bytes=_parse_size(opts["device_capacity"]),
+        sector_bytes=int(opts["sector_size"]),
+        mean_time_to_failure_hours=float(opts["mean_time_to_failure_hours"]),
+        mean_rebuild_hours=float(opts["mean_rebuild_hours"]),
         p_bit=p_bit,
-        model=opts.get("model", "independent"),
-        b1=float(opts.get("b1", "0.98")),
-        alpha=float(opts.get("alpha", "1.79")),
+        model=opts["model"],
+        b1=float(opts["b1"]),
+        alpha=float(opts["alpha"]),
     )
 
 
 def reliability_rows(opts: dict) -> list[dict]:
-    p_bits = [float(p) for p in opts.get("p_bit", "1e-14").split(",")]
+    p_bits = [float(p) for p in opts["p_bit"].split(",")]
     _, _, codes = _scenario_codes(opts)
     rows = []
     for p_bit in p_bits:
@@ -466,19 +480,25 @@ def reliability_rows(opts: dict) -> list[dict]:
     return rows
 
 
-def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[dict]:
+def scenario_sampling(opts: dict) -> tuple[int, list, rel.ChunkFailureDist]:
+    """(chunks per stripe, codes, per-chunk failure counts) that --validate
+    and --histogram sample: the scenario's own sector-failure model at the
+    inflated probability ``validate_p_sec``; p_bit plays no part."""
+    r, chunks, codes = _scenario_codes(opts)
+    dist = rel.chunk_dist(_scenario_params(opts, 0.0), r, float(opts["validate_p_sec"]))
+    return chunks, codes, dist
+
+
+def validate_against_sim(opts: dict, trials: int) -> list[dict]:
     """Cross-check each code's analytic stripe loss against Monte Carlo at an
     inflated sector-failure probability (the analytic forms are exact in the
     distribution, so the comparison is valid at any operating point)."""
-    r, chunks, codes = _scenario_codes(opts)
-    p_inflated = float(opts.get("validate_p_sec", "1e-3"))
-    # the scenario's sector-failure model at p_inflated; p_bit plays no part
-    dist = rel.chunk_dist(_scenario_params(opts, 0.0), r, p_inflated)
+    chunks, codes, dist = scenario_sampling(opts)
     out = []
     for i, (kind, e, cfg) in enumerate(codes):
         analytic = rel.p_str(kind, cfg, dist)
         est = sim.monte_carlo_p_str(sim.recoverable(kind, cfg), chunks, dist,
-                                    trials=trials, seed=seed + i)
+                                    trials=trials, seed=VALIDATE_SEED + i)
         sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / trials)
         ok = abs(est.p_failure - analytic) <= 3 * sigma
         out.append({
@@ -491,8 +511,7 @@ def validate_against_sim(opts: dict, trials: int, seed: int = 20_000) -> list[di
 
 
 def _histogram_rows(opts: dict, trials: int, seed: int) -> list[dict]:
-    r, chunks, codes = _scenario_codes(opts)
-    dist = rel.p_chk_independent(r, float(opts.get("validate_p_sec", "1e-3")))
+    chunks, codes, dist = scenario_sampling(opts)
     predicates = {_label(kind, e, "_", "_", ""): sim.recoverable(kind, cfg)
                   for kind, e, cfg in codes}
     return sim.outcome_histogram(predicates, chunks, dist, trials=trials, seed=seed)
@@ -501,26 +520,13 @@ def _histogram_rows(opts: dict, trials: int, seed: int) -> list[dict]:
 def cmd_reliability(args) -> int:
     opts = parse_scenario(Path(args.scenario).read_text())
     rows = reliability_rows(opts)
-    status = 0
     extras: dict[str, list[dict]] = {}
     if args.validate:
-        checks = validate_against_sim(opts, args.trials)
-        status = 0 if all(c["ok"] for c in checks) else 1
-        extras["validation"] = checks
+        extras["validation"] = validate_against_sim(opts, args.trials)
     if args.histogram:
         extras["histogram"] = _histogram_rows(opts, args.trials, args.seed)
-    with _open_out(args.output) as out:
-        if not extras:
-            _emit_rows(rows, args.format, out)
-        elif args.format == "json":
-            json.dump({"rows": rows, **extras}, out, indent=2)
-            out.write("\n")
-        else:
-            _emit_rows(rows, "csv", out)
-            for table in extras.values():
-                out.write("\n")
-                _emit_rows(table, "csv", out)
-    return status
+    _write_report(args, {"rows": rows, **extras} if extras else rows, [rows, *extras.values()])
+    return 0 if all(c["ok"] for c in extras.get("validation", ())) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +591,7 @@ def cmd_bench(args) -> int:
     } for meth in METHODS]
     rows.append({"method": "decode(worst-case)", "mult_xors": "",
                  "encode_mib_per_s": round(result["decode_mib_per_s"], 2), "chosen": ""})
-    with _open_out(args.output) as out:
-        if args.format == "json":
-            json.dump(result, out, indent=2, default=str)
-            out.write("\n")
-        else:
-            _emit_rows(rows, "csv", out)
+    _write_report(args, result, [rows])
     return 0
 
 
@@ -724,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="cross-check analytic stripe loss against Monte Carlo")
     p.add_argument("--histogram", action="store_true",
-                   help="append an outcome histogram of the independent model at validate_p_sec")
+                   help="append an outcome histogram of the scenario's model at validate_p_sec")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --histogram draws (--validate keeps its fixed seeds)")

@@ -427,20 +427,16 @@ class _Codec:
         return Step(kind, inputs, outputs, code.decode_matrix(inputs, outputs))
 
     def _plan_downstairs(self) -> Plan:
+        """Top-down: at row i, right to left, the virtual columns whose stair
+        starts there, then row i's every position still unknown."""
         cfg = self.cfg
         solver = _Solver(self, parity_cells(cfg))
-        r, n, mp = cfg.r, cfg.n, cfg.m_prime
-        col_done = [False] * mp
+        r, n, cols = cfg.r, cfg.n, self.grid_shape[1]
         for i in range(r):
-            for l in range(mp - 1, -1, -1):
-                if not col_done[l] and cfg.e[l] >= r - i:
-                    solver.step("col", n + l, tuple(range(r - cfg.e[l], r)))
-                    col_done[l] = True
-            stair_ls = [l for l in range(mp) if cfg.e[l] >= r - i]
-            out_cols = [j for j in range(n - cfg.m) if global_parity_depth(cfg, j) >= r - i]
-            out_cols += list(range(n - cfg.m, n))
-            out_cols += [n + l for l in range(mp) if l not in stair_ls]
-            solver.step("row", i, tuple(sorted(out_cols)))
+            for l in range(cfg.m_prime - 1, -1, -1):
+                if cfg.e[l] == r - i:
+                    solver.step("col", n + l, tuple(range(i, r)))
+            solver.step("row", i, tuple(j for j in range(cols) if (i, j) in solver.unknown))
         return tuple(solver.indices), tuple(solver.steps)
 
     def _plan_standard(self) -> Plan:

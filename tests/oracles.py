@@ -232,6 +232,11 @@ class MaskSolver:
             known[i, j] = False
         return cls(codec, known)
 
+    @property
+    def unknown(self) -> set:
+        """The ``(row, col)`` cells the mask does not know, as a new set."""
+        return set(map(tuple, np.argwhere(~self.known).tolist()))
+
     def step(self, kind: str, index: int, outputs: tuple[int, ...]) -> None:
         from staircodes import UnrecoverableError
         codec = self.codec

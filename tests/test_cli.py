@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import staircodes
 from staircodes import cli, config_new, encoding_steps, sim, stair, xor_count
 from staircodes import container as cont
+from staircodes import reliability as rel
 from staircodes.stair import FailurePattern, pattern_within_coverage, worst_case_pattern
 
 
@@ -280,6 +281,23 @@ def test_damaged_v1_container_never_raises(small_container, edits, data):
         assert cli.main(["decode", str(box), "-o", str(Path(work) / "o.bin")]) in (0, 1, 2)
         assert cli.main(["repair", str(box), "--manifest", str(manifest),
                          "-o", str(Path(work) / "f.stairc")]) in (0, 1, 2)
+
+
+def test_every_header_byte_flipped_never_raises(small_container, tmp_path):
+    """The same promise for each byte of the header XORed with 0x01, 0x80
+    and 0xFF in turn, so that no offset is left to chance."""
+    blob, manifest = small_container
+    size = cont.parse_header(blob).size
+    assert size in (41, 35)
+    box, out, fixed = (tmp_path / n for n in ("c.stairc", "o.bin", "f.stairc"))
+    for offset in range(size):
+        for flip in (0x01, 0x80, 0xFF):
+            damaged = bytearray(blob)
+            damaged[offset] ^= flip
+            box.write_bytes(damaged)
+            assert cli.main(["decode", str(box), "-o", str(out)]) in (0, 1, 2), (offset, flip)
+            assert cli.main(["repair", str(box), "--manifest", str(manifest),
+                             "-o", str(fixed)]) in (0, 1, 2), (offset, flip)
 
 
 @settings(max_examples=150, deadline=None)
@@ -738,6 +756,18 @@ def test_cost_sweep_json(tmp_path):
     assert chosen["4"] == "downstairs" and chosen["1,1,1,1"] == "upstairs"
 
 
+@pytest.mark.parametrize("sweep_s", ["-1", "25"])
+def test_cost_sweep_without_vectors_exits_1(tmp_path, capsys, sweep_s):
+    # n=8, r=4, m=2 holds at most six entries of at most 4: totals 0..24
+    out = tmp_path / "cost.csv"
+    assert cli.main(["cost", "--n", "8", "--r", "4", "--m", "2", "--sweep-s", sweep_s,
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no coverage vector of n=8, r=4, m=2 sums to s={sweep_s}\n")
+    assert not out.exists()
+    assert cli.main(["cost", "--n", "8", "--r", "4", "--m", "2", "--sweep-s", "24"]) == 0
+
+
 SCENARIO = """\
 # storage system under test
 user_data = 10 PB
@@ -809,6 +839,52 @@ def test_reliability_histogram(tmp_path):
     assert {"recoverable_rs", "recoverable_stair_1", "recoverable_sd_2"} <= set(hist[0])
 
 
+def test_histogram_samples_the_scenario_model(tmp_path):
+    """--histogram draws from the scenario's own model, here correlated
+    bursts: the rows are outcome_histogram's on that model's distribution."""
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO.replace("model = independent", "model = correlated"))
+    out = tmp_path / "rel.json"
+    assert cli.main(["reliability", str(scenario), "--format", "json", "--histogram",
+                     "--trials", "20000", "--seed", "3", "-o", str(out)]) == 0
+    opts = cli.parse_scenario(scenario.read_text())
+    dist = rel.chunk_dist(cli._scenario_params(opts, 0.0), 16, 1e-3)
+    predicates = {"rs": sim.recoverable("rs", config_new(8, 16, 1)),
+                  "stair_1": sim.recoverable("stair", config_new(8, 16, 1, (1,))),
+                  "sd_2": sim.recoverable("sd", config_new(8, 16, 1, (2,)))}
+    want = sim.outcome_histogram(predicates, 7, dist, trials=20000, seed=3)
+    assert json.loads(out.read_text())["histogram"] == want
+
+
+@pytest.mark.parametrize("line, typo, message", [
+    ("mean_rebuild_hours = 17.8", "mean_rebuild_hour = 1",
+     "unknown scenario key 'mean_rebuild_hour'"),
+    ("codes = rs; stair:1; sd:2", "codes = ;", "scenario lists no codes"),
+], ids=["misspelt-key", "no-codes"])
+@pytest.mark.parametrize("flags", [[], ["--validate", "--histogram", "--trials", "10000"]],
+                         ids=["plain", "sampled"])
+def test_scenario_typos_exit_1(tmp_path, capsys, line, typo, message, flags):
+    # both used to give a report (the default one, or an empty one) and exit 0
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO.replace(line, typo))
+    out = tmp_path / "rel.csv"
+    assert cli.main(["reliability", str(scenario), *flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_scenario_in_the_repo_parses():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    texts = [block.split("```")[0] for block in blocks] + [SCENARIO] + [
+        path.read_text() for path in (root / "scripts" / "reliability_10pb.txt",
+                                      root / "stairbench" / "data" / "scenario.txt")]
+    assert len(blocks) == 1
+    for text in texts:
+        assert cli.reliability_rows(cli.parse_scenario(text))
+
+
 # The benchmark's checked-in goldens (stairbench/data/, read only).
 BENCH_DATA = Path(__file__).resolve().parent.parent / "stairbench" / "data"
 
@@ -821,14 +897,16 @@ def test_reliability_report_matches_benchmark_golden(tmp_path):
 
 
 # SHA-256 of whole validated reports (analytic rows, Monte-Carlo estimates
-# and histogram), recorded before the sampler drew sparse sub-blocks.
+# and histogram), recorded before the sampler drew sparse sub-blocks.  The
+# two of the correlated scenario were recorded again when --histogram
+# started sampling the scenario's model instead of the independent one.
 VALIDATED_GOLDENS = {
     "scenario-seed1": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "1",
                         "--format", "json"],
-                       "5cc178b05c166c60b927bd76ee14ce895f57259ddf1522c4a04f535dd7cc30e3"),
+                       "5445fece0a2f59d8ea0530c33e476fa84f632960565c434cef54e21b2df6d20f"),
     "scenario-seed2": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "2",
                         "--format", "json"],
-                       "8c004101d823a65312fcfc6571316f4ba0812b82665bde727a84266112c48529"),
+                       "052d6c855cf73770e7dc5aed38b8eef627fb6a57bc9d428e62d4c6a22a81be79"),
     "10pb-csv": ([str(Path(__file__).resolve().parent.parent / "scripts" / "reliability_10pb.txt"),
                   "--trials", "20000", "--seed", "5"],
                  "b0cdac49efdb2c0e65cc0ae75388c23320929a013dc50dd6cb0516293cbf5521"),
@@ -840,6 +918,32 @@ def test_validated_report_matches_golden(tmp_path, label):
     args, sha256 = VALIDATED_GOLDENS[label]
     out = tmp_path / "validated.out"
     assert cli.main(["reliability", *args, "--validate", "--histogram", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# SHA-256 of the other reports the one report writer makes, in CSV and JSON.
+REPORT_GOLDENS = {
+    "cost-csv": (["cost", "--n", "8", "--r", "16", "--m", "2", "--sweep-s", "4"],
+                 "514f1c5841284782bf1a744e7cdacad937bfa985f79a29d9bad71a03ad757974"),
+    "cost-json": (["cost", "--n", "8", "--r", "16", "--m", "2", "--sweep-s", "4",
+                   "--format", "json"],
+                  "d1b932f400e96ee9b1c8366e49cf7c7c57cc8cfc834b00b5c953e0748b8af681"),
+    "scenario-csv": (["reliability", str(BENCH_DATA / "scenario.txt")],
+                     "4b30ed98a3b71ca12ffa0d68e09b3032ab6a17c98f4951bd482dbe7c7e13f507"),
+    "10pb-csv": (["reliability", str(Path(__file__).resolve().parent.parent / "scripts"
+                                     / "reliability_10pb.txt")],
+                 "e042a9bf7bba0843015106aed0d6e1b2959a2e8394ae73eb61cdc8606e8f768d"),
+    "scenario-validate-json": (["reliability", str(BENCH_DATA / "scenario.txt"), "--validate",
+                                "--trials", "20000", "--format", "json"],
+                               "ad32786d0dc5d5a8bb6be3ebc7b1cd60aa6cf822650289aa54225890d11f7309"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REPORT_GOLDENS))
+def test_report_matches_golden(tmp_path, label):
+    args, sha256 = REPORT_GOLDENS[label]
+    out = tmp_path / "report.out"
+    assert cli.main([*args, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
