@@ -8,9 +8,10 @@ second, by phase.
 Runs on the benchmark's scenario (stairbench/data/scenario.txt: 15 chunks
 of 16 sectors per trial, eight codes) with the distribution that
 ``stair reliability --validate`` and ``--histogram`` sample
-(``cli.scenario_sampling``: the scenario's correlated sector-failure model
-at its validate_p_sec, 1e-3 by default, about 1.5% of chunks failed).  Each
-phase is timed over --trials trials, the best of --reps runs:
+(the ``sampled`` entry of ``cli.parse_scenario``'s model: the scenario's
+correlated sector-failure model at its validate_p_sec, 1e-3 by default,
+about 1.5% of chunks failed).  Each phase is timed over --trials trials,
+the best of --reps runs:
 
   draw       ``sim._count_blocks``: the per-chunk failure counts alone
   predicate  every code's predicate over those counts, in code-trials/s
@@ -55,10 +56,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src / "src"))
     from staircodes import cli, sim
 
-    opts = cli.parse_scenario(SCENARIO.read_text())
-    chunks, codes, dist = cli.scenario_sampling(opts)
+    scenario = cli.parse_scenario(SCENARIO.read_text())
+    chunks, dist = scenario["chunks"], scenario["sampled"]
     seed = cli.VALIDATE_SEED
-    predicates = {f"{kind}{e}": sim.recoverable(kind, cfg) for kind, e, cfg in codes}
+    predicates = {f"{kind}{e}": sim.recoverable(kind, cfg) for kind, e, cfg in scenario["codes"]}
 
     def draw():
         for _ in sim._count_blocks(chunks, dist, args.trials, seed):
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
 
     def analytic():
         for _ in range(REPORTS):
-            cli.reliability_rows(opts)
+            cli.reliability_rows(scenario)
 
     draw_s = best_seconds(draw, args.reps)
     predicate_s = best_seconds(verdicts, args.reps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -391,9 +392,21 @@ VALIDATE_SEED = 20_000   # --validate draws code i from seed VALIDATE_SEED + i
 
 
 def parse_scenario(text: str) -> dict:
-    """A scenario's ``key = value`` lines over the defaults; ValueError for
-    a line without ``=``, a key that no report reads, or no codes."""
-    opts = dict(_SCENARIO_DEFAULTS)
+    """The model that a scenario describes: its ``key = value`` lines over
+    the defaults, each value converted here, once.
+
+    The model holds ``codes`` [(kind, e, config)] in file order, the
+    ``p_bits`` to report, ``params`` at p_bit 0, the ``chunks`` n - m of a
+    critical-mode stripe, and ``sampled``: the per-chunk failure counts that
+    --validate and --histogram draw, the scenario's own sector-failure model
+    at the inflated probability ``validate_p_sec`` (p_bit plays no part).
+    Each code's e gives its parity sectors per stripe: () for rs and (s,)
+    for sd(s), so its config has the same storage efficiency.
+
+    ValueError for a line without ``=``, a key that no report reads or that
+    is given twice, no codes, or a value that the model cannot use.
+    """
+    given: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -403,10 +416,32 @@ def parse_scenario(text: str) -> dict:
         key, val = (p.strip() for p in line.split("=", 1))
         if key not in _SCENARIO_DEFAULTS:
             raise ValueError(f"unknown scenario key {key!r}")
-        opts[key] = val
-    if not opts["codes"].replace(";", "").strip():
+        if key in given:
+            raise ValueError(f"scenario key {key!r} given twice")
+        given[key] = val
+    opts = {**_SCENARIO_DEFAULTS, **given}
+    tokens = [tok for tok in opts["codes"].split(";") if tok.strip()]
+    if not tokens:
         raise ValueError("scenario lists no codes")
-    return opts
+    n, r, m = (int(opts[k]) for k in ("n", "r", "m"))
+    codes = [(kind, e, config_new(n, r, m, e)) for kind, e in map(_parse_code, tokens)]
+    params = rel.ReliabilityParams(
+        user_bytes=_parse_size(opts["user_data"]),
+        device_bytes=_parse_size(opts["device_capacity"]),
+        sector_bytes=int(opts["sector_size"]),
+        mean_time_to_failure_hours=float(opts["mean_time_to_failure_hours"]),
+        mean_rebuild_hours=float(opts["mean_rebuild_hours"]),
+        p_bit=0.0,
+        model=opts["model"],
+        b1=float(opts["b1"]),
+        alpha=float(opts["alpha"]),
+    )
+    validate_p_sec = float(opts["validate_p_sec"])
+    if not 0 < validate_p_sec < 1:
+        raise ValueError(f"validate_p_sec must be in (0, 1), got {validate_p_sec}")
+    return {"codes": codes, "p_bits": [float(p) for p in opts["p_bit"].split(",")],
+            "params": params, "chunks": n - m,
+            "sampled": rel.chunk_dist(params, r, validate_p_sec)}
 
 
 def _parse_code(token: str) -> tuple[str, tuple[int, ...]]:
@@ -427,42 +462,11 @@ def _label(kind: str, e: tuple[int, ...], open_: str, sep: str, close: str) -> s
     return kind if kind == "rs" else f"{kind}{open_}{sep.join(str(x) for x in e)}{close}"
 
 
-def _scenario_codes(opts: dict) -> tuple[int, int, list]:
-    """A scenario's (r, n - m, [(kind, e, config)]), codes in file order.
-
-    Each code's e gives its parity sectors per stripe: () for rs and (s,)
-    for sd(s), so its config has the same storage efficiency.
-    """
-    n, r, m = (int(opts[k]) for k in ("n", "r", "m"))
-    codes = []
-    for tok in opts["codes"].split(";"):
-        if tok.strip():
-            kind, e = _parse_code(tok)
-            codes.append((kind, e, config_new(n, r, m, e)))
-    return r, n - m, codes
-
-
-def _scenario_params(opts: dict, p_bit: float) -> rel.ReliabilityParams:
-    return rel.ReliabilityParams(
-        user_bytes=_parse_size(opts["user_data"]),
-        device_bytes=_parse_size(opts["device_capacity"]),
-        sector_bytes=int(opts["sector_size"]),
-        mean_time_to_failure_hours=float(opts["mean_time_to_failure_hours"]),
-        mean_rebuild_hours=float(opts["mean_rebuild_hours"]),
-        p_bit=p_bit,
-        model=opts["model"],
-        b1=float(opts["b1"]),
-        alpha=float(opts["alpha"]),
-    )
-
-
-def reliability_rows(opts: dict) -> list[dict]:
-    p_bits = [float(p) for p in opts["p_bit"].split(",")]
-    _, _, codes = _scenario_codes(opts)
+def reliability_rows(scenario: dict) -> list[dict]:
     rows = []
-    for p_bit in p_bits:
-        params = _scenario_params(opts, p_bit)
-        for kind, e, cfg in codes:
+    for p_bit in scenario["p_bits"]:
+        params = dataclasses.replace(scenario["params"], p_bit=p_bit)
+        for kind, e, cfg in scenario["codes"]:
             report = rel.mttdl(params, cfg, code=kind)
             rows.append({
                 "p_bit": p_bit,
@@ -480,22 +484,13 @@ def reliability_rows(opts: dict) -> list[dict]:
     return rows
 
 
-def scenario_sampling(opts: dict) -> tuple[int, list, rel.ChunkFailureDist]:
-    """(chunks per stripe, codes, per-chunk failure counts) that --validate
-    and --histogram sample: the scenario's own sector-failure model at the
-    inflated probability ``validate_p_sec``; p_bit plays no part."""
-    r, chunks, codes = _scenario_codes(opts)
-    dist = rel.chunk_dist(_scenario_params(opts, 0.0), r, float(opts["validate_p_sec"]))
-    return chunks, codes, dist
-
-
-def validate_against_sim(opts: dict, trials: int) -> list[dict]:
+def validate_against_sim(scenario: dict, trials: int) -> list[dict]:
     """Cross-check each code's analytic stripe loss against Monte Carlo at an
     inflated sector-failure probability (the analytic forms are exact in the
     distribution, so the comparison is valid at any operating point)."""
-    chunks, codes, dist = scenario_sampling(opts)
+    chunks, dist = scenario["chunks"], scenario["sampled"]
     out = []
-    for i, (kind, e, cfg) in enumerate(codes):
+    for i, (kind, e, cfg) in enumerate(scenario["codes"]):
         analytic = rel.p_str(kind, cfg, dist)
         est = sim.monte_carlo_p_str(sim.recoverable(kind, cfg), chunks, dist,
                                     trials=trials, seed=VALIDATE_SEED + i)
@@ -510,21 +505,18 @@ def validate_against_sim(opts: dict, trials: int) -> list[dict]:
     return out
 
 
-def _histogram_rows(opts: dict, trials: int, seed: int) -> list[dict]:
-    chunks, codes, dist = scenario_sampling(opts)
-    predicates = {_label(kind, e, "_", "_", ""): sim.recoverable(kind, cfg)
-                  for kind, e, cfg in codes}
-    return sim.outcome_histogram(predicates, chunks, dist, trials=trials, seed=seed)
-
-
 def cmd_reliability(args) -> int:
-    opts = parse_scenario(Path(args.scenario).read_text())
-    rows = reliability_rows(opts)
+    scenario = parse_scenario(Path(args.scenario).read_text())
+    rows = reliability_rows(scenario)
     extras: dict[str, list[dict]] = {}
     if args.validate:
-        extras["validation"] = validate_against_sim(opts, args.trials)
+        extras["validation"] = validate_against_sim(scenario, args.trials)
     if args.histogram:
-        extras["histogram"] = _histogram_rows(opts, args.trials, args.seed)
+        predicates = {_label(kind, e, "_", "_", ""): sim.recoverable(kind, cfg)
+                      for kind, e, cfg in scenario["codes"]}
+        extras["histogram"] = sim.outcome_histogram(predicates, scenario["chunks"],
+                                                    scenario["sampled"], trials=args.trials,
+                                                    seed=args.seed)
     _write_report(args, {"rows": rows, **extras} if extras else rows, [rows, *extras.values()])
     return 0 if all(c["ok"] for c in extras.get("validation", ())) else 1
 

@@ -41,16 +41,16 @@ class ReliabilityParams:
     def __post_init__(self):
         if self.user_bytes <= 0 or self.device_bytes <= 0 or self.sector_bytes <= 0:
             raise ValueError("byte quantities must be positive")
-        if self.mean_time_to_failure_hours <= 0 or self.mean_rebuild_hours <= 0:
-            raise ValueError("time constants must be positive")
+        for name in ("mean_time_to_failure_hours", "mean_rebuild_hours", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0 <= self.p_bit < 1:
             raise ValueError(f"p_bit must be in [0, 1), got {self.p_bit}")
         if self.model not in ("independent", "correlated"):
             raise ValueError(f"unknown sector-failure model {self.model!r}")
         if not 0 < self.b1 <= 1:
             raise ValueError(f"b1 must be in (0, 1], got {self.b1}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ChunkFailureDist:
 
     def __post_init__(self):
         arr = np.asarray(self.probs)
-        if (arr < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {arr.sum()}, expected 1")
 

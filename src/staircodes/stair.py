@@ -353,15 +353,14 @@ def _run_upstairs(solver: _Solver, deferred: dict, lossy: dict) -> None:
         for j in range(n):
             if j not in deferred and j not in lossy:
                 solver.step("col", j, tuple(range(r, r + levels)))
-        level_done = [False] * levels
+        done = 0   # order ascends in loss: rows r .. r + done - 1 are solved
         for idx, j in enumerate(order):
             c = len(lossy[j])
-            for h in range(c):
-                if not level_done[h]:
-                    solver.step("row", r + h, tuple(sorted(order[idx:])))
-                    level_done[h] = True
-            l_rem = max((len(lossy[jj]) for jj in order[idx + 1:]), default=0)
-            solver.step("col", j, tuple(sorted(lossy[j])) + tuple(range(r + c, r + l_rem)))
+            for h in range(done, c):
+                solver.step("row", r + h, tuple(sorted(order[idx:])))
+            done = c
+            # the largest loss still ahead is the last column's, levels
+            solver.step("col", j, tuple(sorted(lossy[j])) + tuple(range(r + c, r + levels)))
     for i in range(r):
         outs = tuple(j for j in sorted(deferred) if i in deferred[j])
         if outs:

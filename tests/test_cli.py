@@ -848,7 +848,7 @@ def test_histogram_samples_the_scenario_model(tmp_path):
     assert cli.main(["reliability", str(scenario), "--format", "json", "--histogram",
                      "--trials", "20000", "--seed", "3", "-o", str(out)]) == 0
     opts = cli.parse_scenario(scenario.read_text())
-    dist = rel.chunk_dist(cli._scenario_params(opts, 0.0), 16, 1e-3)
+    dist = rel.chunk_dist(opts["params"], 16, 1e-3)
     predicates = {"rs": sim.recoverable("rs", config_new(8, 16, 1)),
                   "stair_1": sim.recoverable("stair", config_new(8, 16, 1, (1,))),
                   "sd_2": sim.recoverable("sd", config_new(8, 16, 1, (2,)))}
@@ -873,6 +873,65 @@ def test_scenario_typos_exit_1(tmp_path, capsys, line, typo, message, flags):
     assert not out.exists()
 
 
+_REFUSED_P_SEC = ["nan", "0", "1", "2", "-0.5"]
+
+
+@pytest.mark.parametrize("line, typo, message", [
+    ("n = 8", "n = 8\nn = 16", "scenario key 'n' given twice"),
+    *(("model = independent", f"model = independent\nvalidate_p_sec = {v}",
+       f"validate_p_sec must be in (0, 1), got {float(v)}") for v in _REFUSED_P_SEC),
+    ("mean_time_to_failure_hours = 500000", "mean_time_to_failure_hours = inf",
+     "mean_time_to_failure_hours must be finite and positive, got inf"),
+    ("mean_time_to_failure_hours = 500000", "mean_time_to_failure_hours = 1e309",
+     "mean_time_to_failure_hours must be finite and positive, got inf"),
+    ("mean_rebuild_hours = 17.8", "mean_rebuild_hours = nan",
+     "mean_rebuild_hours must be finite and positive, got nan"),
+    ("model = independent", "model = correlated\nalpha = nan",
+     "alpha must be finite and positive, got nan"),
+], ids=["repeated-key", *(f"validate_p_sec={v}" for v in _REFUSED_P_SEC),
+        "mttf=inf", "mttf=1e309", "mttr=nan", "alpha=nan"])
+@pytest.mark.parametrize("flags", [[], ["--validate", "--histogram", "--trials", "10000"]],
+                         ids=["plain", "sampled"])
+def test_scenario_values_the_model_refuses_exit_1(tmp_path, capsys, line, typo, message,
+                                                  flags):
+    """A repeated key, a validate_p_sec outside (0, 1) and a non-finite time
+    or alpha are refused even by a plain report: each is part of the model."""
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO.replace(line, typo))
+    out = tmp_path / "rel.csv"
+    assert cli.main(["reliability", str(scenario), *flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _scenario_with(text: str, key: str, value: str) -> str:
+    """``text`` with the line that sets ``key``, if any, replaced by one
+    that sets it to ``value``."""
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+def test_every_scenario_value_gives_a_report_or_exit_1(tmp_path):
+    """The CLI promise for scenario files: whatever one key other than codes
+    and model is set to, reliability exits 0 or 1 without raising, plain or
+    sampled, and a report that exits 0 holds no nan."""
+    base = SCENARIO.replace("model = independent", "model = correlated")
+    scenario, out = tmp_path / "scenario.cfg", tmp_path / "rel.csv"
+    broken = []
+    for key in sorted(cli._SCENARIO_DEFAULTS.keys() - {"codes", "model"}):
+        for value in ("nan", "inf", "-inf", "-1", "0", "1e309", "", "2"):
+            scenario.write_text(_scenario_with(base, key, value))
+            for flags in ([], ["--validate", "--histogram", "--trials", "10000"]):
+                out.unlink(missing_ok=True)
+                try:
+                    rc = cli.main(["reliability", str(scenario), *flags, "-o", str(out)])
+                except Exception as exc:   # the promise is that none escapes
+                    rc = f"raised {type(exc).__name__}: {exc}"
+                if rc not in (0, 1) or rc == 0 and "nan" in out.read_text().lower():
+                    broken.append((key, value, flags, rc))
+    assert broken == []
+
+
 def test_every_scenario_in_the_repo_parses():
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text()
@@ -883,6 +942,18 @@ def test_every_scenario_in_the_repo_parses():
     assert len(blocks) == 1
     for text in texts:
         assert cli.reliability_rows(cli.parse_scenario(text))
+
+
+def test_mc_bench_reads_the_scenario_model():
+    """scripts/mc_bench.py runs on what cli.parse_scenario returns, so a
+    change to the scenario model cannot leave it calling a deleted helper."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "mc_bench.py"
+    done = subprocess.run([sys.executable, str(script), "--trials", "10000", "--reps", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert set(doc) == {"trials", "chunks", "codes", "trials_per_s", "reports_per_s"}
+    assert (doc["trials"], doc["chunks"], doc["codes"]) == (10000, 15, 8)
 
 
 # The benchmark's checked-in goldens (stairbench/data/, read only).

@@ -284,3 +284,21 @@ def test_dist_validation():
         rel.ChunkFailureDist((0.5, 0.4), 0.5)       # does not sum to 1
     with pytest.raises(ValueError):
         rel.ChunkFailureDist((1.5, -0.5), 0.0)
+
+
+@pytest.mark.parametrize("field", ["mean_time_to_failure_hours", "mean_rebuild_hours", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_params_refuse_non_finite_or_non_positive(field, value):
+    # an infinite MTTF made mttdl divide by zero; a nan one reported nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        params(**{field: value})
+
+
+def test_dist_refuses_nan():
+    # both constructors used to return all-nan distributions
+    with pytest.raises(ValueError, match="finite"):
+        rel.p_chk_independent(16, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        rel.p_chk_correlated(16, 1e-3, 0.98, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        rel.ChunkFailureDist((math.nan, 1.0), 0.0)
