@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""L3 benchmark: `stair encode`, healthy `stair decode`, and `stair inject`
-and `stair repair` of one failed chunk per stripe, on a real file, timed
-by phase.
+"""L3 benchmark: `stair encode`, healthy `stair decode`, `stair inject`
+and `stair repair` of one failed chunk per stripe, and `stair repair` of
+mixed damage, on a real file, timed by phase.
 
     python3 scripts/io_bench.py                 # the package in ./src
     python3 scripts/io_bench.py --src OTHER     # the package in OTHER/src
@@ -9,7 +9,11 @@ by phase.
 Runs on the two archive geometries of the benchmark (stairbench/), with
 the same input sizes: n=8 r=4 m=2 e=1,1,2 at 512 B symbols, 1500 stripes
 (about 14.6 MiB), and n=16 r=16 m=1 e=2 at 16 KiB symbols, 8 stripes
-(about 29.8 MiB); the last stripe of each input is part full.  Each
+(about 29.8 MiB); the last stripe of each input is part full.  The mixed
+repair (``repair_mixed_ms``) has the damage of the benchmark's ``rebuild``
+workload: the same m chunks lost in every stripe, plus, in a seeded one
+stripe in four, sectors within coverage lost on other chunks; lost cells
+hold noise, and the manifest has one entry per stripe.  Each
 command goes through ``cli.main`` in this process, warm, and is timed
 REPS times; the run with the least total time is reported, split into:
 
@@ -122,6 +126,37 @@ def best_split(cli, argv: list[str], timer: PhaseTimer, reps: int) -> dict:
             "rel": round(statistics.median(rel), 3)}
 
 
+def damage_mixed(box: Path, dmg: Path, manifest: Path, geometry, rng) -> None:
+    """Write to ``dmg`` the container ``box`` with the mixed damage, and
+    its manifest to ``manifest``."""
+    n, r, m, e, symbol, stripes = geometry
+    size = box.stat().st_size
+    body = np.fromfile(box, dtype=np.uint8)
+    head = size - stripes * n * r * symbol
+    cells = body[head:].reshape(stripes, n, r, symbol)
+    failed = sorted(rng.choice(n, size=m, replace=False).tolist())
+    alive = [j for j in range(n) if j not in failed]
+    scattered = set(rng.choice(stripes, size=stripes // 4, replace=False).tolist())
+    patterns = []
+    for k in range(stripes):
+        sectors: dict[int, list[int]] = {}
+        if k in scattered:    # loss counts under distinct slots of e: within coverage
+            count = int(rng.integers(1, len(e) + 1))
+            slots = sorted(rng.choice(len(e), size=count, replace=False).tolist())
+            for slot, j in zip(slots, rng.choice(alive, size=count, replace=False).tolist()):
+                lost = int(rng.integers(1, e[slot] + 1))
+                sectors[j] = sorted(rng.choice(r, size=lost, replace=False).tolist())
+        cells[k, failed] = rng.integers(0, 256, (m, r, symbol), dtype=np.uint8)
+        for j, rows in sectors.items():
+            cells[k, j, rows] = rng.integers(0, 256, (len(rows), symbol), dtype=np.uint8)
+        patterns.append({"stripe": k, "failed_chunks": failed,
+                         "sector_failures": {str(j): rows for j, rows in sorted(sectors.items())}})
+    body.tofile(dmg)
+    manifest.write_text(json.dumps({
+        "config": {"n": n, "r": r, "m": m, "e": list(e), "w": 8},
+        "symbol_size": symbol, "within_coverage": True, "patterns": patterns}))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -144,7 +179,8 @@ def main(argv=None) -> int:
         work = Path(work)
         src, box, dst = work / "input.bin", work / "c.stairc", work / "output.bin"
         dmg, fixed, manifest = work / "d.stairc", work / "f.stairc", work / "m.json"
-        for label, (n, r, m, e, symbol, stripes) in GEOMETRIES.items():
+        for label, geometry in GEOMETRIES.items():
+            n, r, m, e, symbol, stripes = geometry
             per = (r * (n - m) - sum(e)) * symbol
             data = rng.bytes(stripes * per - per // 3)
             src.write_bytes(data)
@@ -161,9 +197,15 @@ def main(argv=None) -> int:
                                       "-o", str(fixed)], timer, REPS)
             if fixed.read_bytes() != box.read_bytes():
                 raise SystemExit(f"{label}: repair did not restore the container")
+            damage_mixed(box, dmg, manifest, geometry, rng)
+            mixed = best_split(cli, ["repair", str(dmg), "--manifest", str(manifest),
+                                     "-o", str(fixed)], timer, REPS)
+            if fixed.read_bytes() != box.read_bytes():
+                raise SystemExit(f"{label}: mixed repair did not restore the container")
             out[label] = {"input_bytes": len(data), "stripes": stripes,
                           "encode_ms": encode, "decode_ms": decode,
-                          "inject_ms": inject, "repair_ms": repair}
+                          "inject_ms": inject, "repair_ms": repair,
+                          "repair_mixed_ms": mixed}
     print(json.dumps(out, indent=2))
     return 0
 

@@ -8,9 +8,11 @@ selftest.  Reports emit CSV (default) or JSON via --format.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -63,16 +65,24 @@ def _config_from_args(args) -> StairConfig:
     return config_new(args.n, args.r, args.m, _parse_e(args.e), args.w)
 
 
+def _write_text(path, text: str) -> None:
+    """``text`` to stdout, or to the file ``path`` through ``container.replaced``."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with cont.replaced(path, len(data := text.encode())) as f:
+        f.write(data)
+
+
 def _write_report(args, doc, tables: list[list[dict]]) -> None:
     """Write a report to ``-o`` or stdout: ``doc`` as JSON with ``--format
     json``, else each table of dict rows as CSV, a blank line between
     tables (an empty table writes no rows)."""
-    with (open(args.output, "w", newline="") if args.output
-          else contextlib.nullcontext(sys.stdout)) as out:
-        if args.format == "json":
-            json.dump(doc, out, indent=2, default=str)
-            out.write("\n")
-            return
+    out = io.StringIO()
+    if args.format == "json":
+        json.dump(doc, out, indent=2, default=str)
+        out.write("\n")
+    else:
         for k, rows in enumerate(tables):
             if k:
                 out.write("\n")
@@ -80,6 +90,7 @@ def _write_report(args, doc, tables: list[list[dict]]) -> None:
                 writer = csv.DictWriter(out, fieldnames=list(rows[0]))
                 writer.writeheader()
                 writer.writerows(rows)
+    _write_text(args.output or None, out.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +249,17 @@ def _rewrite(path, header: cont.ContainerHeader, readinto,
     """Copy the container to ``path`` a block at a time.  Before a block is
     written, ``fix(body, idx, pattern)`` runs once for each pattern of
     ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the block's
-    stripes that have it."""
+    stripes that have it, found in one walk over the sorted stripes."""
+    named = sorted(by_stripe)
+    start = 0
     with cont.writer(header, path) as write:
         for k, body, _, _ in cont.blocks(header):
             readinto(body)
+            stop = bisect.bisect_left(named, k + len(body), start)
             groups: dict[FailurePattern, list[int]] = {}
-            for s in range(len(body)):
-                if k + s in by_stripe:
-                    groups.setdefault(by_stripe[k + s], []).append(s)
+            for t in named[start:stop]:
+                groups.setdefault(by_stripe[t], []).append(t - k)
+            start = stop
             for pattern, idx in groups.items():
                 fix(body, idx, pattern)
             write(body)
@@ -279,7 +293,7 @@ def cmd_inject(args) -> int:
                                for pattern in set(by_stripe.values())),
         "patterns": [{"stripe": k, **_pattern_to_json(pattern)} for k, pattern in injected],
     }
-    Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_text(args.manifest, json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
@@ -288,7 +302,8 @@ def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, Failure
     the container of ``header``, with the entries of a stripe merged into
     one pattern; ValueError when the manifest is malformed, for another
     config or symbol size, or names a stripe that the container does not
-    hold."""
+    hold.  Entries whose raw ``failed_chunks`` and ``sector_failures``
+    have one ``repr`` share one parse: a repr tells 1 from 1.0 and true."""
     cfg = header.cfg
     try:
         manifest = json.loads(Path(path).read_text())
@@ -296,8 +311,14 @@ def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, Failure
         n, r, m, w = (_manifest_int(mc[k]) for k in ("n", "r", "m", "w"))
         same = (config_new(n, r, m, [_manifest_int(x) for x in mc["e"]], w) == cfg
                 and _manifest_int(manifest["symbol_size"]) == header.symbol_size)
-        entries = [(entry.get("stripe"), _pattern_from_json(entry))
-                   for entry in manifest.get("patterns", [])]
+        parsed: dict[str, FailurePattern] = {}
+        entries = []
+        for entry in manifest.get("patterns", []):
+            # an absent key reads as (), the repr of no JSON value
+            key = repr((entry.get("failed_chunks", ()), entry.get("sector_failures", ())))
+            if key not in parsed:
+                parsed[key] = _pattern_from_json(entry)
+            entries.append((entry.get("stripe"), parsed[key]))
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed repair manifest: {type(exc).__name__}: {exc}") from None
     if not same:
@@ -310,14 +331,15 @@ def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, Failure
 def cmd_repair(args) -> int:
     """Restore the cells that a manifest lists as lost, and write the result.
 
-    The entries of one stripe are merged into one pattern.  Every distinct
-    pattern is planned before any block is read, so an unrecoverable one
-    exits 2 having done no kernel work and written nothing.  They are
-    planned in reverse order of first use: the plan cache is bounded, and
-    the patterns needed first are then the newest in it.  The container
-    then streams through a block at a time, and the block's stripes of
-    each pattern are decoded once, side by side as one wide stripe
-    (``container.gather``).
+    Each distinct manifest entry is parsed once, and the entries of one
+    stripe are merged into one pattern.  Every distinct pattern is planned
+    before any block is read, so an unrecoverable one exits 2 having done
+    no kernel work and written nothing.  They are planned in reverse order
+    of first use: the plan cache is bounded, and the patterns needed first
+    are then the newest in it.  The container then streams through a block
+    at a time, and the block's stripes of each pattern are decoded once,
+    side by side as one wide stripe (``container.gather``; a lone stripe is
+    decoded from its own view, with no gather copy).
     """
     with cont.reader(args.input) as (header, readinto):
         cfg = header.cfg

@@ -265,14 +265,18 @@ def stripe_view(body: np.ndarray, k) -> np.ndarray:
 
 
 def gather(body: np.ndarray, idx: list[int]) -> np.ndarray:
-    """Stripes ``idx`` (checked indices) of ``body`` as one new
-    (r, n, B * symbol_size) cell array, B = len(idx): bytes b * symbol_size
-    to (b + 1) * symbol_size of each cell belong to stripe ``idx[b]``.
+    """Stripes ``idx`` (checked indices) of ``body`` as one (r, n, B *
+    symbol_size) cell array, B = len(idx): bytes b * symbol_size to (b +
+    1) * symbol_size of each cell belong to stripe ``idx[b]``.  For B = 1
+    that is the stripe's own :func:`stripe_view`, not a copy; for more it
+    is a new array.
 
     A schedule depends only on which cells are known, and the region
     kernel works word by word, so one decode of this array decodes the B
     stripes (a symbol is a whole number of words, so none straddles two).
     """
+    if len(idx) == 1:
+        return stripe_view(body, idx[0])
     cells = body[idx].transpose(2, 1, 0, 3)
     return cells.reshape(cells.shape[0], cells.shape[1], -1)
 

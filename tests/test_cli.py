@@ -368,7 +368,27 @@ def _random_pattern(rng, cfg) -> FailurePattern:
     return FailurePattern.make(failed, sectors)
 
 
-@pytest.mark.parametrize("case", ["shared", "mixed", "large-symbols"])
+def _rebuild_patterns(rng, cfg, stripes) -> list[FailurePattern]:
+    """The damage of the benchmark's rebuild workload: the same m chunks
+    lost in every stripe, and in one stripe in four also sectors within
+    coverage on other chunks."""
+    failed = sorted(rng.choice(cfg.n, size=cfg.m, replace=False).tolist())
+    alive = [j for j in range(cfg.n) if j not in failed]
+    scattered = set(rng.choice(stripes, size=stripes // 4, replace=False).tolist())
+    patterns = []
+    for k in range(stripes):
+        sectors = {}
+        if k in scattered:
+            count = int(rng.integers(1, cfg.m_prime + 1))
+            slots = rng.choice(cfg.m_prime, size=count, replace=False)
+            for slot, j in zip(slots, rng.choice(alive, size=count, replace=False)):
+                sectors[int(j)] = rng.choice(cfg.r, size=int(rng.integers(1, cfg.e[slot] + 1)),
+                                             replace=False)
+        patterns.append(FailurePattern.make(failed, sectors))
+    return patterns
+
+
+@pytest.mark.parametrize("case", ["shared", "mixed", "rebuild", "large-symbols"])
 @pytest.mark.parametrize("w", [8, 16, 32])
 def test_grouped_repair_is_byte_identical(tmp_path, monkeypatch, rng, w, case):
     """Repair decodes the stripes of a block that share a pattern as one
@@ -376,12 +396,16 @@ def test_grouped_repair_is_byte_identical(tmp_path, monkeypatch, rng, w, case):
     per-stripe decode of the same damaged body, with blocks of one stripe,
     of three and of the default size.  Then groups span blocks, and the
     64 KiB symbols make 2 MiB stripes, so their one group spans three
-    default blocks."""
+    default blocks.  In the rebuild case most groups hold one stripe, which
+    is decoded from its own view."""
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     symbol, stripes = (65536, 5) if case == "large-symbols" else (32, 40)
     if case == "mixed":
         pool = [_random_pattern(rng, cfg) for _ in range(8)]
         patterns = [pool[k] if k < 8 else pool[int(rng.integers(0, 8))] for k in range(stripes)]
+    elif case == "rebuild":
+        patterns = _rebuild_patterns(rng, cfg, stripes)
+        assert 2 < len(set(patterns)) < stripes
     else:
         patterns = [worst_case_pattern(cfg)] * stripes
     box, dmg, manifest = _damaged_copy(tmp_path, rng, w, symbol, stripes, patterns)
@@ -428,6 +452,44 @@ def test_repair_plans_each_of_many_distinct_patterns_once(tmp_path, rng):
     assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
     assert fixed.read_bytes() == box.read_bytes()
     assert stair._decode_plan.cache_info().misses == 2000
+
+
+@pytest.mark.parametrize("field, first, later", [
+    ("failed_chunks", [1], [True]),
+    ("failed_chunks", [1], [1.0]),
+    ("sector_failures", {"3": [1]}, {"3": [True]}),
+    ("sector_failures", {"3": [1]}, {"3": [1.0]}),
+], ids=["chunk-bool", "chunk-float", "row-bool", "row-float"])
+def test_repair_refuses_a_later_entry_equal_only_by_value(tmp_path, rng, capsys,
+                                                          field, first, later):
+    # repair parses each distinct entry once; true and 1.0 equal 1 and hash
+    # alike, so a cache keyed by value would pass the later entry unchecked
+    pattern = cli._pattern_from_json({field: first})
+    _, dmg, manifest = _damaged_copy(tmp_path, rng, 8, 32, 4, [pattern] * 4)
+    doc = json.loads(manifest.read_text())
+    doc["patterns"][2][field] = later
+    manifest.write_text(json.dumps(doc))
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 1
+    assert "is not an integer" in capsys.readouterr().err
+    assert not fixed.exists()
+
+
+def test_repair_decodes_two_spellings_of_a_pattern_as_one_group(tmp_path, rng, monkeypatch):
+    spelled = [FailurePattern.make([0], {3: [0, 1]}), FailurePattern.make([5])]
+    patterns = [spelled[k % 4 == 3] for k in range(12)]
+    box, dmg, manifest = _damaged_copy(tmp_path, rng, 8, 32, 12, patterns)
+    doc = json.loads(manifest.read_text())
+    for entry in doc["patterns"][::2]:
+        entry["sector_failures"] = {"3": [1, 0]}     # the other entries keep [0, 1]
+    manifest.write_text(json.dumps(doc))
+    calls = []
+    decode = cli.stair_decode
+    monkeypatch.setattr(cli, "stair_decode", lambda *a, **kw: calls.append(1) or decode(*a, **kw))
+    fixed = tmp_path / "f.stairc"
+    assert cli.main(["repair", str(dmg), "--manifest", str(manifest), "-o", str(fixed)]) == 0
+    assert fixed.read_bytes() == box.read_bytes()
+    assert len(calls) == len(set(patterns)) == 2
 
 
 def test_repair_with_one_stripe_beyond_coverage_exits_2(tmp_path, rng, monkeypatch):
@@ -1016,6 +1078,35 @@ def test_report_matches_golden(tmp_path, label):
     out = tmp_path / "report.out"
     assert cli.main([*args, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class _Unprintable:
+    def __str__(self):
+        raise OSError("no room to render")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["rendering", "renaming"])
+def test_failed_report_write_keeps_the_earlier_report(tmp_path, monkeypatch, fmt, where):
+    # a report is rendered whole, then written through container.replaced:
+    # a failure in either step leaves the earlier report and no other file
+    out = tmp_path / "report.out"
+    args = ["cost", "--n", "8", "--r", "16", "--m", "2", "--sweep-s", "4", "--format", fmt,
+            "-o", str(out)]
+    assert cli.main(args) == 0
+    earlier = out.read_bytes()
+    with monkeypatch.context() as patch:
+        if where == "rendering":    # the second row fails after the first was rendered
+            rows = cli.cost_rows(config_new(8, 16, 2), 4)
+            rows[1]["chosen"] = _Unprintable()
+            patch.setattr(cli, "cost_rows", lambda *a: rows)
+        else:
+            def fail(*a):
+                raise OSError("rename refused")
+            patch.setattr(os, "replace", fail)
+        assert cli.main(args) == 1
+    assert out.read_bytes() == earlier
+    assert os.listdir(tmp_path) == [out.name]
 
 
 def encode_golden(tmp_path, label, golden, method):
