@@ -13,8 +13,10 @@ correlated sector-failure model at its validate_p_sec, 1e-3 by default,
 about 1.5% of chunks failed).  Each phase is timed over --trials trials,
 the best of --reps runs:
 
-  draw       ``sim._count_blocks``: the per-chunk failure counts alone
-  predicate  every code's predicate over those counts, in code-trials/s
+  draw       ``sim._count_blocks``: the per-chunk failure counts alone, as
+             rows of the trials with a failed chunk
+  predicate  every code's predicate over those rows, in code-trials/s of
+             all the trials drawn
   histogram  ``sim.outcome_histogram`` with every code's predicate, draw included
   bucketing  the histogram without its draw (histogram time less draw time)
   analytic   plain reports (``cli.reliability_rows`` of the scenario: every
@@ -65,12 +67,12 @@ def main(argv=None) -> int:
         for _ in sim._count_blocks(chunks, dist, args.trials, seed):
             pass
 
-    counts = list(sim._count_blocks(chunks, dist, args.trials, seed))
+    hit_rows = [rows for _, _, rows in sim._count_blocks(chunks, dist, args.trials, seed)]
 
     def verdicts():
         for predicate in predicates.values():
-            for block in counts:
-                predicate(block)
+            for rows in hit_rows:
+                predicate(rows)
 
     def histogram():
         sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=seed)

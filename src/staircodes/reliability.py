@@ -139,6 +139,7 @@ def burst_length_fractions(r: int, b1: float, alpha: float) -> np.ndarray:
     return b / b.sum()
 
 
+@lru_cache(maxsize=64)
 def mean_burst_length(r: int, b1: float, alpha: float) -> float:
     b = burst_length_fractions(r, b1, alpha)
     return float(np.arange(1, r + 1) @ b)
@@ -163,8 +164,10 @@ def p_chk_correlated(r: int, sector_prob: float, b1: float, alpha: float) -> Chu
     return ChunkFailureDist(tuple(probs), tail)
 
 
+@lru_cache(maxsize=64)
 def chunk_dist(params: ReliabilityParams, r: int, sector_prob: float) -> ChunkFailureDist:
-    """The failure counts of an r-sector chunk under the params' model."""
+    """The failure counts of an r-sector chunk under the params' model; a
+    report builds it once per p_bit, not once per code."""
     if params.model == "independent":
         return p_chk_independent(r, sector_prob)
     return p_chk_correlated(r, sector_prob, params.b1, params.alpha)

@@ -9,17 +9,20 @@ reproducible regardless of how blocks are batched.
 
 A block draws its chunks by inverse CDF, as ``Generator.choice(p=)`` does,
 in sub-blocks of 4Ki trials whose arrays stay in cache.  Each uniform is
-compared with P(0) once and only the chunks that failed are searched in
-the CDF; the predicates and the histogram then sort only the trials with a
-failed chunk.  The STAIR predicate is ``stair.counts_within_coverage``.
-Every estimate and histogram is bit-identical to drawing each whole block
-with ``choice``.
+compared with P(0) once; only the chunks that failed are searched in the
+CDF and scattered into rows for the trials that lost a chunk, and only
+those rows reach the predicates and the histogram, which counts each
+sub-block's sorted rows as fixed-width byte keys.  A trial with no failed
+chunk is recoverable by every code and is counted, never judged.  The STAIR
+predicate is ``stair.counts_within_coverage``.  Every estimate and
+histogram is bit-identical to drawing each whole block with ``choice``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,40 +89,17 @@ class McEstimate:
     failures: int
 
 
-def _nonzero_rows(counts: np.ndarray) -> np.ndarray:
-    """Mask of the trials (rows) with at least one failed chunk."""
-    hit = np.zeros(len(counts), dtype=bool)
-    hit[np.flatnonzero(counts != 0) // counts.shape[1]] = True
-    return hit
-
-
-def _on_failed_trials(rule):
-    """The predicate that applies ``rule`` to the trials with a failed chunk
-    only; a trial with none is recoverable by every code family."""
-
-    def predicate(counts: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(counts), dtype=bool)
-        hit = _nonzero_rows(counts)
-        ok[hit] = rule(counts[hit])
-        return ok
-
-    return predicate
-
-
 def stair_recoverable(cfg: StairConfig):
     """Vectorised coverage predicate on (trials, chunks) count arrays."""
-    return _on_failed_trials(lambda counts: counts_within_coverage(cfg, counts))
+    return partial(counts_within_coverage, cfg)
 
 
 def rs_recoverable():
-    def predicate(counts: np.ndarray) -> np.ndarray:
-        return ~_nonzero_rows(counts)
-
-    return predicate
+    return lambda counts: ~counts.any(axis=1)
 
 
 def sd_recoverable(s: int):
-    return _on_failed_trials(lambda counts: counts.sum(axis=1) <= s)
+    return lambda counts: counts.sum(axis=1) <= s
 
 
 def recoverable(code: str, cfg: StairConfig):
@@ -135,8 +115,10 @@ def recoverable(code: str, cfg: StairConfig):
 
 
 def _count_blocks(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
-    """Per-chunk failure counts of ``trials`` trials, as (trials, n_chunks)
-    int64 arrays of at most _SUB_BLOCK rows.
+    """Per-chunk failure counts of ``trials`` trials, a sub-block of at most
+    _SUB_BLOCK trials at a time: (trials, hit, rows), where ``hit`` indexes
+    the sub-block's trials with a failed chunk and ``rows`` holds their
+    (len(hit), n_chunks) int64 counts; every other trial failed no chunk.
 
     Fixed 64Ki trial blocks with spawned seeds; the block layout (and so
     every estimate) is identical however the blocks are scheduled.  Each
@@ -154,11 +136,12 @@ def _count_blocks(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int)
         rng = np.random.default_rng(child)
         for start in range(0, block, _SUB_BLOCK):
             u = rng.random((min(_SUB_BLOCK, block - start), n_chunks))
-            counts = np.zeros(u.shape, dtype=np.int64)
             # a uniform below cdf[0] draws 0 failures; search only the rest
             failed = np.flatnonzero(u >= cdf[0])
-            counts.flat[failed] = cdf.searchsorted(u.flat[failed], side="right")
-            yield counts
+            hit, row = np.unique(failed // n_chunks, return_inverse=True)
+            rows = np.zeros((len(hit), n_chunks), dtype=np.int64)
+            rows[row, failed % n_chunks] = cdf.searchsorted(u.flat[failed], side="right")
+            yield len(u), hit, rows
         done += block
 
 
@@ -167,14 +150,15 @@ def monte_carlo_p_str(recoverable, n_chunks: int, dist: ChunkFailureDist,
     """Estimate the unrecoverable-stripe probability by direct sampling.
 
     Draws i.i.d. per-chunk failure counts for ``n_chunks`` chunks per trial
-    and counts trials rejected by ``recoverable``.  Returns the estimate
-    with its normal-approximation 99% confidence interval.
+    and counts trials rejected by ``recoverable``, which sees only the
+    trials with a failed chunk (every code recovers the others).  Returns
+    the estimate with its normal-approximation 99% confidence interval.
     """
     if trials < 10 ** 4:
         raise ValueError(f"need at least 10^4 trials for a meaningful CI, got {trials}")
     failures = 0
-    for counts in _count_blocks(n_chunks, dist, trials, seed):
-        failures += int((~recoverable(counts)).sum())
+    for _, _, rows in _count_blocks(n_chunks, dist, trials, seed):
+        failures += int((~recoverable(rows)).sum())
     p_hat = failures / trials
     stderr = float(np.sqrt(p_hat * (1 - p_hat) / trials))
     lo = max(0.0, p_hat - _Z99 * stderr)
@@ -192,15 +176,21 @@ def outcome_histogram(predicates: dict, n_chunks: int, dist: ChunkFailureDist,
     """
     if trials < 10 ** 4:
         raise ValueError(f"need at least 10^4 trials for a meaningful histogram, got {trials}")
-    buckets: Counter[tuple[int, ...]] = Counter()
+    # a row sorted in the narrowest dtype that holds a count is one byte key
+    dtype = np.min_scalar_type(len(dist.probs) - 1)
+    as_key = np.dtype((np.void, dtype.itemsize * n_chunks))
+    buckets: Counter[bytes] = Counter()
     zero_rows = 0
-    for counts in _count_blocks(n_chunks, dist, trials, seed):
-        hit = _nonzero_rows(counts)
-        zero_rows += len(counts) - int(np.count_nonzero(hit))
-        buckets.update(map(tuple, np.sort(counts[hit], axis=1)[:, ::-1].tolist()))
+    for n, _, rows in _count_blocks(n_chunks, dist, trials, seed):
+        zero_rows += n - len(rows)
+        found, count = np.unique(np.sort(rows.astype(dtype), axis=1).view(as_key),
+                                 return_counts=True)
+        buckets.update(dict(zip(found.tolist(), count.tolist())))
     if zero_rows:
-        buckets[(0,) * n_chunks] = zero_rows
-    ranked = sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))
+        buckets[bytes(as_key.itemsize)] = zero_rows
+    descending = np.frombuffer(b"".join(buckets), dtype).reshape(-1, n_chunks)[:, ::-1]
+    ranked = sorted(zip(map(tuple, descending.tolist()), buckets.values()),
+                    key=lambda kv: (-kv[1], kv[0]))
     keys = np.array([key for key, _ in ranked])
     verdicts = {label: predicate(keys) for label, predicate in predicates.items()}
     rows = []

@@ -1029,6 +1029,15 @@ def test_reliability_report_matches_benchmark_golden(tmp_path):
     assert out.read_bytes() == (BENCH_DATA / "reliability_rows.json").read_bytes()
 
 
+def test_report_builds_each_chunk_distribution_once():
+    # eight codes at three p_bits share one distribution per p_bit
+    scenario = cli.parse_scenario((BENCH_DATA / "scenario.txt").read_text())
+    rel.chunk_dist.cache_clear()
+    rows = cli.reliability_rows(scenario)
+    info = rel.chunk_dist.cache_info()
+    assert (info.misses, info.hits) == (3, len(rows) - 3) == (3, 21)
+
+
 # SHA-256 of whole validated reports (analytic rows, Monte-Carlo estimates
 # and histogram), recorded before the sampler drew sparse sub-blocks.  The
 # two of the correlated scenario were recorded again when --histogram

@@ -155,6 +155,16 @@ def test_sparse_predicates_agree_with_scalar_rules(counts):
                                                           for row in counts.tolist()]
 
 
+def dense_counts(parts, n_chunks):
+    """The (trials, n_chunks) counts of _count_blocks' sparse sub-blocks."""
+    dense = []
+    for trials, hit, rows in parts:
+        block = np.zeros((trials, n_chunks), dtype=np.int64)
+        block[hit] = rows
+        dense.append(block)
+    return np.concatenate(dense)
+
+
 @pytest.mark.parametrize("probs", [
     (0.999, 6e-4, 3e-4, 1e-4),
     (0.25, 0.25, 0.25, 0.25),
@@ -175,21 +185,18 @@ def test_draws_equal_generator_choice(probs, trials):
                                                           n_chunks), p=p)
         for i, child in enumerate(children)])
     parts = list(sim._count_blocks(n_chunks, dist, trials, seed))
-    assert all(part.dtype == np.int64 and len(part) <= sim._SUB_BLOCK for part in parts)
-    assert np.array_equal(np.concatenate(parts), want)
+    for part_trials, hit, rows in parts:
+        assert 0 < part_trials <= sim._SUB_BLOCK
+        assert rows.dtype == np.int64 and rows.shape == (len(hit), n_chunks)
+        assert np.array_equal(hit, np.unique(hit)) and hit.max(initial=-1) < part_trials
+        assert rows.any(axis=1).all()        # a trial is a hit iff it lost a chunk
+    assert np.array_equal(dense_counts(parts, n_chunks), want)
 
 
-@pytest.mark.parametrize("probs", [(0.98, 0.015, 0.005), (0.0, 0.7, 0.3), (1.0, 0.0, 0.0)],
-                         ids=["skewed", "p0-zero", "point-mass"])
-def test_histogram_equals_dense_reference(probs):
-    # reference: bucket every sorted row of the whole draw, one verdict per key
+def histogram_reference(predicates, n_chunks, dist, trials, seed):
+    # bucket every sorted row of the whole dense draw, one verdict per key
     from collections import Counter
-    cfg = sc.config_new(8, 2, 1, (1, 2))
-    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
-    predicates = {"rs": sim.rs_recoverable(), "sd_2": sim.sd_recoverable(2),
-                  "stair": sim.stair_recoverable(cfg)}
-    trials = sim._BLOCK + 1000
-    counts = np.concatenate(list(sim._count_blocks(7, dist, trials, 4)))
+    counts = dense_counts(sim._count_blocks(n_chunks, dist, trials, seed), n_chunks)
     buckets = Counter(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
     want = []
     for key, count in sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -198,8 +205,33 @@ def test_histogram_equals_dense_reference(probs):
         for label, predicate in predicates.items():
             row[f"recoverable_{label}"] = bool(predicate(np.array([key]))[0])
         want.append(row)
+    return want
+
+
+@pytest.mark.parametrize("probs", [(0.98, 0.015, 0.005), (0.0, 0.7, 0.3), (1.0, 0.0, 0.0)],
+                         ids=["skewed", "p0-zero", "point-mass"])
+def test_histogram_equals_dense_reference(probs):
+    cfg = sc.config_new(8, 2, 1, (1, 2))
+    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
+    predicates = {"rs": sim.rs_recoverable(), "sd_2": sim.sd_recoverable(2),
+                  "stair": sim.stair_recoverable(cfg)}
+    trials = sim._BLOCK + 1000
+    want = histogram_reference(predicates, 7, dist, trials, 4)
     got = sim.outcome_histogram(predicates, 7, dist, trials=trials, seed=4)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+def test_histogram_keys_wider_than_a_byte():
+    # counts up to 299 need a two-byte key; a one-byte key would wrap 256..299
+    probs = np.zeros(300)
+    probs[[0, 1, 255, 256, 257, 299]] = (0.9, 0.05, 0.01, 0.01, 0.02, 0.01)
+    dist = rel.ChunkFailureDist(tuple(probs), 0.1)
+    predicates = {"rs": sim.rs_recoverable(), "sd_300": sim.sd_recoverable(300),
+                  "stair": sim.stair_recoverable(sc.config_new(8, 300, 1, (257, 299), w=16))}
+    want = histogram_reference(predicates, 7, dist, 2 * 10 ** 4, 6)
+    got = sim.outcome_histogram(predicates, 7, dist, trials=2 * 10 ** 4, seed=6)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    assert any(int(c) > 255 for row in got for c in row["counts"].split(","))
 
 
 def test_code_family_dispatch():
