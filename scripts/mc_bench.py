@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Analysis-layer benchmark: Monte-Carlo trials and analytic reports per
+"""Analysis-layer benchmark: Monte-Carlo trials and reliability reports per
 second, by phase.
 
     python3 scripts/mc_bench.py                 # the package in ./src
@@ -10,19 +10,22 @@ of 16 sectors per trial, eight codes) with the distribution that
 ``stair reliability --validate`` and ``--histogram`` sample
 (the ``sampled`` entry of ``cli.parse_scenario``'s model: the scenario's
 correlated sector-failure model at its validate_p_sec, 1e-3 by default,
-about 1.5% of chunks failed).  Each phase is timed over --trials trials,
-the best of --reps runs:
+about 1.5% of chunks failed), from the sample of ``--seed 0``.  Each phase
+is timed over --trials trials, the best of --reps runs:
 
-  draw       ``sim._count_blocks``: the per-chunk failure counts alone, as
-             rows of the trials with a failed chunk
-  predicate  every code's predicate over those rows, in code-trials/s of
-             all the trials drawn
-  histogram  ``sim.outcome_histogram`` with every code's predicate, draw included
-  bucketing  the histogram without its draw (histogram time less draw time)
+  draw       ``sim._failed_cells``: the failed cells of every block alone
+  outcomes   ``sim._outcomes``: the draw, bucketed into the sample's
+             distinct failure-count multisets
+  histogram  ``sim.outcome_histogram`` with every code's predicate: the
+             draw, the buckets and each code's verdict on each bucket
   analytic   plain reports (``cli.reliability_rows`` of the scenario: every
              code's stripe-loss DP and MTTDL at each p_bit, no argparse or
-             I/O), in reports/s, timed over 20 reports a run, warm
+             I/O), in reports/s, timed over 20 reports a run
+  validated  whole validated reports (``stair reliability --validate
+             --histogram --format json`` run in-process through
+             ``cli.main``, written to a temporary file), in reports/s
 
+Every phase is timed on its own, warm; none is derived from another.
 Prints one JSON object of trials (and reports) per second.
 """
 
@@ -31,15 +34,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "stairbench" / "data" / "scenario.txt"
 REPORTS = 20
+SEED = 0
 
 
 def best_seconds(fn, reps: int) -> float:
+    fn()   # warm-up: the first call fills the caches
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -60,41 +66,41 @@ def main(argv=None) -> int:
 
     scenario = cli.parse_scenario(SCENARIO.read_text())
     chunks, dist = scenario["chunks"], scenario["sampled"]
-    seed = cli.VALIDATE_SEED
     predicates = {f"{kind}{e}": sim.recoverable(kind, cfg) for kind, e, cfg in scenario["codes"]}
 
     def draw():
-        for _ in sim._count_blocks(chunks, dist, args.trials, seed):
+        for _ in sim._failed_cells(chunks, dist, args.trials, SEED):
             pass
 
-    hit_rows = [rows for _, _, rows in sim._count_blocks(chunks, dist, args.trials, seed)]
-
-    def verdicts():
-        for predicate in predicates.values():
-            for rows in hit_rows:
-                predicate(rows)
+    def outcomes():
+        sim._outcomes(chunks, dist, args.trials, SEED)
 
     def histogram():
-        sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=seed)
+        sim.outcome_histogram(predicates, chunks, dist, trials=args.trials, seed=SEED)
 
     def analytic():
         for _ in range(REPORTS):
             cli.reliability_rows(scenario)
 
-    draw_s = best_seconds(draw, args.reps)
-    predicate_s = best_seconds(verdicts, args.reps)
-    histogram_s = best_seconds(histogram, args.reps)
-    analytic()   # warm-up: the first report fills the caches
-    analytic_s = best_seconds(analytic, args.reps)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv_validated = ["reliability", str(SCENARIO), "--validate", "--histogram",
+                          "--trials", str(args.trials), "--seed", str(SEED),
+                          "--format", "json", "-o", str(Path(tmp) / "validated.json")]
+
+        def validated():
+            if cli.main(argv_validated) != 0:
+                raise SystemExit("the validated report failed")
+
+        seconds = {name: best_seconds(fn, args.reps)
+                   for name, fn in [("draw", draw), ("outcomes", outcomes),
+                                    ("histogram", histogram), ("analytic", analytic),
+                                    ("validated", validated)]}
     out = {
         "trials": args.trials, "chunks": chunks, "codes": len(predicates),
-        "trials_per_s": {
-            "draw": round(args.trials / draw_s),
-            "predicate": round(args.trials * len(predicates) / predicate_s),
-            "histogram": round(args.trials / histogram_s),
-            "bucketing": round(args.trials / (histogram_s - draw_s)),
-        },
-        "reports_per_s": {"analytic": round(REPORTS / analytic_s, 1)},
+        "trials_per_s": {name: round(args.trials / seconds[name])
+                         for name in ("draw", "outcomes", "histogram")},
+        "reports_per_s": {"validated": round(1 / seconds["validated"], 1),
+                          "analytic": round(REPORTS / seconds["analytic"], 1)},
     }
     print(json.dumps(out, indent=2))
     return 0

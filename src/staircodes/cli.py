@@ -410,7 +410,7 @@ _SCENARIO_DEFAULTS = {
     "mean_time_to_failure_hours": "500000", "mean_rebuild_hours": "17.8",
     "model": "independent", "b1": "0.98", "alpha": "1.79", "validate_p_sec": "1e-3",
 }
-VALIDATE_SEED = 20_000   # --validate draws code i from seed VALIDATE_SEED + i
+VALIDATE_ALPHA = 1e-6    # chance that --validate fails a report whose analytic values are right
 
 
 def parse_scenario(text: str) -> dict:
@@ -506,18 +506,28 @@ def reliability_rows(scenario: dict) -> list[dict]:
     return rows
 
 
-def validate_against_sim(scenario: dict, trials: int) -> list[dict]:
-    """Cross-check each code's analytic stripe loss against Monte Carlo at an
-    inflated sector-failure probability (the analytic forms are exact in the
-    distribution, so the comparison is valid at any operating point)."""
-    chunks, dist = scenario["chunks"], scenario["sampled"]
+def validate_against_sim(scenario: dict, outcomes: list[dict]) -> list[dict]:
+    """Cross-check each code's analytic stripe loss against its failures in
+    one sample drawn at an inflated sector-failure probability: the analytic
+    forms are exact in the distribution, so the comparison is valid at any
+    operating point.  ``outcomes`` holds the sample's
+    ``sim.outcome_histogram`` rows, with a verdict per code as
+    :func:`cmd_reliability` labels them.
+
+    A code is ok when both binomial tails of its failure count under its
+    analytic p_str are at least VALIDATE_ALPHA / (2 * codes), so a report
+    whose every analytic value is right fails with probability at most
+    VALIDATE_ALPHA (Bonferroni over the codes' two-sided tests).
+    """
+    trials = sum(row["stripes"] for row in outcomes)
+    floor = VALIDATE_ALPHA / (2 * len(scenario["codes"]))
     out = []
-    for i, (kind, e, cfg) in enumerate(scenario["codes"]):
-        analytic = rel.p_str(kind, cfg, dist)
-        est = sim.monte_carlo_p_str(sim.recoverable(kind, cfg), chunks, dist,
-                                    trials=trials, seed=VALIDATE_SEED + i)
-        sigma = math.sqrt(max(analytic * (1 - analytic), 1e-300) / trials)
-        ok = abs(est.p_failure - analytic) <= 3 * sigma
+    for kind, e, cfg in scenario["codes"]:
+        analytic = rel.p_str(kind, cfg, scenario["sampled"])
+        verdict = f"recoverable_{_label(kind, e, '_', '_', '')}"
+        est = sim.McEstimate.of(sum(row["stripes"] for row in outcomes if not row[verdict]),
+                                trials)
+        ok = min(sim.binomial_tails(trials, analytic, est.failures)) >= floor
         out.append({
             "code": kind, "e": ",".join(str(x) for x in e) or "-",
             "analytic_p_str": analytic, "estimate": est.p_failure,
@@ -531,14 +541,15 @@ def cmd_reliability(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     rows = reliability_rows(scenario)
     extras: dict[str, list[dict]] = {}
-    if args.validate:
-        extras["validation"] = validate_against_sim(scenario, args.trials)
-    if args.histogram:
+    if args.validate or args.histogram:
         predicates = {_label(kind, e, "_", "_", ""): sim.recoverable(kind, cfg)
                       for kind, e, cfg in scenario["codes"]}
-        extras["histogram"] = sim.outcome_histogram(predicates, scenario["chunks"],
-                                                    scenario["sampled"], trials=args.trials,
-                                                    seed=args.seed)
+        outcomes = sim.outcome_histogram(predicates, scenario["chunks"], scenario["sampled"],
+                                         trials=args.trials, seed=args.seed)
+        if args.validate:
+            extras["validation"] = validate_against_sim(scenario, outcomes)
+        if args.histogram:
+            extras["histogram"] = outcomes
     _write_report(args, {"rows": rows, **extras} if extras else rows, [rows, *extras.values()])
     return 0 if all(c["ok"] for c in extras.get("validation", ())) else 1
 
@@ -742,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append an outcome histogram of the scenario's model at validate_p_sec")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the --histogram draws (--validate keeps its fixed seeds)")
+                   help="seed of the one Monte-Carlo sample that --validate and --histogram share")
     _add_format_flags(p)
     p.set_defaults(func=cmd_reliability)
 

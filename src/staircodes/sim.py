@@ -3,23 +3,26 @@
 Two levels of simulation: byte-level injection of failure patterns into
 encoded stripes (to drive codec round-trips), and counting-level trials
 that draw per-chunk failure counts from a chunk-failure distribution to
-validate the analytical stripe-loss probabilities.  Trials run in fixed
-64Ki blocks, each with its own spawned seed, so estimates are exactly
-reproducible regardless of how blocks are batched.
+validate the analytical stripe-loss probabilities.
 
-A block draws its chunks by inverse CDF, as ``Generator.choice(p=)`` does,
-in sub-blocks of 4Ki trials whose arrays stay in cache.  Each uniform is
-compared with P(0) once; only the chunks that failed are searched in the
-CDF and scattered into rows for the trials that lost a chunk, and only
-those rows reach the predicates and the histogram, which counts each
-sub-block's sorted rows as fixed-width byte keys.  A trial with no failed
-chunk is recoverable by every code and is counted, never judged.  The STAIR
-predicate is ``stair.counts_within_coverage``.  Every estimate and
-histogram is bit-identical to drawing each whole block with ``choice``.
+A report draws one counting-level sample, and every code is judged on it.
+Trials run in fixed 64Ki blocks, each with its own spawned seed, so the
+sample does not depend on how blocks are scheduled.  A block draws only
+its failed (trial, chunk) cells: their number from Binomial(cells,
+1 - P(0)), their positions uniformly without replacement, and each one's
+count from P(c | c >= 1).  That is the law of drawing every cell from P,
+at 1 - P(0) of the draws, but not the same numbers as
+``Generator.choice(p=)`` would give.  The trials are then bucketed by their
+multiset of counts, which every predicate depends on alone, so each code
+judges each distinct outcome once, and a trial with no failed chunk lands
+in the zero bucket without being judged.  Estimates and histograms are both
+read from those buckets.  The STAIR predicate is
+``stair.counts_within_coverage``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +33,6 @@ from .reliability import _Z99, ChunkFailureDist
 from .stair import FailurePattern, StairConfig, counts_within_coverage
 
 _BLOCK = 1 << 16
-_SUB_BLOCK = 1 << 12
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -88,6 +90,15 @@ class McEstimate:
     trials: int
     failures: int
 
+    @classmethod
+    def of(cls, failures: int, trials: int) -> McEstimate:
+        """``failures`` unrecoverable stripes in ``trials``, with the
+        normal-approximation 99% confidence interval."""
+        p_hat = failures / trials
+        stderr = math.sqrt(p_hat * (1 - p_hat) / trials)
+        return cls(p_hat, stderr, (max(0.0, p_hat - _Z99 * stderr),
+                                   min(1.0, p_hat + _Z99 * stderr)), trials, failures)
+
 
 def stair_recoverable(cfg: StairConfig):
     """Vectorised coverage predicate on (trials, chunks) count arrays."""
@@ -114,35 +125,72 @@ def recoverable(code: str, cfg: StairConfig):
     raise ValueError(f"unknown code kind {code!r}")
 
 
-def _count_blocks(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
-    """Per-chunk failure counts of ``trials`` trials, a sub-block of at most
-    _SUB_BLOCK trials at a time: (trials, hit, rows), where ``hit`` indexes
-    the sub-block's trials with a failed chunk and ``rows`` holds their
-    (len(hit), n_chunks) int64 counts; every other trial failed no chunk.
+def _failed_cells(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
+    """The sample's failed cells, a block at a time: yield per block
+    (trials, cells, counts), where ``cells`` holds the distinct flat
+    positions ``trial * n_chunks + chunk`` of the cells that failed and
+    ``counts`` their failure counts, each at least 1; every other cell of
+    the block failed none.
 
-    Fixed 64Ki trial blocks with spawned seeds; the block layout (and so
-    every estimate) is identical however the blocks are scheduled.  Each
-    block's counts are those of ``rng.choice(len(p), size=(block, n_chunks),
-    p=p)``: the same inverse CDF on the same uniforms, drawn a sub-block at a
-    time (consecutive ``rng.random`` calls give the doubles of one call).
+    A block of B trials fails K ~ Binomial(B * n_chunks, 1 - P(0)) cells,
+    at positions drawn uniformly without replacement, each with a count
+    drawn by inverse CDF from P(c | c >= 1).
     """
     probs = np.asarray(dist.probs, dtype=float)
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
+    probs = probs / probs.sum()
+    tail = probs[1:].cumsum()
+    tail /= tail[-1] or 1.0
     seeds = np.random.SeedSequence(seed).spawn((trials + _BLOCK - 1) // _BLOCK)
     done = 0
     for child in seeds:
         block = min(_BLOCK, trials - done)
         rng = np.random.default_rng(child)
-        for start in range(0, block, _SUB_BLOCK):
-            u = rng.random((min(_SUB_BLOCK, block - start), n_chunks))
-            # a uniform below cdf[0] draws 0 failures; search only the rest
-            failed = np.flatnonzero(u >= cdf[0])
-            hit, row = np.unique(failed // n_chunks, return_inverse=True)
-            rows = np.zeros((len(hit), n_chunks), dtype=np.int64)
-            rows[row, failed % n_chunks] = cdf.searchsorted(u.flat[failed], side="right")
-            yield len(u), hit, rows
+        size = block * n_chunks
+        cells = rng.choice(size, size=rng.binomial(size, 1.0 - probs[0]), replace=False,
+                           shuffle=False)
+        yield block, cells, 1 + tail.searchsorted(rng.random(len(cells)), side="right")
         done += block
+
+
+def _outcomes(n_chunks: int, dist: ChunkFailureDist, trials: int, seed: int):
+    """The sample's distinct outcomes: (rows, stripes), where ``rows`` is an
+    (outcomes, n_chunks) int64 array of failure-count multisets, each sorted
+    descending, and ``stripes`` how many trials drew each; most frequent first.
+
+    A trial's key packs its ascending nonzero counts as the digits of one
+    integer in base len(P).  No digit is 0, so distinct multisets get
+    distinct keys; a trial with no failed chunk has key 0.  Keys are int64
+    when every key fits, Python ints otherwise.
+    """
+    if trials < 10 ** 4:
+        raise ValueError(f"need at least 10^4 trials for a meaningful estimate, got {trials}")
+    base = len(dist.probs)
+    dtype = np.int64 if base ** n_chunks <= 2 ** 63 else object
+    buckets: Counter[int] = Counter()
+    misses = 0
+    for block, cells, counts in _failed_cells(n_chunks, dist, trials, seed):
+        # trial-major, each trial's counts ascending
+        trial, count = np.divmod(np.sort(cells // n_chunks * base + counts), base)
+        first = np.flatnonzero(np.diff(trial, prepend=-1))
+        rank = np.arange(len(trial)) - np.repeat(first, np.diff(first, append=len(trial)))
+        digits = count.astype(dtype) * base ** rank.astype(dtype)
+        found, stripes = np.unique(np.add.reduceat(digits, first), return_counts=True)
+        buckets.update(dict(zip(found.tolist(), stripes.tolist())))
+        misses += block - len(first)
+    if misses:
+        buckets[0] = misses
+    ranked = []
+    for key, stripes in buckets.items():
+        counts = []
+        while key:
+            key, count = divmod(key, base)
+            counts.append(count)
+        ranked.append((-stripes, counts[::-1]))
+    ranked.sort()
+    rows = np.zeros((len(ranked), n_chunks), dtype=np.int64)
+    for row, (_, counts) in zip(rows, ranked):
+        row[:len(counts)] = counts
+    return rows, np.array([-negated for negated, _ in ranked])
 
 
 def monte_carlo_p_str(recoverable, n_chunks: int, dist: ChunkFailureDist,
@@ -150,20 +198,12 @@ def monte_carlo_p_str(recoverable, n_chunks: int, dist: ChunkFailureDist,
     """Estimate the unrecoverable-stripe probability by direct sampling.
 
     Draws i.i.d. per-chunk failure counts for ``n_chunks`` chunks per trial
-    and counts trials rejected by ``recoverable``, which sees only the
-    trials with a failed chunk (every code recovers the others).  Returns
-    the estimate with its normal-approximation 99% confidence interval.
+    and counts the trials whose outcome ``recoverable`` rejects; it judges
+    each distinct outcome once.  Returns the estimate with its
+    normal-approximation 99% confidence interval.
     """
-    if trials < 10 ** 4:
-        raise ValueError(f"need at least 10^4 trials for a meaningful CI, got {trials}")
-    failures = 0
-    for _, _, rows in _count_blocks(n_chunks, dist, trials, seed):
-        failures += int((~recoverable(rows)).sum())
-    p_hat = failures / trials
-    stderr = float(np.sqrt(p_hat * (1 - p_hat) / trials))
-    lo = max(0.0, p_hat - _Z99 * stderr)
-    hi = min(1.0, p_hat + _Z99 * stderr)
-    return McEstimate(p_hat, stderr, (lo, hi), trials, failures)
+    rows, stripes = _outcomes(n_chunks, dist, trials, seed)
+    return McEstimate.of(int(stripes[~recoverable(rows)].sum()), trials)
 
 
 def outcome_histogram(predicates: dict, n_chunks: int, dist: ChunkFailureDist,
@@ -174,30 +214,43 @@ def outcome_histogram(predicates: dict, n_chunks: int, dist: ChunkFailureDist,
     returned row holds the (descending) count multiset, how many stripes hit
     it, and every code's verdict; rows are ordered by frequency.
     """
-    if trials < 10 ** 4:
-        raise ValueError(f"need at least 10^4 trials for a meaningful histogram, got {trials}")
-    # a row sorted in the narrowest dtype that holds a count is one byte key
-    dtype = np.min_scalar_type(len(dist.probs) - 1)
-    as_key = np.dtype((np.void, dtype.itemsize * n_chunks))
-    buckets: Counter[bytes] = Counter()
-    zero_rows = 0
-    for n, _, rows in _count_blocks(n_chunks, dist, trials, seed):
-        zero_rows += n - len(rows)
-        found, count = np.unique(np.sort(rows.astype(dtype), axis=1).view(as_key),
-                                 return_counts=True)
-        buckets.update(dict(zip(found.tolist(), count.tolist())))
-    if zero_rows:
-        buckets[bytes(as_key.itemsize)] = zero_rows
-    descending = np.frombuffer(b"".join(buckets), dtype).reshape(-1, n_chunks)[:, ::-1]
-    ranked = sorted(zip(map(tuple, descending.tolist()), buckets.values()),
-                    key=lambda kv: (-kv[1], kv[0]))
-    keys = np.array([key for key, _ in ranked])
-    verdicts = {label: predicate(keys) for label, predicate in predicates.items()}
-    rows = []
-    for i, (key, count) in enumerate(ranked):
-        row = {"counts": ",".join(str(c) for c in key if c) or "0",
+    rows, stripes = _outcomes(n_chunks, dist, trials, seed)
+    verdicts = {label: predicate(rows).tolist() for label, predicate in predicates.items()}
+    out = []
+    for i, (counts, count) in enumerate(zip(rows.tolist(), stripes.tolist())):
+        row = {"counts": ",".join(str(c) for c in counts if c) or "0",
                "stripes": count, "fraction": count / trials}
         for label, verdict in verdicts.items():
-            row[f"recoverable_{label}"] = bool(verdict[i])
-        rows.append(row)
-    return rows
+            row[f"recoverable_{label}"] = verdict[i]
+        out.append(row)
+    return out
+
+
+def binomial_tails(n: int, p: float, k: int) -> tuple[float, float]:
+    """P(X <= k) and P(X >= k) for X ~ Binomial(n, p) and 0 <= k <= n.
+
+    The tail on k's side of the mean is summed from P(X = k) outward, each
+    term from the last by the pmf's ratio, until a term is below 1e-17 of
+    the sum (the terms fall from k on); the other tail is its complement
+    plus P(X = k).
+    """
+    if p <= 0.0:
+        return 1.0, float(k == 0)
+    if p >= 1.0:
+        return float(k == n), 1.0
+    q = 1.0 - p
+    at_k = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+    term = total = at_k
+    i = k
+    if k <= n * p:
+        while i > 0 and term > total * 1e-17:
+            term *= i * q / ((n - i + 1) * p)
+            i -= 1
+            total += term
+        return total, 1.0 - total + at_k
+    while i < n and term > total * 1e-17:
+        term *= (n - i) * p / ((i + 1) * q)
+        i += 1
+        total += term
+    return 1.0 - total + at_k, total

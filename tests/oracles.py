@@ -6,11 +6,13 @@ numpy split-table region kernel, a plan executor over integer-array
 indices, the schedule planner over a numpy known-cell mask, list-of-lists
 Gauss-Jordan inversion, Rabin's irreducibility test, brute-force
 assignment search for the coverage rule, direct enumeration of
-stripe-loss probabilities, and the published closed forms.
+stripe-loss probabilities, the published closed forms, and the sparse
+Monte-Carlo draw written out one cell at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -428,3 +430,35 @@ def p_str_sd_closed(s: int, n_chunks: int, p) -> float:
                 - math.comb(n, 1) * math.comb(n - 1, 1) * p[2] * p[1] * p[0] ** (n - 2)
                 - math.comb(n, 3) * p[1] ** 3 * p[0] ** (n - 3))
     raise ValueError(s)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo sample
+# ---------------------------------------------------------------------------
+
+def sparse_draw_dense(probs, n_chunks: int, trials: int, seed: int,
+                      block: int = 1 << 16) -> np.ndarray:
+    """The (trials, n_chunks) failure counts that the sparse sampler draws,
+    from the same generator calls, filled in one failed cell at a time.
+
+    Per block of trials, seeded from SeedSequence(seed).spawn: the number
+    of failed cells from one binomial call, their flat positions from one
+    choice without replacement, then one uniform per cell, turned into a
+    count by a bisection of the CDF of P(c | c >= 1).
+    """
+    p = np.asarray(probs, dtype=float)
+    p = p / p.sum()
+    tail = list(itertools.accumulate(p[1:].tolist()))
+    cdf = [x / (tail[-1] or 1.0) for x in tail]
+    children = np.random.SeedSequence(seed).spawn(-(-trials // block))
+    out = []
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        size = min(block, trials - i * block) * n_chunks
+        failed = rng.binomial(size, 1.0 - p[0])
+        positions = rng.choice(size, size=failed, replace=False, shuffle=False)
+        dense = [0] * size
+        for pos, u in zip(positions.tolist(), rng.random(failed).tolist()):
+            dense[pos] = 1 + bisect.bisect_right(cdf, u)
+        out.append(np.array(dense, dtype=np.int64).reshape(-1, n_chunks))
+    return np.concatenate(out)

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import stat
 import struct
@@ -918,6 +919,62 @@ def test_histogram_samples_the_scenario_model(tmp_path):
     assert json.loads(out.read_text())["histogram"] == want
 
 
+def test_one_rare_hit_validates(tmp_path):
+    """At analytic x trials far below 1, one sampled failure is no evidence
+    against the analytic value.  Here sd(2) has analytic p_str 3.4e-6, and
+    one failure in 10,000 trials has chance 3.4% (a 3-sigma band failed it)."""
+    scenario = cli.parse_scenario(SCENARIO.replace("model = independent", "model = correlated")
+                                  .replace("r = 16", "r = 2"))
+    analytic = rel.p_str("sd", config_new(8, 2, 1, (2,)), scenario["sampled"])
+    assert analytic == pytest.approx(3.4e-6, rel=0.01)
+    hit = {"rs": False, "stair_1": False, "sd_2": False}
+    outcomes = [{"counts": "0", "stripes": 9999,
+                 **{f"recoverable_{label}": True for label in hit}},
+                {"counts": "1,1,1", "stripes": 1,
+                 **{f"recoverable_{label}": verdict for label, verdict in hit.items()}}]
+    sd2 = cli.validate_against_sim(scenario, outcomes)[2]
+    assert (sd2["code"], sd2["e"], sd2["estimate"], sd2["trials"]) == ("sd", "2", 1e-4, 10_000)
+    assert abs(sd2["estimate"] - analytic) > 3 * math.sqrt(analytic / 10_000)
+    assert sd2["ok"] is True
+
+
+@pytest.mark.parametrize("code, factor", [(("rs", ()), 1.05), (("sd", (3,)), 2.0)],
+                         ids=["rs-5pct-high", "sd3-twice"])
+def test_validation_fails_a_wrong_analytic_value(tmp_path, monkeypatch, code, factor):
+    """The exact test still catches analytic values that are off: rs read 5%
+    high, or sd(3) read twice its value, fails the 100,000-trial report."""
+    real = rel.p_str
+
+    def skewed(kind, cfg, dist):
+        return real(kind, cfg, dist) * (factor if (kind, cfg.e) == code else 1.0)
+
+    monkeypatch.setattr(rel, "p_str", skewed)
+    out = tmp_path / "rel.json"
+    assert cli.main(["reliability", str(BENCH_DATA / "scenario.txt"), "--validate",
+                     "--trials", "100000", "--format", "json", "-o", str(out)]) == 1
+    bad = [(row["code"], row["e"]) for row in json.loads(out.read_text())["validation"]
+           if not row["ok"]]
+    assert bad == [(code[0], ",".join(map(str, code[1])) or "-")]
+
+
+def test_seed_drives_the_validated_sample(tmp_path):
+    """--seed seeds the one sample behind --validate and --histogram: a seed
+    gives the same bytes every time, and another seed other estimates."""
+    def report(seed, name):
+        out = tmp_path / name
+        assert cli.main(["reliability", str(BENCH_DATA / "scenario.txt"), "--validate",
+                         "--histogram", "--trials", "20000", "--seed", str(seed),
+                         "--format", "json", "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    first = report(5, "a.json")
+    assert report(5, "b.json") == first
+    other = json.loads(report(6, "c.json"))
+    estimates = [row["estimate"] for row in json.loads(first)["validation"]]
+    assert [row["estimate"] for row in other["validation"]] != estimates
+    assert other["rows"] == json.loads(first)["rows"]
+
+
 @pytest.mark.parametrize("line, typo, message", [
     ("mean_rebuild_hours = 17.8", "mean_rebuild_hour = 1",
      "unknown scenario key 'mean_rebuild_hour'"),
@@ -1039,19 +1096,18 @@ def test_report_builds_each_chunk_distribution_once():
 
 
 # SHA-256 of whole validated reports (analytic rows, Monte-Carlo estimates
-# and histogram), recorded before the sampler drew sparse sub-blocks.  The
-# two of the correlated scenario were recorded again when --histogram
-# started sampling the scenario's model instead of the independent one.
+# and histogram), recorded when --validate and --histogram came to share
+# one sample that draws only the failed cells, seeded by --seed.
 VALIDATED_GOLDENS = {
     "scenario-seed1": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "1",
                         "--format", "json"],
-                       "5445fece0a2f59d8ea0530c33e476fa84f632960565c434cef54e21b2df6d20f"),
+                       "0869b7861e24eb4d5bd6096068ff6b768ecd5937968b41e89621bf06b8bb7185"),
     "scenario-seed2": ([str(BENCH_DATA / "scenario.txt"), "--trials", "100000", "--seed", "2",
                         "--format", "json"],
-                       "052d6c855cf73770e7dc5aed38b8eef627fb6a57bc9d428e62d4c6a22a81be79"),
+                       "16b345d409b0949b94422f70df4e5224b31eb733f94b65bffb73ff5acaf9d402"),
     "10pb-csv": ([str(Path(__file__).resolve().parent.parent / "scripts" / "reliability_10pb.txt"),
                   "--trials", "20000", "--seed", "5"],
-                 "b0cdac49efdb2c0e65cc0ae75388c23320929a013dc50dd6cb0516293cbf5521"),
+                 "a477f5b9dd5c68e69a5d6fc2bd9c761446045714dccd9e447b578fafb345d3e2"),
 }
 
 
@@ -1063,7 +1119,8 @@ def test_validated_report_matches_golden(tmp_path, label):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-# SHA-256 of the other reports the one report writer makes, in CSV and JSON.
+# SHA-256 of the other reports the one report writer makes, in CSV and JSON;
+# the validated one was recorded with the validated goldens above.
 REPORT_GOLDENS = {
     "cost-csv": (["cost", "--n", "8", "--r", "16", "--m", "2", "--sweep-s", "4"],
                  "514f1c5841284782bf1a744e7cdacad937bfa985f79a29d9bad71a03ad757974"),
@@ -1077,7 +1134,7 @@ REPORT_GOLDENS = {
                  "e042a9bf7bba0843015106aed0d6e1b2959a2e8394ae73eb61cdc8606e8f768d"),
     "scenario-validate-json": (["reliability", str(BENCH_DATA / "scenario.txt"), "--validate",
                                 "--trials", "20000", "--format", "json"],
-                               "ad32786d0dc5d5a8bb6be3ebc7b1cd60aa6cf822650289aa54225890d11f7309"),
+                               "071b8f496c15ef063f0de85b03cc01d39916e0a03a6e08ec3101699409f9090e"),
 }
 
 

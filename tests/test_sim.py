@@ -6,7 +6,7 @@ import pytest
 import staircodes as sc
 from staircodes import reliability as rel
 from staircodes import sim
-from oracles import coverage_by_assignment
+from oracles import coverage_by_assignment, sparse_draw_dense
 
 
 def test_within_samples_all_pass_coverage(exemplar):
@@ -156,12 +156,12 @@ def test_sparse_predicates_agree_with_scalar_rules(counts):
 
 
 def dense_counts(parts, n_chunks):
-    """The (trials, n_chunks) counts of _count_blocks' sparse sub-blocks."""
+    """The (trials, n_chunks) counts of _failed_cells' sparse blocks."""
     dense = []
-    for trials, hit, rows in parts:
-        block = np.zeros((trials, n_chunks), dtype=np.int64)
-        block[hit] = rows
-        dense.append(block)
+    for trials, cells, counts in parts:
+        block = np.zeros(trials * n_chunks, dtype=np.int64)
+        block[cells] = counts
+        dense.append(block.reshape(trials, n_chunks))
     return np.concatenate(dense)
 
 
@@ -172,31 +172,85 @@ def dense_counts(parts, n_chunks):
     (1.0, 0.0, 0.0),
     (0.9, 0.1),
 ], ids=["skewed", "flat", "p0-zero", "point-mass", "r1"])
-@pytest.mark.parametrize("trials", [3 * sim._SUB_BLOCK + 17, sim._BLOCK + 2 * sim._SUB_BLOCK,
-                                    2 * sim._BLOCK + 5000])
+@pytest.mark.parametrize("trials", [12_305, sim._BLOCK + 8192, 2 * sim._BLOCK + 5000])
 def test_draws_equal_generator_choice(probs, trials):
-    # the sampler must give exactly the counts of one choice(p=) per block
+    """The sparse draw is exactly the dense reference built from the same
+    generator calls (binomial, choice without replacement, random), within
+    one block and across block edges."""
     dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
-    p = np.asarray(probs) / sum(probs)
     n_chunks, seed = 7, 11
-    children = np.random.SeedSequence(seed).spawn(-(-trials // sim._BLOCK))
-    want = np.concatenate([
-        np.random.default_rng(child).choice(len(p), size=(min(sim._BLOCK, trials - i * sim._BLOCK),
-                                                          n_chunks), p=p)
-        for i, child in enumerate(children)])
-    parts = list(sim._count_blocks(n_chunks, dist, trials, seed))
-    for part_trials, hit, rows in parts:
-        assert 0 < part_trials <= sim._SUB_BLOCK
-        assert rows.dtype == np.int64 and rows.shape == (len(hit), n_chunks)
-        assert np.array_equal(hit, np.unique(hit)) and hit.max(initial=-1) < part_trials
-        assert rows.any(axis=1).all()        # a trial is a hit iff it lost a chunk
-    assert np.array_equal(dense_counts(parts, n_chunks), want)
+    parts = list(sim._failed_cells(n_chunks, dist, trials, seed))
+    assert [block for block, _, _ in parts] == [
+        min(sim._BLOCK, trials - start) for start in range(0, trials, sim._BLOCK)]
+    for block, cells, counts in parts:
+        assert cells.shape == counts.shape
+        assert len(np.unique(cells)) == len(cells)
+        assert ((0 <= cells) & (cells < block * n_chunks)).all()
+        assert ((1 <= counts) & (counts < len(probs))).all()
+        assert all(probs[c] > 0 for c in np.unique(counts).tolist())
+    assert np.array_equal(dense_counts(parts, n_chunks),
+                          sparse_draw_dense(probs, n_chunks, trials, seed))
+
+
+GOF_P = 1e-4    # a fixed sample fails a goodness-of-fit test by chance at most this often
+
+
+@pytest.mark.parametrize("probs", [(0.985, 0.009, 0.004, 0.002), (0.25, 0.25, 0.25, 0.25),
+                                   (0.6, 0.0, 0.3, 0.1)], ids=["skewed", "flat", "gap"])
+def test_cell_counts_fit_the_distribution(probs):
+    # every cell, failed or not, is one draw from P, and each trial's number
+    # of failed cells is Binomial(n_chunks, 1 - P(0))
+    stats = pytest.importorskip("scipy.stats")
+    n_chunks, trials = 9, sim._BLOCK + 30_000
+    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
+    dense = dense_counts(sim._failed_cells(n_chunks, dist, trials, 21), n_chunks)
+    support = [c for c, p in enumerate(probs) if p > 0]
+    seen = np.bincount(dense.ravel(), minlength=len(probs))
+    assert seen.sum() == seen[support].sum()
+    expected = np.asarray(probs)[support] * dense.size
+    assert stats.chisquare(seen[support], expected).pvalue > GOF_P
+    failed = np.bincount((dense > 0).sum(axis=1), minlength=n_chunks + 1)
+    expected = stats.binom.pmf(np.arange(n_chunks + 1), n_chunks, 1.0 - probs[0]) * trials
+    kept = expected >= 5
+    rest = [failed[~kept].sum()] if (~kept).any() else []
+    assert stats.chisquare(np.r_[failed[kept], rest],
+                           np.r_[expected[kept], expected[~kept].sum() if rest else []]
+                           ).pvalue > GOF_P
+
+
+def test_hit_trials_per_block_fit_the_binomial():
+    # a trial is hit when any of its cells fails: Binomial(block, 1 - P(0)^n)
+    stats = pytest.importorskip("scipy.stats")
+    probs, n_chunks, block = (0.985, 0.01, 0.005), 15, 2000
+    dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
+    hits = np.array([len(np.unique(cells // n_chunks))
+                     for seed in range(400)
+                     for _, cells, _ in sim._failed_cells(n_chunks, dist, block, seed)])
+    q = 1.0 - probs[0] ** n_chunks
+    edges = stats.binom.ppf(np.linspace(0, 1, 11)[1:-1], block, q)
+    seen = np.bincount(np.searchsorted(edges, hits, side="left"), minlength=len(edges) + 1)
+    cdf = stats.binom.cdf(np.r_[-1, edges, block], block, q)
+    assert stats.chisquare(seen, np.diff(cdf) * len(hits)).pvalue > GOF_P
+
+
+@pytest.mark.parametrize("cfg", [sc.config_new(8, 4, 1, (1, 2)), sc.config_new(8, 4, 1, (1, 1, 1, 3)),
+                                 sc.config_new(8, 4, 1, ())], ids=["1,2", "1,1,1,3", "rs"])
+def test_predicates_ignore_chunk_order(cfg):
+    # bucketing judges a multiset once for every order of its counts
+    gen = np.random.default_rng(12)
+    rows = np.where(gen.random((400, 7)) < 0.4, gen.integers(1, 5, (400, 7)), 0)
+    predicates = [sim.stair_recoverable(cfg), sim.rs_recoverable(),
+                  *(sim.sd_recoverable(s) for s in (0, 1, 3, 5))]
+    for predicate in predicates:
+        want = predicate(rows)
+        for _ in range(5):
+            assert np.array_equal(predicate(gen.permuted(rows, axis=1)), want)
 
 
 def histogram_reference(predicates, n_chunks, dist, trials, seed):
     # bucket every sorted row of the whole dense draw, one verdict per key
     from collections import Counter
-    counts = dense_counts(sim._count_blocks(n_chunks, dist, trials, seed), n_chunks)
+    counts = dense_counts(sim._failed_cells(n_chunks, dist, trials, seed), n_chunks)
     buckets = Counter(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
     want = []
     for key, count in sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -232,6 +286,42 @@ def test_histogram_keys_wider_than_a_byte():
     got = sim.outcome_histogram(predicates, 7, dist, trials=2 * 10 ** 4, seed=6)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     assert any(int(c) > 255 for row in got for c in row["counts"].split(","))
+
+
+def test_histogram_keys_wider_than_a_word():
+    # 17^20 > 2^63: twenty chunks of up to 16 failures each pack into
+    # Python ints, and the buckets are those of the dense draw all the same
+    probs = (0.2, *([0.05] * 16))
+    dist = rel.ChunkFailureDist(probs, 0.8)
+    predicates = {"rs": sim.rs_recoverable(), "sd_40": sim.sd_recoverable(40),
+                  "stair": sim.stair_recoverable(sc.config_new(21, 16, 1, (4, 16))),
+                  "sd_300": sim.sd_recoverable(300)}
+    want = histogram_reference(predicates, 20, dist, 10 ** 4, 8)
+    got = sim.outcome_histogram(predicates, 20, dist, trials=10 ** 4, seed=8)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    assert max(len(row["counts"].split(",")) for row in got) > 15
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 10_000, 100_000, 1_000_000])
+@pytest.mark.parametrize("p", [1e-7, 3.4e-6, 1e-3, 0.02, 0.2, 0.5, 0.97])
+def test_binomial_tails_match_scipy(n, p):
+    special = pytest.importorskip("scipy.special")
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    ks = {0, 1, 2, n, n - 1, *(int(mean + z * sd) for z in (-8, -5, -2, -0.5, 0, 0.5, 2, 5, 8))}
+    for k in sorted(k for k in ks if 0 <= k <= n):
+        lower, upper = sim.binomial_tails(n, p, k)
+        # lgamma(n + 1) ~ 1.3e7 at n = 10^6 leaves P(X = k) about 1e-9 off
+        assert lower == pytest.approx(special.bdtr(k, n, p), rel=1e-8, abs=1e-300)
+        want_upper = special.bdtrc(k - 1, n, p) if k else 1.0
+        assert upper == pytest.approx(want_upper, rel=1e-8, abs=1e-300)
+
+
+def test_binomial_tails_at_the_edges():
+    assert sim.binomial_tails(10, 0.0, 0) == (1.0, 1.0)
+    assert sim.binomial_tails(10, 0.0, 3) == (1.0, 0.0)
+    assert sim.binomial_tails(10, 1.0, 10) == (1.0, 1.0)
+    assert sim.binomial_tails(10, 1.0, 3) == (0.0, 1.0)
+    assert sim.binomial_tails(10 ** 5, 0.2, 0) == (0.0, 1.0)      # P(X = 0) underflows
 
 
 def test_code_family_dispatch():
