@@ -8,12 +8,12 @@ package ships the encoding cost model, an analytical reliability suite
 plus a container-file CLI (``stair``).
 """
 
-from .errors import UnrecoverableError
 from .gf import Field, field_init
 from .stair import (
     FailurePattern,
     StairConfig,
     Step,
+    UnrecoverableError,
     build_canonical,
     cell_role,
     choose_method,

@@ -29,9 +29,8 @@ import numpy as np
 from . import container as cont
 from . import reliability as rel
 from . import sim
-from .errors import UnrecoverableError
-from .stair import (METHODS, FailurePattern, StairConfig, choose_method, config_new,
-                    decode as stair_decode, decoding_steps, encode as stair_encode,
+from .stair import (METHODS, FailurePattern, StairConfig, UnrecoverableError, choose_method,
+                    config_new, decode as stair_decode, decoding_steps, encode as stair_encode,
                     pattern_within_coverage, random_stripe, worst_case_pattern, xor_count)
 
 _SIZE_UNITS = {   # longest first: a unit is matched as a suffix
@@ -55,10 +54,7 @@ def _parse_size(text: str) -> int:
 
 
 def _parse_e(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+    return tuple(int(p) for p in text.split(",")) if text.strip() else ()
 
 
 def _config_from_args(args) -> StairConfig:
@@ -218,30 +214,18 @@ def _pattern_from_json(obj: dict) -> FailurePattern:
          for j, rows in obj.get("sector_failures", {}).items()})
 
 
-def _merge(cfg: StairConfig, patterns: list[FailurePattern]) -> FailurePattern:
-    """The pattern that loses every cell lost in any of ``patterns``: the
-    union of their failed chunks, and of their sector rows outside them.
-    Each of ``patterns`` must be valid for cfg on its own."""
-    if len(patterns) == 1:
-        return patterns[0]
-    for p in patterns:
-        p.validate_for(cfg)
-    failed = frozenset().union(*(p.failed_chunks for p in patterns))
-    sectors: dict[int, set[int]] = {}
-    for p in patterns:
-        for j, rows in p.sector_failures:
-            if j not in failed:
-                sectors.setdefault(j, set()).update(rows)
-    return FailurePattern.make(failed, sectors)
-
-
 def _merge_by_stripe(cfg: StairConfig, entries) -> dict[int, FailurePattern]:
     """Stripe -> its one pattern, from (stripe, pattern) entries that may
-    name a stripe more than once."""
+    name a stripe more than once: a lone pattern as it is, else the union
+    of its patterns, each valid for cfg on its own."""
     by_stripe: dict[int, list[FailurePattern]] = {}
     for k, pattern in entries:
         by_stripe.setdefault(k, []).append(pattern)
-    return {k: _merge(cfg, ps) for k, ps in by_stripe.items()}
+    for ps in by_stripe.values():
+        for p in ps if len(ps) > 1 else ():
+            p.validate_for(cfg)
+    return {k: ps[0] if len(ps) == 1 else FailurePattern.union(ps)
+            for k, ps in by_stripe.items()}
 
 
 def _rewrite(path, header: cont.ContainerHeader, readinto,
@@ -267,8 +251,11 @@ def _rewrite(path, header: cont.ContainerHeader, readinto,
 
 def cmd_inject(args) -> int:
     """Zero the cells that ``--spec`` loses in each of ``--stripes`` and
-    write the result, plus a manifest of one entry per stripe named.  A
-    stripe named more than once loses the union of its patterns' cells."""
+    write the result, plus a manifest of one entry per occurrence of a
+    stripe in ``--stripes``.  A stripe named more than once loses the union
+    of its patterns' cells, and repair merges its entries the same way.
+    An earlier manifest goes before the container is written, so a failed
+    run leaves no stale manifest beside it."""
     with cont.reader(args.input) as (header, readinto):
         cfg = header.cfg
         rng = np.random.default_rng(args.seed) if args.seed is not None else None
@@ -282,6 +269,7 @@ def cmd_inject(args) -> int:
         else:                   # each stripe draws its rows from the seeded stream
             injected = [(k, parse_pattern_spec(args.spec, cfg, rng)) for k in targets]
         by_stripe = _merge_by_stripe(cfg, injected)
+        cont._discard(args.manifest)
 
         def zero(body, idx, pattern):
             cont.zero_cells(body, idx, pattern.lost_cells(cfg))
@@ -678,11 +666,9 @@ def cmd_selftest(args) -> int:
     checks.append(("container header round-trip",
                    cont.parse_header(cont.pack_header(header)) == header))
 
-    failed = 0
     for name, good in checks:
         print(("ok   " if good else "FAIL ") + name)
-        failed += not good
-    return 1 if failed else 0
+    return 0 if all(good for _, good in checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -220,11 +220,20 @@ def replaced(path, size: int):
         raise
 
 
+def _discard(path) -> None:
+    """Remove the regular file that ``path`` names, through a symbolic link
+    as :func:`replaced` writes through one; leave any other file."""
+    if os.path.isfile(path := os.path.realpath(path)):
+        os.unlink(path)
+
+
 @contextmanager
 def writer(header: ContainerHeader, path=None, devices=None):
     """A function that appends a (B, n, r, symbol_size) block of stripes
     to a single container file at ``path`` and/or a ``devices``
-    directory; every file is :func:`replaced` when the block ends."""
+    directory; every file is :func:`replaced` when the block ends.  The old
+    header goes before the first device file is renamed and the new one is
+    renamed last, so a device set cut short has no header to read it by."""
     with ExitStack() as stack:
         sinks = []
         if path:
@@ -240,6 +249,7 @@ def writer(header: ContainerHeader, path=None, devices=None):
             files = [stack.enter_context(replaced(_device_file(devdir, j), header.stripe_count
                                                   * header.stripe_bytes // header.cfg.n))
                      for j in range(header.cfg.n)]
+            stack.push(lambda exc_type, *_: exc_type is None and _discard(devdir / "header.stairc"))
 
             def to_devices(block):
                 for j, f in enumerate(files):

@@ -184,7 +184,7 @@ class Field:
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("matrix must be square")
-        aug = np.concatenate([m.astype(self.word_dtype), self.identity(n)], axis=1)
+        aug = np.concatenate([m.astype(self.word_dtype), np.eye(n, dtype=self.word_dtype)], axis=1)
         for col in range(n):
             nonzero = np.flatnonzero(aug[col:, col])
             if not nonzero.size:
@@ -200,9 +200,6 @@ class Field:
             f[col] ^= 1
             aug ^= self.mat_mul(f, row)
         return aug[:, n:].copy()
-
-    def identity(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=self.word_dtype)
 
 
 @cache

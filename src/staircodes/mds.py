@@ -34,7 +34,7 @@ class GenMatrix:
         f = self.field
         kappa, eta = self.kappa, self.eta
         rows = np.zeros((kappa, eta), dtype=f.word_dtype)
-        rows[:, :kappa] = f.identity(kappa)
+        rows[:, :kappa] = np.eye(kappa, dtype=f.word_dtype)
         for j in range(kappa):           # data index
             y = (eta - kappa) + j
             for i in range(eta - kappa):  # parity index
@@ -54,7 +54,7 @@ class GenMatrix:
         if len(survivors) != self.kappa:
             raise ValueError(f"need exactly kappa={self.kappa} survivors, got {len(survivors)}")
         f, k = self.field, self.kappa
-        checks = np.concatenate([self.parity_block.T, f.identity(self.eta - k)], axis=1)
+        checks = np.hstack([self.parity_block.T, np.eye(self.eta - k, dtype=f.word_dtype)])
         lost = [p for p in range(self.eta) if p not in survivors]
         full = np.zeros((self.eta, k), dtype=f.word_dtype)
         full[list(survivors), range(k)] = 1

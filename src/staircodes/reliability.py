@@ -21,8 +21,6 @@ import numpy as np
 
 from .stair import StairConfig, counts_within_coverage
 
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile (used by sim)
-
 
 @dataclass(frozen=True)
 class ReliabilityParams:
@@ -155,8 +153,7 @@ def p_chk_correlated(r: int, sector_prob: float, b1: float, alpha: float) -> Chu
     order in P_sec.
     """
     b = burst_length_fractions(r, b1, alpha)
-    avg = float(np.arange(1, r + 1) @ b)
-    tail = r * sector_prob / avg
+    tail = r * sector_prob / mean_burst_length(r, b1, alpha)
     if tail > 1:
         raise ValueError(
             f"burst model out of validity range: r * P_sec / B = {tail:.3g} > 1")

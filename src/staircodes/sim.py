@@ -29,22 +29,17 @@ from functools import partial
 
 import numpy as np
 
-from .reliability import _Z99, ChunkFailureDist
+from .reliability import ChunkFailureDist
 from .stair import FailurePattern, StairConfig, counts_within_coverage
 
 _BLOCK = 1 << 16
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def sample_pattern(cfg: StairConfig, seed, within: bool = True) -> FailurePattern:
     """Draw a failure pattern; constructive (always covered) when ``within``,
     otherwise unconstrained and free to exceed the coverage."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if within:
         n_failed = int(rng.integers(0, cfg.m + 1))
         failed = rng.choice(cfg.n, size=n_failed, replace=False)

@@ -34,11 +34,14 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .errors import UnrecoverableError
 from .gf import Field, field_init
 from .mds import GenMatrix
 
 METHODS = ("downstairs", "upstairs", "standard")   # also the tie-break order
+
+
+class UnrecoverableError(Exception):
+    """Raised when erased symbols cannot be reconstructed from the survivors."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +158,7 @@ def parity_cells(cfg: StairConfig) -> list[tuple[int, int]]:
 
 def parity_mask(cfg: StairConfig) -> np.ndarray:
     mask = np.zeros((cfg.r, cfg.n), dtype=bool)
-    for i, j in parity_cells(cfg):
-        mask[i, j] = True
+    mask[tuple(zip(*parity_cells(cfg)))] = True
     return mask
 
 
@@ -205,6 +207,19 @@ class FailurePattern:
         rows_of = {int(j): sorted({int(i) for i in rows}) for j, rows in (sectors or {}).items()}
         return FailurePattern(frozenset(int(j) for j in failed),
                               tuple((j, tuple(rows)) for j, rows in sorted(rows_of.items()) if rows))
+
+    @staticmethod
+    def union(patterns) -> "FailurePattern":
+        """The pattern that loses every cell lost in any of ``patterns``: the
+        union of their failed chunks, plus the sector rows of chunks outside them."""
+        patterns = list(patterns)
+        failed = frozenset().union(*(p.failed_chunks for p in patterns))
+        sectors: dict[int, set[int]] = {}
+        for p in patterns:
+            for j, rows in p.sector_failures:
+                if j not in failed:
+                    sectors.setdefault(j, set()).update(rows)
+        return FailurePattern.make(failed, sectors)
 
     def validate_for(self, cfg: StairConfig) -> None:
         for j in self.failed_chunks:
@@ -378,8 +393,6 @@ class _Codec:
         self.row_code = GenMatrix(self.field, cfg.n - cfg.m, cfg.n + cfg.m_prime)
         self.col_code = (GenMatrix(self.field, cfg.r, cfg.r + cfg.e_max)
                          if cfg.m_prime else None)
-        self.data_cell_list = data_cells(cfg)
-        self.data_index = {cell: k for k, cell in enumerate(self.data_cell_list)}
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -472,7 +485,7 @@ class _Codec:
         through the upstairs plan.
         """
         cfg = self.cfg
-        dcells = self.data_cell_list
+        dcells = data_cells(cfg)
         pcells = parity_cells(cfg)
         wb = self.field.word_bytes
         unit = np.zeros((cfg.r, cfg.n, len(dcells) * wb), dtype=np.uint8)
@@ -626,16 +639,13 @@ def parity_dependents(cfg: StairConfig, cell: tuple[int, int]) -> frozenset:
     i, j = cell
     if cell_role(cfg, i, j) != "data":
         raise ValueError(f"cell {cell} is not a data cell")
-    codec = _codec(cfg)
-    coef, _, pcells, _ = codec.coefficients
-    k = codec.data_index[(i, j)]
-    return frozenset(pcells[p] for p in np.flatnonzero(coef[:, k]))
+    coef, dcells, pcells, _ = _codec(cfg).coefficients
+    return frozenset(pcells[p] for p in np.flatnonzero(coef[:, dcells.index((i, j))]))
 
 
 def update_penalty(cfg: StairConfig) -> float:
     """Mean number of parity cells touched by a single data-cell update."""
-    codec = _codec(cfg)
-    coef, dcells, _, _ = codec.coefficients
+    coef, dcells, _, _ = _codec(cfg).coefficients
     if not dcells:
         raise ValueError("config stores no data cells")
     return int(np.count_nonzero(coef)) / len(dcells)

@@ -661,6 +661,72 @@ def test_failed_encode_keeps_the_old_output(tmp_path, payload):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.stairc", "input.bin"]
 
 
+def _fail_nth_replace(patch, k: int) -> None:
+    """Make the k-th call of ``os.replace`` from now on raise OSError."""
+    real, calls = os.replace, []
+
+    def replace(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k:
+            raise OSError("rename refused")
+        return real(*args, **kwargs)
+    patch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("also_file", [False, True], ids=["devices", "devices-and-file"])
+def test_interrupted_device_encode_leaves_no_mixed_set(tmp_path, monkeypatch, rng, also_file):
+    # b is encoded over a's device set with the k-th rename failing, for
+    # every device file and the header: the set decodes to a or not at all
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    a.write_bytes(rng.integers(0, 256, 5_000, dtype=np.uint8).tobytes())
+    b.write_bytes(rng.integers(0, 256, 5_000, dtype=np.uint8).tobytes())
+    for k in range(1, 8 + 2):
+        dev, out = tmp_path / f"dev{k}", tmp_path / f"out{k}.bin"
+        assert cli.main(["encode", str(a), "--devices", str(dev)] + CFG_FLAGS) == 0
+        extra = ["-o", str(tmp_path / f"box{k}")] if also_file else []
+        with monkeypatch.context() as patch:
+            _fail_nth_replace(patch, k)
+            assert cli.main(["encode", str(b), "--devices", str(dev)] + extra + CFG_FLAGS) == 1
+        rc = cli.main(["decode", "--devices", str(dev), "-o", str(out)])
+        assert rc != 0 or out.read_bytes() == a.read_bytes(), k
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_interrupted_inject_leaves_no_stale_manifest(tmp_path, monkeypatch, payload, k):
+    # the k-th rename of a second inject fails: the container's (1) or the
+    # manifest's (2); repair and decode then give the input or exit non-zero
+    src, data = payload
+    box, hurt, fixed, out = (tmp_path / n for n in ("c.stairc", "h.stairc", "f.stairc", "o.bin"))
+    manifest = tmp_path / "m.json"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    assert cli.main(["inject", str(box), "-o", str(hurt), "--spec", "chunks=6",
+                     "--manifest", str(manifest)]) == 0
+    with monkeypatch.context() as patch:
+        _fail_nth_replace(patch, k)
+        assert cli.main(["inject", str(box), "-o", str(hurt), "--spec", "chunks=0,1",
+                         "--manifest", str(manifest)]) == 1
+    rc = cli.main(["repair", str(hurt), "--manifest", str(manifest), "-o", str(fixed)])
+    rc = rc or cli.main(["decode", str(fixed), "-o", str(out)])
+    assert rc != 0 or out.read_bytes() == data
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_inject_manifest_through_a_link_or_a_device(tmp_path, payload):
+    src, _ = payload
+    box, hurt = tmp_path / "c.stairc", tmp_path / "h.stairc"
+    assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
+    target, link = tmp_path / "m.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    for manifest in (link, os.devnull):
+        assert cli.main(["inject", str(box), "-o", str(hurt), "--spec", "chunks=6",
+                         "--manifest", str(manifest)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["patterns"][0]["failed_chunks"] == [6]
+    assert os.path.exists(os.devnull) and not stat.S_ISREG(os.stat(os.devnull).st_mode)
+
+
 def test_encode_from_a_pipe(tmp_path, payload):
     """An input that is not a regular file, such as /dev/stdin on a pipe,
     gives the same container as the file it carries."""
@@ -1049,6 +1115,14 @@ def test_every_scenario_value_gives_a_report_or_exit_1(tmp_path):
                 if rc not in (0, 1) or rc == 0 and "nan" in out.read_text().lower():
                     broken.append((key, value, flags, rc))
     assert broken == []
+
+
+def test_scenario_defaults_are_the_reliability_defaults():
+    # the scenario table restates ReliabilityParams' defaults as text
+    model = cli.parse_scenario("")
+    params = rel.ReliabilityParams(user_bytes=10 * 2 ** 50, device_bytes=300 * 2 ** 30)
+    assert model["params"] == dataclasses.replace(params, p_bit=0.0)
+    assert model["p_bits"] == [params.p_bit]
 
 
 def test_every_scenario_in_the_repo_parses():

@@ -48,7 +48,7 @@ def test_generator_is_systematic_and_deterministic(field):
     a = GenMatrix(field, 6, 11)
     b = GenMatrix(field, 6, 11)
     assert np.array_equal(a.rows, b.rows)
-    assert np.array_equal(a.rows[:, :6], field.identity(6))
+    assert np.array_equal(a.rows[:, :6], np.eye(6, dtype=field.word_dtype))
 
 
 def test_mds_property_exhaustive_4_6(field, rng):

@@ -152,3 +152,25 @@ def test_constructive_samples_stay_within_coverage(cfg, seed):
     from staircodes import sim
     pat = sim.sample_pattern(cfg, seed, within=True)
     assert sc.pattern_within_coverage(cfg, pat)
+
+
+@given(small_configs(), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_union_of_patterns(cfg, seeds, random):
+    from staircodes import sim
+    patterns = [sim.sample_pattern(cfg, seed, within=False) for seed in seeds]
+    union = sc.FailurePattern.union(patterns)
+    assert sc.FailurePattern.union(patterns[:1]) == patterns[0]
+    shuffled = patterns + random.choices(patterns, k=3)
+    random.shuffle(shuffled)
+    assert sc.FailurePattern.union(iter(shuffled)) == union
+    assert set(union.lost_cells(cfg)) == set().union(*(p.lost_cells(cfg) for p in patterns))
+    union.validate_for(cfg)
+
+
+def test_union_drops_the_sectors_of_a_failed_chunk():
+    make = sc.FailurePattern.make
+    union = sc.FailurePattern.union([make((), {3: (0, 1)}), make((3,), {4: (2,)}),
+                                     make((), {4: (0,)})])
+    assert union == make((3,), {4: (0, 2)})
