@@ -57,6 +57,11 @@ GEOMETRIES = {   # label: (n, r, m, e, symbol size, stripes)
 }
 REPS = 5
 PHASES = ("read", "copy", "codec")
+# (module of the staircodes package, function, phase) for every timed function
+WRAPPED = (("container", "read_exact", "read"),
+           ("container", "fill_data", "copy"), ("container", "extract_data", "copy"),
+           ("container", "gather", "copy"), ("container", "scatter", "copy"),
+           ("cli", "stair_encode", "codec"), ("cli", "stair_decode", "codec"))
 
 
 class PhaseTimer:
@@ -67,9 +72,9 @@ class PhaseTimer:
         self._depth = 0
 
     def wrap(self, owner, attr: str, phase: str) -> None:
-        orig = getattr(owner, attr, None)
-        if orig is None:
-            return
+        """Time ``owner.attr`` as ``phase``; AttributeError when it does not
+        exist, so that a renamed function cannot drop out of its phase."""
+        orig = getattr(owner, attr)
         timer = self
 
         def timed(*args, **kwargs):
@@ -164,14 +169,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src / "src"))
     from staircodes import cli
-    from staircodes import container as cont
 
     timer = PhaseTimer()
-    for owner, attr, phase in [(cont, "read_exact", "read"),
-                               (cont, "fill_data", "copy"), (cont, "extract_data", "copy"),
-                               (cont, "gather", "copy"), (cont, "scatter", "copy"),
-                               (cli, "stair_encode", "codec"), (cli, "stair_decode", "codec")]:
-        timer.wrap(owner, attr, phase)
+    for module, attr, phase in WRAPPED:
+        timer.wrap(importlib.import_module(f"staircodes.{module}"), attr, phase)
 
     rng = np.random.default_rng(0)
     out = {"reps": REPS}

@@ -114,7 +114,6 @@ def cmd_encode(args) -> int:
         with cont.writer(header, args.output, args.devices) as write:
             for _, body, data, user in cont.blocks(header):
                 cont.read_exact(src, user)
-                data.reshape(-1)[len(user):] = 0      # the zero padding of the last stripe
                 cont.fill_data(header, data, body)
                 for s in range(len(body)):
                     stair_encode(cfg, cont.stripe_view(body, s), method)

@@ -152,7 +152,10 @@ def reader(path=None, devices=None):
     ``devices`` directory (a header file plus one file per device), and a
     function that fills a C-contiguous (B, n, r, symbol_size) block with
     the next B stripes.  Every file length is checked from the file sizes
-    first, so a forged header is refused before anything is allocated."""
+    first, so a forged header is refused before anything is allocated.
+    Given both, it refuses: it could read only one of them."""
+    if path and devices:
+        raise ValueError("give a container file or a devices directory, not both")
     with ExitStack() as stack:
         if devices:
             devdir = Path(devices)
@@ -336,14 +339,17 @@ def blocks(header: ContainerHeader):
     user) per block.  The C-contiguous (B, n, r, symbol_size) block and
     the (B, data bytes per stripe) array ``data`` for its data cells are
     views of two arrays that every block reuses, and ``user`` is the flat
-    view of ``data`` that holds the block's input bytes."""
+    view of ``data`` that holds the block's input bytes.  The rest of
+    ``data``, past the last stripe's input bytes, is the zero padding."""
     cfg, per = header.cfg, header.data_bytes_per_stripe
     per_block = max(1, min(BLOCK_BYTES // header.stripe_bytes, header.stripe_count))
     body = np.zeros((per_block, cfg.n, cfg.r, header.symbol_size), dtype=np.uint8)
     data = np.empty((per_block, per), dtype=np.uint8)
     for k in range(0, header.stripe_count, per_block):
         b = min(per_block, header.stripe_count - k)
-        yield k, body[:b], data[:b], data[:b].reshape(-1)[:header.data_length - k * per]
+        flat = data[:b].reshape(-1)
+        flat[header.data_length - k * per:] = 0
+        yield k, body[:b], data[:b], flat[:header.data_length - k * per]
 
 
 def _check_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:

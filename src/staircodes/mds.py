@@ -1,6 +1,6 @@
 """Systematic MDS erasure codes built from Cauchy parity blocks.
 
-A code is held as its kappa x eta generator in the form (I | A) with
+A code's kappa x eta generator is (I | A), held as its parity block A,
 A[j][i] = 1 / (x_i + y_j), x_i = i and y_j = (eta - kappa) + j.  Every
 square submatrix of a Cauchy matrix is invertible, so any kappa received
 symbols determine the whole codeword.  Decoding solves the parity checks
@@ -28,22 +28,11 @@ class GenMatrix:
         self.field = field
         self.kappa = kappa
         self.eta = eta
-        self.rows = self._build()
-
-    def _build(self) -> np.ndarray:
-        f = self.field
-        kappa, eta = self.kappa, self.eta
-        rows = np.zeros((kappa, eta), dtype=f.word_dtype)
-        rows[:, :kappa] = np.eye(kappa, dtype=f.word_dtype)
-        for j in range(kappa):           # data index
+        self.parity_block = np.zeros((kappa, eta - kappa), dtype=field.word_dtype)
+        for j in range(kappa):            # data index
             y = (eta - kappa) + j
             for i in range(eta - kappa):  # parity index
-                rows[j, kappa + i] = f.inverse(i ^ y)
-        return rows
-
-    @property
-    def parity_block(self) -> np.ndarray:
-        return self.rows[:, self.kappa:]
+                self.parity_block[j, i] = field.inverse(i ^ y)
 
     def decode_matrix(self, survivors: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
         """Matrix T with ``targets = T @ survivors`` over symbol regions.

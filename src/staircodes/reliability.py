@@ -69,14 +69,11 @@ class ChunkFailureDist:
 
 @dataclass(frozen=True)
 class ReliabilityReport:
-    code: str
-    e: tuple[int, ...]
     efficiency: float
     num_arrays: int
     p_sec: float
     p_str: float
     p_arr: float
-    p_arr_approx: float
     mttdl_array_hours: float
     mttdl_system_hours: float
     mean_burst_length: float | None = None
@@ -267,7 +264,6 @@ def mttdl(params: ReliabilityParams, cfg: StairConfig, code: str = "stair") -> R
         p_arr = 1.0
     else:
         p_arr = -math.expm1(stripes * math.log1p(-stripe_loss))
-    p_arr_approx = min(1.0, stripes * stripe_loss)
 
     lam = 1.0 / params.mean_time_to_failure_hours
     mu = 1.0 / params.mean_rebuild_hours
@@ -275,14 +271,11 @@ def mttdl(params: ReliabilityParams, cfg: StairConfig, code: str = "stair") -> R
     arr_hours = ((2 * n - 1) * lam + mu) / (n * lam * ((n - 1) * lam + mu * p_arr))
     arrays = num_arrays(params, cfg)
     return ReliabilityReport(
-        code=code,
-        e=cfg.e,
         efficiency=storage_efficiency(cfg),
         num_arrays=arrays,
         p_sec=sector_prob,
         p_str=stripe_loss,
         p_arr=p_arr,
-        p_arr_approx=p_arr_approx,
         mttdl_array_hours=arr_hours,
         mttdl_system_hours=arr_hours / arrays,
         mean_burst_length=(mean_burst_length(cfg.r, params.b1, params.alpha)

@@ -80,7 +80,6 @@ def inject(cfg: StairConfig, cells: np.ndarray, pattern: FailurePattern) -> np.n
 @dataclass(frozen=True)
 class McEstimate:
     p_failure: float
-    stderr: float
     ci99: tuple[float, float]
     trials: int
     failures: int
@@ -91,8 +90,8 @@ class McEstimate:
         normal-approximation 99% confidence interval."""
         p_hat = failures / trials
         stderr = math.sqrt(p_hat * (1 - p_hat) / trials)
-        return cls(p_hat, stderr, (max(0.0, p_hat - _Z99 * stderr),
-                                   min(1.0, p_hat + _Z99 * stderr)), trials, failures)
+        return cls(p_hat, (max(0.0, p_hat - _Z99 * stderr),
+                           min(1.0, p_hat + _Z99 * stderr)), trials, failures)
 
 
 def stair_recoverable(cfg: StairConfig):

@@ -98,10 +98,6 @@ class StairConfig:
     def data_cell_count(self) -> int:
         return self.r * (self.n - self.m) - self.s
 
-    @property
-    def parity_cell_count(self) -> int:
-        return self.m * self.r + self.s
-
 
 def config_new(n: int, r: int, m: int, e=(), w: int = 8) -> StairConfig:
     """Validate parameters and build a config; e is canonicalised (sorted).
@@ -111,55 +107,6 @@ def config_new(n: int, r: int, m: int, e=(), w: int = 8) -> StairConfig:
     sector-failure coverage with no whole-device tolerance.
     """
     return StairConfig(int(n), int(r), int(m), tuple(sorted(int(x) for x in e)), int(w))
-
-
-# ---------------------------------------------------------------------------
-# cell layout
-# ---------------------------------------------------------------------------
-
-def stair_column_index(cfg: StairConfig, l: int) -> int:
-    """Data column holding the l-th run of global-parity cells."""
-    return cfg.n - cfg.m - cfg.m_prime + l
-
-
-def global_parity_depth(cfg: StairConfig, j: int) -> int:
-    """Number of global-parity cells at the bottom of data column j (0 if none)."""
-    l = j - (cfg.n - cfg.m - cfg.m_prime)
-    if 0 <= l < cfg.m_prime and j < cfg.n - cfg.m:
-        return cfg.e[l]
-    return 0
-
-
-def cell_role(cfg: StairConfig, i: int, j: int) -> str:
-    """Role of stripe cell (i, j): "data", "row_parity" or "global_parity"."""
-    if not (0 <= i < cfg.r and 0 <= j < cfg.n):
-        raise ValueError(f"cell ({i}, {j}) outside the {cfg.r} x {cfg.n} stripe")
-    if j >= cfg.n - cfg.m:
-        return "row_parity"
-    if i >= cfg.r - global_parity_depth(cfg, j):
-        return "global_parity"
-    return "data"
-
-
-def data_cells(cfg: StairConfig) -> list[tuple[int, int]]:
-    """Data cells in chunk-major order (the container fill order)."""
-    return [(i, j) for j in range(cfg.n - cfg.m) for i in range(cfg.r)
-            if i < cfg.r - global_parity_depth(cfg, j)]
-
-
-def parity_cells(cfg: StairConfig) -> list[tuple[int, int]]:
-    """All stored parity cells: row parities chunk-major, then stair cells."""
-    out = [(i, j) for j in range(cfg.n - cfg.m, cfg.n) for i in range(cfg.r)]
-    for l in range(cfg.m_prime):
-        j = stair_column_index(cfg, l)
-        out.extend((i, j) for i in range(cfg.r - cfg.e[l], cfg.r))
-    return out
-
-
-def parity_mask(cfg: StairConfig) -> np.ndarray:
-    mask = np.zeros((cfg.r, cfg.n), dtype=bool)
-    mask[tuple(zip(*parity_cells(cfg)))] = True
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +208,44 @@ def pattern_within_coverage(cfg: StairConfig, pattern: FailurePattern) -> bool:
 
 
 def worst_case_pattern(cfg: StairConfig) -> FailurePattern:
-    """m failed chunks plus the full stair of sector failures."""
+    """m failed chunks plus the full stair of sector failures: the bottom
+    e_l cells of data column n-m-m'+l.  Its lost cells are the layout's
+    stored parities (:func:`parity_cells`)."""
     failed = range(cfg.n - cfg.m, cfg.n)
-    sectors = {stair_column_index(cfg, l): range(cfg.r - e_l, cfg.r)
-               for l, e_l in enumerate(cfg.e)}
+    first = cfg.n - cfg.m - cfg.m_prime
+    sectors = {first + l: range(cfg.r - e_l, cfg.r) for l, e_l in enumerate(cfg.e)}
     return FailurePattern.make(failed, sectors)
+
+
+# ---------------------------------------------------------------------------
+# cell layout
+# ---------------------------------------------------------------------------
+
+def parity_cells(cfg: StairConfig) -> list[tuple[int, int]]:
+    """All stored parity cells: row parities chunk-major, then stair cells,
+    as :func:`worst_case_pattern` loses them."""
+    return list(worst_case_pattern(cfg).lost_cells(cfg))
+
+
+def cell_role(cfg: StairConfig, i: int, j: int) -> str:
+    """Role of stripe cell (i, j): "data", "row_parity" or "global_parity"."""
+    if not (0 <= i < cfg.r and 0 <= j < cfg.n):
+        raise ValueError(f"cell ({i}, {j}) outside the {cfg.r} x {cfg.n} stripe")
+    if j >= cfg.n - cfg.m:
+        return "row_parity"
+    return "global_parity" if (i, j) in parity_cells(cfg) else "data"
+
+
+def data_cells(cfg: StairConfig) -> list[tuple[int, int]]:
+    """Data cells in chunk-major order (the container fill order)."""
+    parity = set(parity_cells(cfg))
+    return [(i, j) for j in range(cfg.n - cfg.m) for i in range(cfg.r) if (i, j) not in parity]
+
+
+def parity_mask(cfg: StairConfig) -> np.ndarray:
+    mask = np.zeros((cfg.r, cfg.n), dtype=bool)
+    mask[tuple(zip(*parity_cells(cfg)))] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +434,14 @@ class _Codec:
     def _plan_standard(self) -> Plan:
         """One step per parity cell, on line 0 (the flat grid), over only the
         data cells it depends on: its mult-XORs are the nonzero coefficients."""
-        coef, dcells, pcells, nonzero = self.coefficients
+        coef, dcells, pcells = self.coefficients
         cols = self.grid_shape[1]
         pos = [i * cols + j for i, j in dcells]
-        return ((0,) * len(pcells),
-                tuple(Step("standard", [pos[k] for k in nz], (i * cols + j,), coef[p:p + 1, nz])
-                      for p, ((i, j), nz) in enumerate(zip(pcells, nonzero))))
+        steps = []
+        for p, (i, j) in enumerate(pcells):
+            nz = np.flatnonzero(coef[p])
+            steps.append(Step("standard", [pos[k] for k in nz], (i * cols + j,), coef[p:p + 1, nz]))
+        return (0,) * len(steps), tuple(steps)
 
     @cached_property
     def extension_plan(self) -> Plan:
@@ -495,8 +477,7 @@ class _Codec:
         coef = np.zeros((len(pcells), len(dcells)), dtype=self.field.word_dtype)
         for p, (i, j) in enumerate(pcells):
             coef[p] = grid[i, j].view(self.field.word_dtype)
-        nonzero = [np.flatnonzero(coef[p]) for p in range(len(pcells))]
-        return coef, dcells, pcells, nonzero
+        return coef, dcells, pcells
 
 
 @cache
@@ -622,7 +603,7 @@ def xor_count(cfg: StairConfig, method: str) -> int:
     if method == "downstairs":
         return nm * ((cfg.m + cfg.m_prime) * cfg.r) + cfg.r * cfg.s
     if method == "standard":
-        return int(sum(len(nz) for nz in _codec(cfg).coefficients[3]))
+        return int(np.count_nonzero(_codec(cfg).coefficients[0]))
     raise ValueError(f"unknown encoding method {method!r}")
 
 
@@ -639,13 +620,12 @@ def parity_dependents(cfg: StairConfig, cell: tuple[int, int]) -> frozenset:
     i, j = cell
     if cell_role(cfg, i, j) != "data":
         raise ValueError(f"cell {cell} is not a data cell")
-    coef, dcells, pcells, _ = _codec(cfg).coefficients
+    coef, dcells, pcells = _codec(cfg).coefficients
     return frozenset(pcells[p] for p in np.flatnonzero(coef[:, dcells.index((i, j))]))
 
 
 def update_penalty(cfg: StairConfig) -> float:
     """Mean number of parity cells touched by a single data-cell update."""
-    coef, dcells, _, _ = _codec(cfg).coefficients
-    if not dcells:
+    if not cfg.data_cell_count:
         raise ValueError("config stores no data cells")
-    return int(np.count_nonzero(coef)) / len(dcells)
+    return xor_count(cfg, "standard") / cfg.data_cell_count

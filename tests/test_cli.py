@@ -617,6 +617,19 @@ def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["devices", "input.bin"]
 
 
+def test_decode_of_a_file_and_devices_exits_1(tmp_path, rng):
+    # a container file and a devices directory in one decode: neither is
+    # read in place of the other, and nothing is written
+    a, b, out = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "out.bin"
+    a.write_bytes(rng.bytes(3_000))
+    b.write_bytes(rng.bytes(3_000))
+    assert cli.main(["encode", str(a), "-o", str(tmp_path / "a.stc")] + CFG_FLAGS) == 0
+    assert cli.main(["encode", str(b), "--devices", str(tmp_path / "dev")] + CFG_FLAGS) == 0
+    assert cli.main(["decode", str(tmp_path / "a.stc"), "--devices", str(tmp_path / "dev"),
+                     "-o", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "a.stc", "b.bin", "dev"]
+
+
 @pytest.mark.parametrize("damage", ["short", "long"])
 def test_decode_wrong_length_container_exits_1(tmp_path, payload, damage):
     src, _ = payload
@@ -1147,6 +1160,25 @@ def test_mc_bench_reads_the_scenario_model():
     doc = json.loads(done.stdout)
     assert set(doc) == {"trials", "chunks", "codes", "trials_per_s", "reports_per_s"}
     assert (doc["trials"], doc["chunks"], doc["codes"]) == (10000, 15, 8)
+
+
+def test_bench_scripts_name_only_what_exists(monkeypatch):
+    """scripts/io_bench.py times the functions of its WRAPPED list, and
+    refuses a name that does not exist; scripts/plan_bench.py and
+    scripts/kernel_bench.py clear the caches of stair._decode_plan and
+    gf.Field._maps.  Every one of those names must exist."""
+    from staircodes.gf import Field
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "io_bench", Path(__file__).resolve().parent.parent / "scripts" / "io_bench.py")
+    io_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(io_bench)
+    for module, attr, phase in io_bench.WRAPPED:
+        assert callable(getattr(importlib.import_module(f"staircodes.{module}"), attr)), attr
+        assert phase in io_bench.PHASES
+    with pytest.raises(AttributeError):
+        io_bench.PhaseTimer().wrap(cont, "no_such_function", "copy")
+    assert callable(stair._decode_plan.cache_clear) and callable(Field._maps.cache_clear)
 
 
 # The benchmark's checked-in goldens (stairbench/data/, read only).

@@ -136,7 +136,8 @@ def test_data_fill_and_extract_roundtrip(exemplar, rng):
 
 def test_blocks_cover_the_data(exemplar, monkeypatch):
     # blocks of two stripes over a 5-stripe container whose last stripe
-    # holds 5 bytes
+    # holds 5 bytes; the arrays are dirtied between blocks, and the last
+    # stripe's tail past its 5 bytes still reads as the zero padding
     per = exemplar.data_cell_count * 4
     header = cont.ContainerHeader(exemplar, 4, 4 * per + 5)
     monkeypatch.setattr(cont, "BLOCK_BYTES", 2 * header.stripe_bytes)
@@ -145,6 +146,8 @@ def test_blocks_cover_the_data(exemplar, monkeypatch):
         assert body.shape == (len(data), exemplar.n, exemplar.r, 4) and body.flags.c_contiguous
         assert data.shape == (len(body), per) and user.ctypes.data == data.ctypes.data
         got.append((k, len(body), len(user)))
+        assert not data.reshape(-1)[len(user):].any()
+        data[:] = 0xA5
     assert got == [(0, 2, 2 * per), (2, 2, 2 * per), (4, 1, 5)]
 
 

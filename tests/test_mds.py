@@ -47,8 +47,11 @@ def test_shape_validation(field):
 def test_generator_is_systematic_and_deterministic(field):
     a = GenMatrix(field, 6, 11)
     b = GenMatrix(field, 6, 11)
-    assert np.array_equal(a.rows, b.rows)
-    assert np.array_equal(a.rows[:, :6], np.eye(6, dtype=field.word_dtype))
+    assert np.array_equal(a.parity_block, b.parity_block)
+    assert a.parity_block.shape == (6, 5)
+    # the first kappa positions of a codeword are its data
+    assert np.array_equal(a.decode_matrix(tuple(range(6)), tuple(range(6))),
+                          np.eye(6, dtype=field.word_dtype))
 
 
 def test_mds_property_exhaustive_4_6(field, rng):

@@ -256,8 +256,10 @@ def test_mttdl_monotone_in_p_bit():
 
 
 def test_exact_p_arr_below_union_bound():
-    rep = rel.mttdl(params(p_bit=1e-10), sc.config_new(8, 16, 1, ()), code="rs")
-    assert rep.p_arr <= rep.p_arr_approx + 1e-15
+    p = params(p_bit=1e-10)
+    rep = rel.mttdl(p, sc.config_new(8, 16, 1, ()), code="rs")
+    stripes = p.device_bytes // (p.sector_bytes * 16)
+    assert rep.p_arr <= min(1.0, stripes * rep.p_str) + 1e-15
 
 
 def test_report_consistency():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staircodes as sc
-from staircodes.stair import (cell_role, counts_within_coverage, data_cells,
-                              global_parity_depth, parity_cells, stair_column_index)
+from staircodes.stair import cell_role, counts_within_coverage, data_cells, parity_cells
 from conftest import sweep_configs
 from oracles import coverage_by_assignment
 
@@ -48,15 +47,35 @@ def test_unsorted_e_rejected_by_raw_constructor():
 
 def test_exemplar_layout(exemplar):
     cfg = exemplar
-    assert [stair_column_index(cfg, l) for l in range(3)] == [3, 4, 5]
+    # stair columns 3, 4 and 5 (n - m - m' + l) end in e = (1, 1, 2) global parities
+    assert [[cell_role(cfg, i, j) for i in range(cfg.r)].count("global_parity")
+            for j in range(cfg.n - cfg.m)] == [0, 0, 0, 1, 1, 2]
     assert cell_role(cfg, 3, 3) == "global_parity"
     assert cell_role(cfg, 3, 4) == "global_parity"
     assert cell_role(cfg, 2, 5) == "global_parity"
     assert cell_role(cfg, 3, 5) == "global_parity"
     assert cell_role(cfg, 2, 4) == "data"
     assert cell_role(cfg, 0, 6) == "row_parity"
-    assert global_parity_depth(cfg, 5) == 2
-    assert global_parity_depth(cfg, 2) == 0
+
+
+@pytest.mark.parametrize("cfg", sweep_configs() + [sc.config_new(12, 16, 3, (1, 2, 4), w=16),
+                                                   sc.config_new(10, 6, 1, (1, 1, 3), w=32)],
+                         ids=str)
+def test_one_layout(cfg):
+    """cell_role over every cell agrees with data_cells and parity_cells, and
+    stair column n - m - m' + l holds exactly its bottom e_l rows as global
+    parities."""
+    roles = {(i, j): cell_role(cfg, i, j) for i in range(cfg.r) for j in range(cfg.n)}
+    assert data_cells(cfg) == [cell for cell in sorted(roles, key=lambda c: (c[1], c[0]))
+                               if roles[cell] == "data"]
+    assert {cell for cell, role in roles.items() if role != "data"} == set(parity_cells(cfg))
+    first = cfg.n - cfg.m - cfg.m_prime
+    for j in range(cfg.n - cfg.m):
+        depth = cfg.e[j - first] if j >= first else 0
+        assert [roles[i, j] for i in range(cfg.r)] == (
+            ["data"] * (cfg.r - depth) + ["global_parity"] * depth), (cfg, j)
+    for j in range(cfg.n - cfg.m, cfg.n):
+        assert all(roles[i, j] == "row_parity" for i in range(cfg.r))
 
 
 def test_cell_counts_across_sweep():
@@ -64,7 +83,7 @@ def test_cell_counts_across_sweep():
         d = data_cells(cfg)
         p = parity_cells(cfg)
         assert len(d) == cfg.r * (cfg.n - cfg.m) - cfg.s == cfg.data_cell_count
-        assert len(p) == cfg.m * cfg.r + cfg.s == cfg.parity_cell_count
+        assert len(p) == cfg.m * cfg.r + cfg.s
         assert len(set(d) | set(p)) == cfg.r * cfg.n
         # the space saved versus device-level-only protection
         assert cfg.r * (cfg.m + cfg.m_prime) - len(p) == cfg.r * cfg.m_prime - cfg.s
