@@ -476,20 +476,9 @@ def reliability_rows(scenario: dict) -> list[dict]:
     for p_bit in scenario["p_bits"]:
         params = dataclasses.replace(scenario["params"], p_bit=p_bit)
         for kind, e, cfg in scenario["codes"]:
-            report = rel.mttdl(params, cfg, code=kind)
-            rows.append({
-                "p_bit": p_bit,
-                "code": _label(kind, e, "(", ",", ")"),
-                "e": ",".join(str(x) for x in e) or "-",
-                "efficiency": report.efficiency,
-                "n_arrays": report.num_arrays,
-                "p_str": report.p_str,
-                "mttdl_sys_hours": report.mttdl_system_hours,
-                "p_sec": report.p_sec,
-                "p_arr": report.p_arr,
-                "mttdl_arr_hours": report.mttdl_array_hours,
-                "mean_burst_length": report.mean_burst_length,
-            })
+            rows.append({"p_bit": p_bit, "code": _label(kind, e, "(", ",", ")"),
+                         "e": ",".join(str(x) for x in e) or "-",
+                         **vars(rel.mttdl(params, cfg, code=kind))})
     return rows
 
 
@@ -549,6 +538,8 @@ def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0)
     """Best-of-``reps`` encode timings per method plus a worst-case decode."""
     if reps < 1:
         raise ValueError(f"bench needs at least one repetition, got {reps}")
+    if stripe_bytes < 1:
+        raise ValueError(f"bench needs a positive stripe size, got {stripe_bytes} bytes")
     word = cfg.w // 8
     symbol = max(word, (stripe_bytes // (cfg.r * cfg.n)) // word * word)
     rng = np.random.default_rng(seed)

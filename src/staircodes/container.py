@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import DEFAULT_POLY
-from .stair import StairConfig, check_symbol_size, config_new, data_cells
+from .stair import StairConfig, check_symbol_size, data_cells
 
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
@@ -102,11 +102,9 @@ def parse_header(buf: bytes) -> ContainerHeader:
     if len(buf) < off + 2 * m_prime + _TRAILER.size:
         raise ValueError("truncated container header")
     e = struct.unpack_from(f"<{m_prime}H", buf, off)
-    if list(e) != sorted(e):
-        raise ValueError(f"coverage vector in header is not sorted: {e}")
     off += 2 * m_prime
     symbol_size, poly32, data_length = _TRAILER.unpack_from(buf, off)
-    header = ContainerHeader(config_new(n, r, m, e, w), symbol_size, data_length)
+    header = ContainerHeader(StairConfig(n, r, m, e, w), symbol_size, data_length)
     poly = poly32 | (1 << 32) if w == 32 else poly32
     if poly != DEFAULT_POLY[w]:
         # the codec only runs the default field of each width
@@ -159,7 +157,9 @@ def reader(path=None, devices=None):
     with ExitStack() as stack:
         if devices:
             devdir = Path(devices)
-            header = _read_header(stack.enter_context(open(devdir / "header.stairc", "rb")))
+            head = stack.enter_context(open(devdir / "header.stairc", "rb"))
+            header = _read_header(head)
+            _check_length(os.fstat(head.fileno()).st_size, (header.size,), "header file")
             files = [stack.enter_context(open(_device_file(devdir, j), "rb"))
                      for j in range(header.cfg.n)]
             for j, f in enumerate(files):
@@ -236,23 +236,29 @@ def writer(header: ContainerHeader, path=None, devices=None):
     to a single container file at ``path`` and/or a ``devices``
     directory; every file is :func:`replaced` when the block ends.  The old
     header goes before the first device file is renamed and the new one is
-    renamed last, so a device set cut short has no header to read it by."""
+    renamed last, so a device set cut short has no header to read it by.
+    ``path``'s file is renamed after the device set, and when that fails
+    the new header goes too, so that ``path`` keeps the old container and
+    the new device set is refused."""
     with ExitStack() as stack:
         sinks = []
+        if devices:
+            devdir, cleared = Path(devices), []
+            head = devdir / "header.stairc"
+            # exits last; once the old header is cleared, any header is this writer's
+            stack.push(lambda exc_type, *_: exc_type is not None and cleared and _discard(head))
         if path:
             f = stack.enter_context(replaced(path, header.size + header.stripe_count
                                              * header.stripe_bytes))
             f.write(pack_header(header))
             sinks.append(f.write)
         if devices:
-            devdir = Path(devices)
             devdir.mkdir(parents=True, exist_ok=True)
-            stack.enter_context(replaced(devdir / "header.stairc", header.size)).write(
-                pack_header(header))
+            stack.enter_context(replaced(head, header.size)).write(pack_header(header))
             files = [stack.enter_context(replaced(_device_file(devdir, j), header.stripe_count
                                                   * header.stripe_bytes // header.cfg.n))
                      for j in range(header.cfg.n)]
-            stack.push(lambda exc_type, *_: exc_type is None and _discard(devdir / "header.stairc"))
+            stack.push(lambda exc_type, *_: exc_type is None and cleared.append(_discard(head)))
 
             def to_devices(block):
                 for j, f in enumerate(files):

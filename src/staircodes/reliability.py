@@ -69,13 +69,15 @@ class ChunkFailureDist:
 
 @dataclass(frozen=True)
 class ReliabilityReport:
+    """One code's figures at one p_bit, in the order of the report's columns."""
+
     efficiency: float
-    num_arrays: int
-    p_sec: float
+    n_arrays: int
     p_str: float
+    mttdl_sys_hours: float
+    p_sec: float
     p_arr: float
-    mttdl_array_hours: float
-    mttdl_system_hours: float
+    mttdl_arr_hours: float
     mean_burst_length: float | None = None
 
 
@@ -216,31 +218,23 @@ def p_str_stair(cfg: StairConfig, dist: ChunkFailureDist) -> float:
     return _p_str_dp(cfg.n - cfg.m, dist, (), partial(_stair_step, cfg))
 
 
-def p_str_rs(cfg: StairConfig, dist: ChunkFailureDist) -> float:
-    """Plain device-level code: any sector failure in critical mode is fatal."""
-    if dist.tail >= 1:
-        return 1.0
-    return -math.expm1((cfg.n - cfg.m) * math.log1p(-dist.tail))
-
-
-def p_str_sd(s: int, cfg: StairConfig, dist: ChunkFailureDist) -> float:
-    """Sector-disk coverage: recoverable iff the stripe total is <= s.
-    Known constructions exist for s <= 3 only."""
-    if s not in (1, 2, 3):
-        raise ValueError(f"sector-disk coverage is only defined for s in 1..3, got {s}")
-    return _p_str_dp(cfg.n - cfg.m, dist, 0,
-                     lambda total, c: total + c if total + c <= s else None)
-
-
 def p_str(code: str, cfg: StairConfig, dist: ChunkFailureDist) -> float:
-    """Stripe loss of a code family on cfg: "stair" (the coverage of cfg.e),
-    "rs" (no sector tolerance) or "sd" (total-count coverage, s = cfg.s)."""
+    """Stripe loss of a code family on cfg in critical mode: "stair" (the
+    coverage of cfg.e), "rs" (a plain device-level code: any sector failure
+    is fatal) or "sd" (sector-disk coverage: recoverable iff the stripe
+    total is <= s = cfg.s; known constructions exist for s <= 3 only)."""
     if code == "stair":
         return p_str_stair(cfg, dist)
     if code == "rs":
-        return p_str_rs(cfg, dist)
+        if dist.tail >= 1:
+            return 1.0
+        return -math.expm1((cfg.n - cfg.m) * math.log1p(-dist.tail))
     if code == "sd":
-        return p_str_sd(cfg.s, cfg, dist)
+        s = cfg.s
+        if s not in (1, 2, 3):
+            raise ValueError(f"sector-disk coverage is only defined for s in 1..3, got {s}")
+        return _p_str_dp(cfg.n - cfg.m, dist, 0,
+                         lambda total, c: total + c if total + c <= s else None)
     raise ValueError(f"unknown code kind {code!r}")
 
 
@@ -272,12 +266,12 @@ def mttdl(params: ReliabilityParams, cfg: StairConfig, code: str = "stair") -> R
     arrays = num_arrays(params, cfg)
     return ReliabilityReport(
         efficiency=storage_efficiency(cfg),
-        num_arrays=arrays,
-        p_sec=sector_prob,
+        n_arrays=arrays,
         p_str=stripe_loss,
+        mttdl_sys_hours=arr_hours / arrays,
+        p_sec=sector_prob,
         p_arr=p_arr,
-        mttdl_array_hours=arr_hours,
-        mttdl_system_hours=arr_hours / arrays,
+        mttdl_arr_hours=arr_hours,
         mean_burst_length=(mean_burst_length(cfg.r, params.b1, params.alpha)
                            if params.model == "correlated" else None),
     )

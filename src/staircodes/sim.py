@@ -94,28 +94,16 @@ class McEstimate:
                            min(1.0, p_hat + _Z99 * stderr)), trials, failures)
 
 
-def stair_recoverable(cfg: StairConfig):
-    """Vectorised coverage predicate on (trials, chunks) count arrays."""
-    return partial(counts_within_coverage, cfg)
-
-
-def rs_recoverable():
-    return lambda counts: ~counts.any(axis=1)
-
-
-def sd_recoverable(s: int):
-    return lambda counts: counts.sum(axis=1) <= s
-
-
 def recoverable(code: str, cfg: StairConfig):
-    """The predicate of a code family on cfg, the families of
+    """The vectorised predicate of a code family on cfg, one verdict per row
+    of a (trials, chunks) count array; the families are those of
     :func:`staircodes.reliability.p_str`."""
     if code == "stair":
-        return stair_recoverable(cfg)
+        return partial(counts_within_coverage, cfg)
     if code == "rs":
-        return rs_recoverable()
+        return lambda counts: ~counts.any(axis=1)
     if code == "sd":
-        return sd_recoverable(cfg.s)
+        return lambda counts: counts.sum(axis=1) <= cfg.s
     raise ValueError(f"unknown code kind {code!r}")
 
 

@@ -177,12 +177,12 @@ def test_criterion_08_stripe_loss_equivalences():
             assert got == pytest.approx(want, rel=1e-10), (e, seed)
         for s in (1, 2, 3):
             cfg = sc.config_new(8, 16, 1, (s,))
-            got = rel.p_str_sd(s, cfg, dist)
+            got = rel.p_str("sd", cfg, dist)
             want = oracles.p_str_by_enumeration(
                 n_chunks, dist.probs, lambda vec: sum(vec) <= s, max_count=s)
             assert got == pytest.approx(want, rel=1e-10), (s, seed)
         cfg = sc.config_new(8, 16, 1, ())
-        assert rel.p_str_rs(cfg, dist) == pytest.approx(
+        assert rel.p_str("rs", cfg, dist) == pytest.approx(
             oracles.p_str_by_enumeration(n_chunks, dist.probs,
                                          lambda vec: not any(vec), max_count=0),
             rel=1e-10)
@@ -204,13 +204,14 @@ def test_criterion_09_monte_carlo_validation():
     start = time.monotonic()
     n, r, m = 8, 16, 1
     dist = rel.p_chk_independent(r, 1e-3)
-    cases = [("rs", rel.p_str_rs(sc.config_new(n, r, m, ()), dist), sim.rs_recoverable())]
+    cfg = sc.config_new(n, r, m, ())
+    cases = [("rs", rel.p_str("rs", cfg, dist), sim.recoverable("rs", cfg))]
     for s in (1, 2, 3):
         cfg = sc.config_new(n, r, m, (s,))
-        cases.append((f"sd({s})", rel.p_str_sd(s, cfg, dist), sim.sd_recoverable(s)))
+        cases.append((f"sd({s})", rel.p_str("sd", cfg, dist), sim.recoverable("sd", cfg)))
     for e in [(1,), (3,), (1, 2), (1, 1, 1)]:
         cfg = sc.config_new(n, r, m, e)
-        cases.append((f"stair{e}", rel.p_str_stair(cfg, dist), sim.stair_recoverable(cfg)))
+        cases.append((f"stair{e}", rel.p_str_stair(cfg, dist), sim.recoverable("stair", cfg)))
     trials = 10 ** 6
     for i, (label, analytic, predicate) in enumerate(cases):
         est = sim.monte_carlo_p_str(predicate, n - m, dist, trials=trials, seed=900 + i)
@@ -232,7 +233,7 @@ def test_criterion_10_qualitative_reliability_claims():
                                   p_bit=1e-14)
     base = rel.mttdl(indep, sc.config_new(8, 16, 1, ()), code="rs")
     covered = rel.mttdl(indep, sc.config_new(8, 16, 1, (1,)), code="stair")
-    ratio = covered.mttdl_system_hours / base.mttdl_system_hours
+    ratio = covered.mttdl_sys_hours / base.mttdl_sys_hours
     assert ratio > 100
 
     correlated = rel.ReliabilityParams(user_bytes=10 * 2 ** 50,
@@ -242,7 +243,7 @@ def test_criterion_10_qualitative_reliability_claims():
     for s, variants in [(2, [(2,), (1, 1)]),
                         (3, [(3,), (1, 2), (1, 1, 1)]),
                         (4, [(4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)])]:
-        values = {e: rel.mttdl(correlated, sc.config_new(8, 16, 1, e)).mttdl_system_hours
+        values = {e: rel.mttdl(correlated, sc.config_new(8, 16, 1, e)).mttdl_sys_hours
                   for e in variants}
         best = max(values, key=values.get)
         assert best == (s,), (s, values)

@@ -597,7 +597,7 @@ def test_file_and_devices_hold_the_same_chunks(tmp_path, payload):
         assert (devdir / f"device_{j:02d}.bin").read_bytes() == b"".join(chunks[j::n])
 
 
-@pytest.mark.parametrize("damage", ["missing", "short", "long", "forged-header"])
+@pytest.mark.parametrize("damage", ["missing", "short", "long", "forged-header", "long-header"])
 def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
     src, _ = payload
     devdir = tmp_path / "devices"
@@ -610,6 +610,9 @@ def test_decode_devices_wrong_length_exits_1(tmp_path, payload, damage):
         hdr = devdir / "header.stairc"
         forged = dataclasses.replace(cont.parse_header(hdr.read_bytes()), data_length=2 ** 62)
         hdr.write_bytes(cont.pack_header(forged))
+    elif damage == "long-header":
+        with open(devdir / "header.stairc", "ab") as hdr:
+            hdr.write(b"tail")
     else:
         raw = dev.read_bytes()
         dev.write_bytes(raw[:-1] if damage == "short" else raw + b"\x00")
@@ -1464,6 +1467,13 @@ def test_bench_smoke(tmp_path):
 def test_bench_without_repetitions_exits_1(capsys):
     assert cli.main(["bench", "--n", "8", "--r", "4", "--m", "1", "--e", "2",
                      "--stripe-mib", "1", "--reps", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mib", ["0", "-1"])
+def test_bench_without_a_stripe_exits_1(capsys, mib):
+    assert cli.main(["bench", "--n", "8", "--r", "4", "--m", "1", "--e", "2",
+                     "--stripe-mib", mib, "--reps", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -1,6 +1,7 @@
 """I/O faults as a property: every command that writes a file, with the
-k-th ``os.posix_fallocate``, output-file write or input ``readinto`` made
-to fail, for every k up to the number of such calls the command makes.
+k-th ``os.posix_fallocate``, output-file write, input ``readinto`` or
+``os.replace`` made to fail, for every k up to the number of such calls
+the command makes.
 
 After each fault the command exits 1, leaves no temporary file, and every
 earlier output is either byte-identical to before or refused: the
@@ -21,7 +22,7 @@ from staircodes import container as cont
 CFG_FLAGS = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--symbol-size", "32"]
 STRIPE_BYTES = 8 * 4 * 32
 DATA_BYTES = (4 * (8 - 2) - 4) * 32      # per stripe
-POINTS = ("fallocate", "write", "readinto")
+POINTS = ("fallocate", "write", "readinto", "replace")
 
 
 class _Faults:
@@ -38,7 +39,8 @@ class _Faults:
             raise OSError(self.code, os.strerror(self.code))
 
     def install(self, patch) -> None:
-        real_open, real_fallocate, faults = open, os.posix_fallocate, self
+        real_open, real_fallocate, real_replace, faults = (open, os.posix_fallocate,
+                                                           os.replace, self)
 
         class File:
             """A file whose ``write`` and ``readinto`` pass through ``hit``."""
@@ -67,9 +69,14 @@ class _Faults:
             faults.hit("fallocate")
             return real_fallocate(*args)
 
+        def replace(*args):
+            faults.hit("replace")
+            return real_replace(*args)
+
         patch.setattr(cont, "open", File, raising=False)
         patch.setattr(cli, "open", File, raising=False)
         patch.setattr(os, "posix_fallocate", fallocate)
+        patch.setattr(os, "replace", replace)
 
 
 def _snapshot(root: Path) -> dict:
@@ -155,7 +162,8 @@ def test_every_io_fault_fails_whole(tmp_path, monkeypatch, case):
         counting.install(patch)
         assert cli.main(argv) == 0
     _restore(tmp_path, snap)
-    assert counting.calls["write"] and counting.calls["fallocate"], counting.calls
+    assert all(counting.calls[point] for point in ("write", "fallocate", "replace")), \
+        counting.calls
 
     for point in POINTS:
         for k in range(1, counting.calls[point] + 1):

@@ -134,28 +134,28 @@ def test_dp_matches_direct_enumeration():
 def test_p_str_rs():
     cfg = sc.config_new(8, 16, 1, ())
     clean = rel.ChunkFailureDist((1.0,) + (0.0,) * 16, 0.0)
-    assert rel.p_str_rs(cfg, clean) == 0.0
+    assert rel.p_str("rs", cfg, clean) == 0.0
     assert rel.p_str_stair(cfg, clean) == 0.0
     dist = random_dist(16, 3)
-    assert rel.p_str_rs(cfg, dist) == pytest.approx(
+    assert rel.p_str("rs", cfg, dist) == pytest.approx(
         oracles.p_str_rs_closed(7, dist.probs), rel=1e-10)
     # with no stair cells the coverage rule degenerates to the same thing
-    assert rel.p_str_stair(cfg, dist) == pytest.approx(rel.p_str_rs(cfg, dist), rel=1e-10)
+    assert rel.p_str_stair(cfg, dist) == pytest.approx(rel.p_str("rs", cfg, dist), rel=1e-10)
 
 
 def test_p_str_sd():
     cfg1 = sc.config_new(8, 16, 1, (1,))
     dist = random_dist(16, 11)
-    assert rel.p_str_sd(1, cfg1, dist) == pytest.approx(
+    assert rel.p_str("sd", cfg1, dist) == pytest.approx(
         rel.p_str_stair(cfg1, dist), rel=1e-12)
     for s in (1, 2, 3):
-        got = rel.p_str_sd(s, sc.config_new(8, 16, 1, (s,)), dist)
+        got = rel.p_str("sd", sc.config_new(8, 16, 1, (s,)), dist)
         assert got == pytest.approx(oracles.p_str_sd_closed(s, 7, dist.probs), rel=1e-10)
         want = oracles.p_str_by_enumeration(
             7, dist.probs, lambda vec: sum(vec) <= s, max_count=s)
         assert got == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
-        rel.p_str_sd(4, sc.config_new(8, 16, 1, (4,)), dist)
+        rel.p_str("sd", sc.config_new(8, 16, 1, (4,)), dist)
 
 
 def test_p_str_coverage_ordering():
@@ -163,9 +163,9 @@ def test_p_str_coverage_ordering():
     dist = random_dist(16, 5)
     for e in [(3,), (1, 2), (1, 1, 1)]:
         cfg = sc.config_new(8, 16, 1, e)
-        p_rs = rel.p_str_rs(cfg, dist)
+        p_rs = rel.p_str("rs", cfg, dist)
         p_st = rel.p_str_stair(cfg, dist)
-        p_sd = rel.p_str_sd(3, cfg, dist)
+        p_sd = rel.p_str("sd", cfg, dist)
         assert p_rs >= p_st >= p_sd >= 0.0
         assert p_rs <= 1.0
 
@@ -224,8 +224,8 @@ def test_p_str_bytes_pinned(key):
     dist = (rel.p_chk_independent(r, sector_prob) if model == "independent"
             else rel.p_chk_correlated(r, sector_prob, 0.98, 1.79))
     got = [rel.p_str_stair(sc.config_new(8, r, 1, e), dist) for e in ((1, 2), (1, 1, 2), (4,))]
-    cfg = sc.config_new(8, r, 1, ())
-    got += [rel.p_str_sd(2, cfg, dist), rel.p_str_rs(cfg, dist)]
+    got += [rel.p_str("sd", sc.config_new(8, r, 1, (2,)), dist),
+            rel.p_str("rs", sc.config_new(8, r, 1, ()), dist)]
     assert tuple(v.hex() for v in got) == P_STR_HEX[key]
 
 
@@ -244,13 +244,13 @@ def test_mttdl_zero_sector_failures_formula():
     mu = 1 / p.mean_rebuild_hours
     want = ((2 * 8 - 1) * lam + mu) / (8 * 7 * lam ** 2)
     assert rep.p_str == 0.0
-    assert rep.mttdl_array_hours == pytest.approx(want, rel=1e-12)
-    assert rep.mttdl_system_hours == pytest.approx(want / rep.num_arrays, rel=1e-12)
+    assert rep.mttdl_arr_hours == pytest.approx(want, rel=1e-12)
+    assert rep.mttdl_sys_hours == pytest.approx(want / rep.n_arrays, rel=1e-12)
 
 
 def test_mttdl_monotone_in_p_bit():
     cfg = sc.config_new(8, 16, 1, (1,))
-    values = [rel.mttdl(params(p_bit=p), cfg).mttdl_system_hours
+    values = [rel.mttdl(params(p_bit=p), cfg).mttdl_sys_hours
               for p in (1e-14, 1e-12, 1e-10)]
     assert values[0] >= values[1] >= values[2]
 
@@ -264,8 +264,8 @@ def test_exact_p_arr_below_union_bound():
 
 def test_report_consistency():
     rep = rel.mttdl(params(p_bit=1e-12), sc.config_new(8, 16, 1, (1, 2)))
-    assert rep.mttdl_system_hours == pytest.approx(
-        rep.mttdl_array_hours / rep.num_arrays, rel=1e-12)
+    assert rep.mttdl_sys_hours == pytest.approx(
+        rep.mttdl_arr_hours / rep.n_arrays, rel=1e-12)
     assert rep.mean_burst_length is None
     rep_c = rel.mttdl(params(p_bit=1e-12, model="correlated"), sc.config_new(8, 16, 1, (1, 2)))
     assert rep_c.mean_burst_length == pytest.approx(

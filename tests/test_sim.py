@@ -6,7 +6,16 @@ import pytest
 import staircodes as sc
 from staircodes import reliability as rel
 from staircodes import sim
-from oracles import coverage_by_assignment, sparse_draw_dense
+from oracles import (coverage_by_assignment, p_str_by_enumeration, p_str_rs_closed,
+                     p_str_sd_closed, sparse_draw_dense)
+
+# the rs predicate reads nothing of its config
+RECOVERABLE_RS = sim.recoverable("rs", sc.config_new(8, 4, 1))
+
+
+def recoverable_sd(s: int):
+    """The sd predicate of a config whose coverage sums to s."""
+    return sim.recoverable("sd", sc.config_new(8, 300, 1, (s,) if s else (), w=16))
 
 
 def test_within_samples_all_pass_coverage(exemplar):
@@ -71,7 +80,7 @@ def test_injected_worst_case_roundtrips(rng):
 
 def test_point_mass_at_zero_failures():
     dist = rel.ChunkFailureDist((1.0, 0.0, 0.0), 0.0)
-    est = sim.monte_carlo_p_str(sim.rs_recoverable(), 5, dist, trials=10 ** 4, seed=1)
+    est = sim.monte_carlo_p_str(RECOVERABLE_RS, 5, dist, trials=10 ** 4, seed=1)
     assert est.p_failure == 0.0
     assert est.failures == 0
 
@@ -82,7 +91,7 @@ def test_forced_failures_estimate_one(exemplar):
     probs = [0.0] * (r + 1)
     probs[exemplar.e_max + 1] = 1.0
     dist = rel.ChunkFailureDist(tuple(probs), 1.0)
-    est = sim.monte_carlo_p_str(sim.stair_recoverable(exemplar),
+    est = sim.monte_carlo_p_str(sim.recoverable("stair", exemplar),
                                 exemplar.n - exemplar.m, dist, trials=10 ** 4, seed=2)
     assert est.p_failure == 1.0
 
@@ -90,13 +99,13 @@ def test_forced_failures_estimate_one(exemplar):
 def test_trials_floor_enforced():
     dist = rel.ChunkFailureDist((1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        sim.monte_carlo_p_str(sim.rs_recoverable(), 4, dist, trials=100, seed=0)
+        sim.monte_carlo_p_str(RECOVERABLE_RS, 4, dist, trials=100, seed=0)
 
 
 def test_estimate_is_seed_deterministic():
     dist = rel.p_chk_independent(8, 0.02)
-    a = sim.monte_carlo_p_str(sim.sd_recoverable(2), 6, dist, trials=10 ** 4, seed=9)
-    b = sim.monte_carlo_p_str(sim.sd_recoverable(2), 6, dist, trials=10 ** 4, seed=9)
+    a = sim.monte_carlo_p_str(recoverable_sd(2), 6, dist, trials=10 ** 4, seed=9)
+    b = sim.monte_carlo_p_str(recoverable_sd(2), 6, dist, trials=10 ** 4, seed=9)
     assert a == b
 
 
@@ -104,7 +113,7 @@ def test_estimate_brackets_analytic_value():
     cfg = sc.config_new(8, 16, 1, (1, 2))
     dist = rel.p_chk_independent(16, 1e-3)
     analytic = rel.p_str_stair(cfg, dist)
-    est = sim.monte_carlo_p_str(sim.stair_recoverable(cfg), 7, dist,
+    est = sim.monte_carlo_p_str(sim.recoverable("stair", cfg), 7, dist,
                                 trials=2 * 10 ** 5, seed=77)
     sigma = math.sqrt(analytic * (1 - analytic) / est.trials)
     assert abs(est.p_failure - analytic) <= 3 * sigma
@@ -114,7 +123,7 @@ def test_estimate_brackets_analytic_value():
 def test_outcome_histogram():
     cfg = sc.config_new(8, 16, 1, (1, 2))
     dist = rel.p_chk_independent(16, 1e-3)
-    predicates = {"rs": sim.rs_recoverable(), "stair": sim.stair_recoverable(cfg)}
+    predicates = {"rs": RECOVERABLE_RS, "stair": sim.recoverable("stair", cfg)}
     rows = sim.outcome_histogram(predicates, 7, dist, trials=2 * 10 ** 4, seed=3)
     assert sum(r["stripes"] for r in rows) == 2 * 10 ** 4
     by_counts = {r["counts"]: r for r in rows}
@@ -129,11 +138,11 @@ def test_predicates_agree_with_scalar_rules():
     cfg = sc.config_new(8, 4, 1, (1, 2))
     gen = np.random.default_rng(5)
     counts = gen.integers(0, 5, size=(500, 7))
-    got = sim.stair_recoverable(cfg)(counts)
+    got = sim.recoverable("stair", cfg)(counts)
     want = np.array([coverage_by_assignment(cfg.e, row.tolist()) for row in counts])
     assert np.array_equal(got, want)
-    assert np.array_equal(sim.rs_recoverable()(counts), ~counts.any(axis=1))
-    assert np.array_equal(sim.sd_recoverable(3)(counts), counts.sum(axis=1) <= 3)
+    assert np.array_equal(RECOVERABLE_RS(counts), ~counts.any(axis=1))
+    assert np.array_equal(recoverable_sd(3)(counts), counts.sum(axis=1) <= 3)
 
 
 @pytest.mark.parametrize("counts", [
@@ -148,11 +157,11 @@ def test_sparse_predicates_agree_with_scalar_rules(counts):
     for cfg in (sc.config_new(8, 4, 1, (1, 2)), sc.config_new(8, 4, 1, (1, 1, 1, 3)),
                 sc.config_new(8, 4, 1, ())):
         want = [coverage_by_assignment(cfg.e, row) for row in counts.tolist()]
-        assert sim.stair_recoverable(cfg)(counts).tolist() == want
-    assert sim.rs_recoverable()(counts).tolist() == [not any(row) for row in counts.tolist()]
+        assert sim.recoverable("stair", cfg)(counts).tolist() == want
+    assert RECOVERABLE_RS(counts).tolist() == [not any(row) for row in counts.tolist()]
     for s in (0, 1, 3):
-        assert sim.sd_recoverable(s)(counts).tolist() == [sum(row) <= s
-                                                          for row in counts.tolist()]
+        assert recoverable_sd(s)(counts).tolist() == [sum(row) <= s
+                                                      for row in counts.tolist()]
 
 
 def dense_counts(parts, n_chunks):
@@ -239,8 +248,8 @@ def test_predicates_ignore_chunk_order(cfg):
     # bucketing judges a multiset once for every order of its counts
     gen = np.random.default_rng(12)
     rows = np.where(gen.random((400, 7)) < 0.4, gen.integers(1, 5, (400, 7)), 0)
-    predicates = [sim.stair_recoverable(cfg), sim.rs_recoverable(),
-                  *(sim.sd_recoverable(s) for s in (0, 1, 3, 5))]
+    predicates = [sim.recoverable("stair", cfg), RECOVERABLE_RS,
+                  *(recoverable_sd(s) for s in (0, 1, 3, 5))]
     for predicate in predicates:
         want = predicate(rows)
         for _ in range(5):
@@ -267,8 +276,8 @@ def histogram_reference(predicates, n_chunks, dist, trials, seed):
 def test_histogram_equals_dense_reference(probs):
     cfg = sc.config_new(8, 2, 1, (1, 2))
     dist = rel.ChunkFailureDist(probs, 1.0 - probs[0])
-    predicates = {"rs": sim.rs_recoverable(), "sd_2": sim.sd_recoverable(2),
-                  "stair": sim.stair_recoverable(cfg)}
+    predicates = {"rs": RECOVERABLE_RS, "sd_2": recoverable_sd(2),
+                  "stair": sim.recoverable("stair", cfg)}
     trials = sim._BLOCK + 1000
     want = histogram_reference(predicates, 7, dist, trials, 4)
     got = sim.outcome_histogram(predicates, 7, dist, trials=trials, seed=4)
@@ -280,8 +289,8 @@ def test_histogram_keys_wider_than_a_byte():
     probs = np.zeros(300)
     probs[[0, 1, 255, 256, 257, 299]] = (0.9, 0.05, 0.01, 0.01, 0.02, 0.01)
     dist = rel.ChunkFailureDist(tuple(probs), 0.1)
-    predicates = {"rs": sim.rs_recoverable(), "sd_300": sim.sd_recoverable(300),
-                  "stair": sim.stair_recoverable(sc.config_new(8, 300, 1, (257, 299), w=16))}
+    predicates = {"rs": RECOVERABLE_RS, "sd_300": recoverable_sd(300),
+                  "stair": sim.recoverable("stair", sc.config_new(8, 300, 1, (257, 299), w=16))}
     want = histogram_reference(predicates, 7, dist, 2 * 10 ** 4, 6)
     got = sim.outcome_histogram(predicates, 7, dist, trials=2 * 10 ** 4, seed=6)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
@@ -293,9 +302,9 @@ def test_histogram_keys_wider_than_a_word():
     # Python ints, and the buckets are those of the dense draw all the same
     probs = (0.2, *([0.05] * 16))
     dist = rel.ChunkFailureDist(probs, 0.8)
-    predicates = {"rs": sim.rs_recoverable(), "sd_40": sim.sd_recoverable(40),
-                  "stair": sim.stair_recoverable(sc.config_new(21, 16, 1, (4, 16))),
-                  "sd_300": sim.sd_recoverable(300)}
+    predicates = {"rs": RECOVERABLE_RS, "sd_40": recoverable_sd(40),
+                  "stair": sim.recoverable("stair", sc.config_new(21, 16, 1, (4, 16))),
+                  "sd_300": recoverable_sd(300)}
     want = histogram_reference(predicates, 20, dist, 10 ** 4, 8)
     got = sim.outcome_histogram(predicates, 20, dist, trials=10 ** 4, seed=8)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
@@ -325,18 +334,22 @@ def test_binomial_tails_at_the_edges():
 
 
 def test_code_family_dispatch():
-    # one name per family picks both the analytic stripe loss and the predicate
-    dist = rel.p_chk_independent(16, 1e-3)
+    # each family's analytic stripe loss against its closed form or an
+    # enumeration, and its predicate against literal rules
+    dist = rel.p_chk_independent(16, 1e-2)
     counts = np.random.default_rng(3).integers(0, 4, size=(500, 7))
     stair_cfg, sd_cfg = sc.config_new(8, 16, 1, (1, 2)), sc.config_new(8, 16, 1, (3,))
-    families = [
-        ("stair", stair_cfg, rel.p_str_stair(stair_cfg, dist), sim.stair_recoverable(stair_cfg)),
-        ("rs", stair_cfg, rel.p_str_rs(stair_cfg, dist), sim.rs_recoverable()),
-        ("sd", sd_cfg, rel.p_str_sd(3, sd_cfg, dist), sim.sd_recoverable(3)),
-    ]
-    for kind, cfg, p_str, predicate in families:
-        assert rel.p_str(kind, cfg, dist) == p_str
-        assert np.array_equal(sim.recoverable(kind, cfg)(counts), predicate(counts))
+    assert rel.p_str("stair", stair_cfg, dist) == pytest.approx(p_str_by_enumeration(
+        7, dist.probs, lambda vec: coverage_by_assignment((1, 2), vec), max_count=2), rel=1e-10)
+    assert rel.p_str("rs", stair_cfg, dist) == pytest.approx(
+        p_str_rs_closed(7, dist.probs), rel=1e-10)
+    assert rel.p_str("sd", sd_cfg, dist) == pytest.approx(
+        p_str_sd_closed(3, 7, dist.probs), rel=1e-10)
+    rows = counts.tolist()
+    assert sim.recoverable("stair", stair_cfg)(counts).tolist() == [
+        coverage_by_assignment((1, 2), row) for row in rows]
+    assert sim.recoverable("rs", stair_cfg)(counts).tolist() == [not any(row) for row in rows]
+    assert sim.recoverable("sd", sd_cfg)(counts).tolist() == [sum(row) <= 3 for row in rows]
     with pytest.raises(ValueError):
         rel.p_str("lrc", stair_cfg, dist)
     with pytest.raises(ValueError):
