@@ -34,6 +34,9 @@ mean time of stairbench's ``reference_loop`` run just before and just
 after it (stairbench/workloads.py, the benchmark's own ``*_cmd_rel``
 denominator).  Other load on a shared host slows both alike, so ``rel``
 compares trees measured minutes apart where the milliseconds may not.
+``ref_ms`` is the median of those reference-loop means, in milliseconds:
+a change that slows the loop run after it lowers ``rel`` without
+speeding the command, so read ``rel`` with ``total`` and ``ref_ms``.
 Prints one JSON object per command and geometry.
 """
 
@@ -113,8 +116,9 @@ reference_loop = _load_reference_loop()
 
 def best_split(cli, argv: list[str], timer: PhaseTimer, reps: int) -> dict:
     """Milliseconds of the fastest of ``reps`` runs of ``argv``, by phase,
-    and the median of each run's time over the reference loop's."""
-    best, rel = None, []
+    the median of each run's time over the reference loop's, and the
+    median reference-loop time."""
+    best, rel, ref = None, [], []
     for _ in range(reps):
         timer.reset()
         before = reference_loop()
@@ -122,13 +126,15 @@ def best_split(cli, argv: list[str], timer: PhaseTimer, reps: int) -> dict:
         if cli.main(argv) != 0:
             raise SystemExit(f"stair {' '.join(argv)} failed")
         total = time.perf_counter() - t0
-        rel.append(total / ((before + reference_loop()) / 2))
+        ref.append((before + reference_loop()) / 2)
+        rel.append(total / ref[-1])
         if best is None or total < best[0]:
             best = (total, dict(timer.seconds))
     total, phases = best
     out = {"total": total, **phases, "rest": total - sum(phases.values())}
     return {**{name: round(seconds * 1e3, 2) for name, seconds in out.items()},
-            "rel": round(statistics.median(rel), 3)}
+            "rel": round(statistics.median(rel), 3),
+            "ref_ms": round(statistics.median(ref) * 1e3, 2)}
 
 
 def damage_mixed(box: Path, dmg: Path, manifest: Path, geometry, rng) -> None:

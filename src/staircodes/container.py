@@ -36,9 +36,12 @@ from .stair import StairConfig, check_symbol_size, data_cells
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
 
-#: Bytes of stripes in one block of :func:`blocks`: the bound on the
-#: memory each container command uses per block.
-BLOCK_BYTES = 1 << 22
+#: Bytes of stripes in one block of :func:`blocks`, and of the buffer of
+#: :func:`user_pieces`: the bound on the memory each container command uses
+#: per block.  256 KiB keeps a block, and the copies that code it, in a
+#: core's L2 cache; a sweep of 128 KiB to 4 MiB over every container
+#: command is in BENCH_container_io.json ("cache_sized_blocks").
+BLOCK_BYTES = 1 << 18
 
 _FIXED = struct.Struct("<8sHBHHHH")
 _TRAILER = struct.Struct("<IIQ")
@@ -147,11 +150,14 @@ def _read_header(f) -> ContainerHeader:
 @contextmanager
 def reader(path=None, devices=None):
     """The header of a single container file at ``path``, or of a
-    ``devices`` directory (a header file plus one file per device), and a
-    function that fills a C-contiguous (B, n, r, symbol_size) block with
-    the next B stripes.  Every file length is checked from the file sizes
-    first, so a forged header is refused before anything is allocated.
-    Given both, it refuses: it could read only one of them."""
+    ``devices`` directory (a header file plus one file per device), a
+    function ``readinto(block)`` that fills a C-contiguous (B, n, r,
+    symbol_size) block with the next B stripes, and a function
+    ``read_at(offset, buf)`` that fills the buffer ``buf`` with the body's
+    bytes from byte ``offset`` of the body on.  Every file length is
+    checked from the file sizes first, so a forged header is refused
+    before anything is allocated.  Given both, it refuses: it could read
+    only one of them."""
     if path and devices:
         raise ValueError("give a container file or a devices directory, not both")
     with ExitStack() as stack:
@@ -172,6 +178,17 @@ def reader(path=None, devices=None):
                 for j, f in enumerate(files):
                     read_exact(f, chunk)
                     block[:, j] = chunk
+
+            def read_at(offset, buf):
+                chunk_bytes = header.cfg.r * header.symbol_size
+                done = 0
+                while done < len(buf):      # one read per chunk the bytes touch
+                    k, s = divmod(offset + done, header.stripe_bytes)
+                    j, at = divmod(s, chunk_bytes)
+                    take = min(chunk_bytes - at, len(buf) - done)
+                    files[j].seek(k * chunk_bytes + at)
+                    read_exact(files[j], buf[done:done + take])
+                    done += take
         elif path:
             f = stack.enter_context(open(path, "rb"))
             header = _read_header(f)
@@ -180,9 +197,13 @@ def reader(path=None, devices=None):
 
             def readinto(block):
                 read_exact(f, block)
+
+            def read_at(offset, buf):
+                f.seek(header.size + offset)
+                read_exact(f, buf)
         else:
             raise ValueError("need a container file or a devices directory")
-        yield header, readinto
+        yield header, readinto, read_at
 
 
 @contextmanager
@@ -197,9 +218,9 @@ def replaced(path, size: int):
 
     The file is given its final ``size`` up front: a full disk fails
     before any byte is written, and the writes that follow, block by
-    block, run several times faster than into a growing file (32 MiB on
-    ext4 in 4 MiB writes: 9 ms against 30 ms), where the system has
-    ``posix_fallocate``."""
+    block, run faster than into a growing file (32 MiB on ext4 in 256 KiB
+    writes, 2-vCPU Xeon: 6.7 to 7.1 ms against 8.0 to 8.5 ms), where the
+    system has ``posix_fallocate``."""
     try:      # /dev/stdout or /dev/fd/N on a pipe links to no real name
         special = not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -356,6 +377,26 @@ def blocks(header: ContainerHeader):
         flat = data[:b].reshape(-1)
         flat[header.data_length - k * per:] = 0
         yield k, body[:b], data[:b], flat[:header.data_length - k * per]
+
+
+def user_pieces(header: ContainerHeader, read_at):
+    """The container's input bytes in order, for stripes too large for
+    :func:`blocks` to hold a block of: each stripe's data runs (see
+    :func:`_runs`) are read through ``read_at`` (of :func:`reader`) a
+    piece of at most ``BLOCK_BYTES`` at a time, into one buffer that every
+    piece reuses, and each piece is yielded as a view of it that holds
+    until the next is read.  Parity cells and the zero padding past
+    ``data_length`` are never read."""
+    per = header.data_bytes_per_stripe
+    buf = np.empty(min(BLOCK_BYTES, per), dtype=np.uint8)
+    for k in range(header.stripe_count):
+        user = min(per, header.data_length - k * per)
+        for s, d, length in _runs(header.cfg, header.symbol_size):
+            end = min(d + length, user)
+            for at in range(d, end, len(buf)):
+                piece = buf[:min(len(buf), end - at)]
+                read_at(k * header.stripe_bytes + s + at - d, piece)
+                yield piece
 
 
 def _check_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,25 @@ def test_inject_all_stripes_matches_golden(tmp_path, label):
     assert len(json.loads(manifest.read_text())["patterns"]) == 16
 
 
+@settings(max_examples=60, deadline=None)
+@given(stripes=st.lists(st.integers(0, 6), max_size=12),
+       spec=st.sampled_from(["chunks=1;sectors=3:1,4:2", "chunks=0,5", "sectors=2:4",
+                             "cells=6:1", "", "chunks=3;cells=2:3,7:0"]),
+       seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
+def test_manifest_text_matches_indented_json(stripes, spec, seed):
+    """The manifest spliced from per-pattern text equals ``json.dumps``
+    with ``indent=2`` of the whole manifest, for stripes named in any
+    order and more than once, with and without seeded sector rows."""
+    cfg = config_new(8, 4, 2, (1, 1, 2), 8)
+    rng = np.random.default_rng(seed) if seed is not None else None
+    injected = [(k, cli.parse_pattern_spec(spec, cfg, rng)) for k in stripes]
+    head = {"config": {"n": 8, "r": 4, "m": 2, "e": [1, 1, 2], "w": 8},
+            "symbol_size": 32, "within_coverage": seed is None}
+    manifest = {**head, "patterns": [{"stripe": k, **cli._pattern_to_json(pattern)}
+                                     for k, pattern in injected]}
+    assert cli._manifest_text(head, injected) == json.dumps(manifest, indent=2)
+
+
 def test_devices_mode_roundtrip(tmp_path, payload):
     src, data = payload
     devdir = tmp_path / "devices"
@@ -846,6 +866,64 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
                         assert _tree(devdir) == _tree(refdev)
                         assert cli.main(["decode", "--devices", str(devdir), "-o", str(out)]) == 0
                         assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_piecewise_decode_is_byte_identical(tmp_path, monkeypatch, rng, w):
+    """A stripe larger than a block is decoded a piece of its data runs at
+    a time.  With blocks of one word, one symbol, a chunk less and more
+    one symbol, and a stripe less one word, decoding from the file and
+    from the devices gives what the default blocks give, for inputs that
+    end at a stripe, inside a data run and inside a piece."""
+    cfg = config_new(8, 4, 2, (1, 1, 2), w)
+    symbol, word = 16, w // 8
+    flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
+             "--symbol-size", str(symbol)]
+    header = cont.ContainerHeader(cfg, symbol, 0)
+    per, chunk = header.data_bytes_per_stripe, cfg.r * symbol
+    (_, d0, l0), (_, d1, l1), *_ = cont._runs(cfg, symbol)
+    assert l0 > chunk + symbol and d1 == d0 + l0      # the first run spans pieces
+    sizes = [1, 2 * per, 2 * per + d1 + l1 // 2, 2 * per + chunk + symbol + 3, 3 * per - 1]
+    blocks = [word, symbol, chunk - symbol, chunk + symbol, header.stripe_bytes - word]
+    src, box, devdir = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "dev"
+    out = tmp_path / "out.bin"
+    for size in sizes:
+        src.write_bytes(rng.bytes(size))
+        assert cli.main(["encode", str(src), "-o", str(box), "--devices", str(devdir)]
+                        + flags) == 0
+        for source in ([str(box)], ["--devices", str(devdir)]):
+            assert cli.main(["decode", *source, "-o", str(out)]) == 0
+            whole = out.read_bytes()
+            assert whole == src.read_bytes()
+            for block in blocks:
+                with monkeypatch.context() as patch:
+                    patch.setattr(cont, "BLOCK_BYTES", block)
+                    assert cli.main(["decode", *source, "-o", str(out)]) == 0
+                assert out.read_bytes() == whole, (size, source, block)
+
+
+@pytest.mark.parametrize("source", ["file", "devices"])
+def test_decode_of_large_stripes_holds_no_stripe(tmp_path, rng, source):
+    """Decoding 4 MiB stripes (the archive_large geometry), from a file or
+    from devices, allocates no stripe-sized array: its traced peak, numpy
+    buffers included, stays below three blocks, which are less than a
+    stripe."""
+    flags = ["--n", "16", "--r", "16", "--m", "1", "--e", "2", "--symbol-size", "16384"]
+    header = cont.ContainerHeader(config_new(16, 16, 1, (2,), 8), 16384, 0)
+    src, box, devdir = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "dev"
+    out = tmp_path / "out.bin"
+    data = rng.bytes(2 * header.data_bytes_per_stripe - 12345)
+    src.write_bytes(data)
+    assert cli.main(["encode", str(src), "-o", str(box), "--devices", str(devdir)] + flags) == 0
+    argv = ["decode", str(box)] if source == "file" else ["decode", "--devices", str(devdir)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == data
+    assert peak < 3 * cont.BLOCK_BYTES < header.stripe_bytes, peak
 
 
 def test_container_commands_memory_does_not_grow_with_file_size(tmp_path, rng):

@@ -23,6 +23,9 @@ CFG_FLAGS = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--symbol-size"
 STRIPE_BYTES = 8 * 4 * 32
 DATA_BYTES = (4 * (8 - 2) - 4) * 32      # per stripe
 POINTS = ("fallocate", "write", "readinto", "replace")
+# 8 KiB stripes, larger than the blocks of three small stripes, so that
+# decode reads them a piece of a data run at a time
+LARGE_FLAGS = CFG_FLAGS[:-1] + ["256"]
 
 
 class _Faults:
@@ -115,6 +118,12 @@ CASES = {
     "decode-devices": ([["encode", "a.bin", "--devices", "dev", *CFG_FLAGS]],
                        ["decode", "--devices", "dev", "-o", "b.bin"],
                        [(["b.bin"], None)]),
+    "decode-file-large": ([["encode", "a.bin", "-o", "c.stc", *LARGE_FLAGS]],
+                          ["decode", "c.stc", "-o", "b.bin"],
+                          [(["b.bin"], None)]),
+    "decode-devices-large": ([["encode", "a.bin", "--devices", "dev", *LARGE_FLAGS]],
+                             ["decode", "--devices", "dev", "-o", "b.bin"],
+                             [(["b.bin"], None)]),
     "inject": ([["encode", "a.bin", "-o", "c.stc", *CFG_FLAGS],
                 ["inject", "c.stc", "-o", "h.stc", "--spec", "chunks=6", "--manifest", "m.json"]],
                ["inject", "c.stc", "-o", "h.stc", "--spec", "chunks=0;sectors=3:1",
