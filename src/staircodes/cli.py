@@ -122,20 +122,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    """Stream the container through one block at a time: read the block,
-    copy the data cells out, write the user bytes.  A stripe larger than
-    a block is never held whole: its data cells are read and written a
-    piece at a time (``container.user_pieces``)."""
+    """Stream the container's input bytes to the output as
+    ``container.user_bytes`` reads them."""
     with cont.reader(args.input, args.devices) as (header, readinto, read_at), \
             cont.replaced(args.output, header.data_length) as out:
-        if header.stripe_bytes > cont.BLOCK_BYTES:
-            for piece in cont.user_pieces(header, read_at):
-                out.write(piece)
-        else:
-            for _, body, data, user in cont.blocks(header):
-                readinto(body)
-                cont.extract_data(header, body, data)
-                out.write(user)
+        for piece in cont.user_bytes(header, readinto, read_at):
+            out.write(piece)
     return 0
 
 
@@ -279,31 +271,15 @@ def cmd_inject(args) -> int:
         def zero(body, idx, pattern):
             cont.zero_cells(body, idx, pattern.lost_cells(cfg))
         _rewrite(args.output, header, readinto, by_stripe, zero)
-    head = {
+    manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
         "within_coverage": all(pattern_within_coverage(cfg, pattern)
                                for pattern in set(by_stripe.values())),
+        "patterns": [{"stripe": k, **_pattern_to_json(pattern)} for k, pattern in injected],
     }
-    _write_text(args.manifest, _manifest_text(head, injected) + "\n")
+    _write_text(args.manifest, json.dumps(manifest, indent=2) + "\n")
     return 0
-
-
-def _manifest_text(head: dict, injected) -> str:
-    """``json.dumps`` with ``indent=2`` of ``head`` plus a last key
-    ``"patterns"``: the entry ``{"stripe": k, **_pattern_to_json(pattern)}``
-    for each (k, pattern) of ``injected``.  The indented encoder is pure
-    Python, so each distinct pattern's entry is rendered once and each
-    entry's ``"stripe"`` line is spliced in front of it."""
-    tails: dict[FailurePattern, str] = {}
-    for _, pattern in injected:
-        if pattern not in tails:      # the entry after its "{", indented to its depth
-            text = json.dumps(_pattern_to_json(pattern), indent=2)
-            tails[pattern] = text[1:].replace("\n", "\n    ")
-    entries = ",\n    ".join(f'{{\n      "stripe": {k},{tails[pattern]}'
-                              for k, pattern in injected)
-    patterns = f"[\n    {entries}\n  ]" if injected else "[]"
-    return f'{json.dumps(head, indent=2)[:-2]},\n  "patterns": {patterns}\n}}'
 
 
 def _read_manifest(path: str, header: cont.ContainerHeader) -> dict[int, FailurePattern]:

@@ -36,9 +36,9 @@ from .stair import StairConfig, check_symbol_size, data_cells
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
 
-#: Bytes of stripes in one block of :func:`blocks`, and of the buffer of
-#: :func:`user_pieces`: the bound on the memory each container command uses
-#: per block.  256 KiB keeps a block, and the copies that code it, in a
+#: Bytes of stripes in one block of :func:`blocks`, and of the piece buffer
+#: of :func:`user_bytes`: the bound on the memory each container command
+#: uses per block.  256 KiB keeps a block, and the copies that code it, in a
 #: core's L2 cache; a sweep of 128 KiB to 4 MiB over every container
 #: command is in BENCH_container_io.json ("cache_sized_blocks").
 BLOCK_BYTES = 1 << 18
@@ -379,14 +379,24 @@ def blocks(header: ContainerHeader):
         yield k, body[:b], data[:b], flat[:header.data_length - k * per]
 
 
-def user_pieces(header: ContainerHeader, read_at):
-    """The container's input bytes in order, for stripes too large for
-    :func:`blocks` to hold a block of: each stripe's data runs (see
-    :func:`_runs`) are read through ``read_at`` (of :func:`reader`) a
-    piece of at most ``BLOCK_BYTES`` at a time, into one buffer that every
-    piece reuses, and each piece is yielded as a view of it that holds
-    until the next is read.  Parity cells and the zero padding past
-    ``data_length`` are never read."""
+def user_bytes(header: ContainerHeader, readinto, read_at):
+    """The container's input bytes in order, through the ``readinto`` and
+    ``read_at`` of :func:`reader`, as views that each hold until the next
+    is yielded.  Stripes smaller than a block are read a block at a time
+    and their data cells copied out.  A stripe of a block or more is never
+    held: each of its data runs (see :func:`_runs`) is read a piece of at
+    most ``BLOCK_BYTES`` at a time into one buffer that every piece
+    reuses, and parity cells and the zero padding are never read.  A read
+    per run is slower where a block holds several stripes, and faster
+    where it holds one (BENCH_container_io.json, "decode_paths": 16 KiB
+    stripes 11.0 ms by blocks against 35.8 ms by runs, 128 KiB 10.0
+    against 11.6 ms, 256 KiB 9.7 against 9.1 ms)."""
+    if header.stripe_bytes < BLOCK_BYTES:
+        for _, body, data, user in blocks(header):
+            readinto(body)
+            extract_data(header, body, data)
+            yield user
+        return
     per = header.data_bytes_per_stripe
     buf = np.empty(min(BLOCK_BYTES, per), dtype=np.uint8)
     for k in range(header.stripe_count):

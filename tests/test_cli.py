@@ -573,25 +573,6 @@ def test_inject_all_stripes_matches_golden(tmp_path, label):
     assert len(json.loads(manifest.read_text())["patterns"]) == 16
 
 
-@settings(max_examples=60, deadline=None)
-@given(stripes=st.lists(st.integers(0, 6), max_size=12),
-       spec=st.sampled_from(["chunks=1;sectors=3:1,4:2", "chunks=0,5", "sectors=2:4",
-                             "cells=6:1", "", "chunks=3;cells=2:3,7:0"]),
-       seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
-def test_manifest_text_matches_indented_json(stripes, spec, seed):
-    """The manifest spliced from per-pattern text equals ``json.dumps``
-    with ``indent=2`` of the whole manifest, for stripes named in any
-    order and more than once, with and without seeded sector rows."""
-    cfg = config_new(8, 4, 2, (1, 1, 2), 8)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    injected = [(k, cli.parse_pattern_spec(spec, cfg, rng)) for k in stripes]
-    head = {"config": {"n": 8, "r": 4, "m": 2, "e": [1, 1, 2], "w": 8},
-            "symbol_size": 32, "within_coverage": seed is None}
-    manifest = {**head, "patterns": [{"stripe": k, **cli._pattern_to_json(pattern)}
-                                     for k, pattern in injected]}
-    assert cli._manifest_text(head, injected) == json.dumps(manifest, indent=2)
-
-
 def test_devices_mode_roundtrip(tmp_path, payload):
     src, data = payload
     devdir = tmp_path / "devices"
@@ -870,11 +851,12 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
 
 @pytest.mark.parametrize("w", [8, 16, 32])
 def test_piecewise_decode_is_byte_identical(tmp_path, monkeypatch, rng, w):
-    """A stripe larger than a block is decoded a piece of its data runs at
+    """A stripe of a block or more is decoded a piece of its data runs at
     a time.  With blocks of one word, one symbol, a chunk less and more
-    one symbol, and a stripe less one word, decoding from the file and
-    from the devices gives what the default blocks give, for inputs that
-    end at a stripe, inside a data run and inside a piece."""
+    one symbol, a stripe less one word and one stripe, and with blocks of
+    one stripe and a word (read by blocks again), decoding from the file
+    and from the devices gives what the default blocks give, for inputs
+    that end at a stripe, inside a data run and inside a piece."""
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     symbol, word = 16, w // 8
     flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
@@ -884,7 +866,8 @@ def test_piecewise_decode_is_byte_identical(tmp_path, monkeypatch, rng, w):
     (_, d0, l0), (_, d1, l1), *_ = cont._runs(cfg, symbol)
     assert l0 > chunk + symbol and d1 == d0 + l0      # the first run spans pieces
     sizes = [1, 2 * per, 2 * per + d1 + l1 // 2, 2 * per + chunk + symbol + 3, 3 * per - 1]
-    blocks = [word, symbol, chunk - symbol, chunk + symbol, header.stripe_bytes - word]
+    blocks = [word, symbol, chunk - symbol, chunk + symbol, header.stripe_bytes - word,
+              header.stripe_bytes, header.stripe_bytes + word]
     src, box, devdir = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "dev"
     out = tmp_path / "out.bin"
     for size in sizes:
