@@ -17,10 +17,10 @@ hold noise, and the manifest has one entry per stripe.  Each
 command goes through ``cli.main`` in this process, warm, and is timed
 REPS times; the run with the least total time is reported, split into:
 
-  read   reading the input or the container (``container.read_exact``)
-  copy   moving user bytes into or out of the data cells
-         (``container.fill_data``, ``container.extract_data``), and
-         stripes into and out of repair's wide stripes
+  read   reading the input or the container (``container.read_into``):
+         encode reads the input straight into the data cells, and
+         decode the data cells straight into its output buffer
+  copy   moving stripes into and out of repair's wide stripes
          (``container.gather``, ``container.scatter``)
   codec  ``stair_encode`` of every stripe (encode) and ``stair_decode``
          of every wide stripe (repair)
@@ -61,8 +61,7 @@ GEOMETRIES = {   # label: (n, r, m, e, symbol size, stripes)
 REPS = 5
 PHASES = ("read", "copy", "codec")
 # (module of the staircodes package, function, phase) for every timed function
-WRAPPED = (("container", "read_exact", "read"),
-           ("container", "fill_data", "copy"), ("container", "extract_data", "copy"),
+WRAPPED = (("container", "read_into", "read"),
            ("container", "gather", "copy"), ("container", "scatter", "copy"),
            ("cli", "stair_encode", "codec"), ("cli", "stair_decode", "codec"))
 

@@ -94,8 +94,8 @@ def _write_report(args, doc, tables: list[list[dict]]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    """Stream the input through one block at a time: read its user bytes,
-    copy them into the data cells, encode each stripe, write the block."""
+    """Stream the input through one block at a time: read its bytes straight
+    into the block's data cells, encode each stripe, write the block."""
     if not args.output and not args.devices:
         raise ValueError("need -o and/or --devices")
     cfg = _config_from_args(args)
@@ -112,9 +112,8 @@ def cmd_encode(args) -> int:
         header = cont.ContainerHeader(cfg, args.symbol_size, os.fstat(src.fileno()).st_size)
         method = choose_method(cfg) if args.method == "auto" else args.method
         with cont.writer(header, args.output, args.devices) as write:
-            for _, body, data, user in cont.blocks(header):
-                cont.read_exact(src, user)
-                cont.fill_data(header, data, body)
+            for k, body, runs in cont.blocks(header):
+                cont.read_into(src, k * header.data_bytes_per_stripe, runs)
                 for s in range(len(body)):
                     stair_encode(cfg, cont.stripe_view(body, s), method)
                 write(body)
@@ -122,11 +121,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    """Stream the container's input bytes to the output as
-    ``container.user_bytes`` reads them."""
-    with cont.reader(args.input, args.devices) as (header, readinto, read_at), \
+    """Write the container's input bytes out as ``container.user_bytes`` reads them."""
+    with cont.reader(args.input, args.devices) as (header, files, origin), \
             cont.replaced(args.output, header.data_length) as out:
-        for piece in cont.user_bytes(header, readinto, read_at):
+        for piece in cont.user_bytes(header, files, origin):
             out.write(piece)
     return 0
 
@@ -225,17 +223,16 @@ def _merge_by_stripe(cfg: StairConfig, entries) -> dict[int, FailurePattern]:
             for k, ps in by_stripe.items()}
 
 
-def _rewrite(path, header: cont.ContainerHeader, readinto,
-             by_stripe: dict[int, FailurePattern], fix) -> None:
-    """Copy the container to ``path`` a block at a time.  Before a block is
-    written, ``fix(body, idx, pattern)`` runs once for each pattern of
-    ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the block's
-    stripes that have it, found in one walk over the sorted stripes."""
+def _rewrite(path, header: cont.ContainerHeader, src, by_stripe: dict, fix) -> None:
+    """Copy the container file ``src`` to ``path`` a block at a time.  Before
+    a block is written, ``fix(body, idx, pattern)`` runs once for each
+    pattern of ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the
+    block's stripes that have it, found in one walk over the sorted stripes."""
     named = sorted(by_stripe)
     start = 0
     with cont.writer(header, path) as write:
-        for k, body, _, _ in cont.blocks(header):
-            readinto(body)
+        for k, body, _ in cont.blocks(header):
+            cont.read_into(src, header.size + k * header.stripe_bytes, [body.reshape(-1)])
             stop = bisect.bisect_left(named, k + len(body), start)
             groups: dict[FailurePattern, list[int]] = {}
             for t in named[start:stop]:
@@ -253,7 +250,7 @@ def cmd_inject(args) -> int:
     of its patterns' cells, and repair merges its entries the same way.
     An earlier manifest goes before the container is written, so a failed
     run leaves no stale manifest beside it."""
-    with cont.reader(args.input) as (header, readinto, _):
+    with cont.reader(args.input) as (header, (src,), _):
         cfg = header.cfg
         rng = np.random.default_rng(args.seed) if args.seed is not None else None
         stripes = header.stripe_count
@@ -270,7 +267,7 @@ def cmd_inject(args) -> int:
 
         def zero(body, idx, pattern):
             cont.zero_cells(body, idx, pattern.lost_cells(cfg))
-        _rewrite(args.output, header, readinto, by_stripe, zero)
+        _rewrite(args.output, header, src, by_stripe, zero)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
@@ -326,7 +323,7 @@ def cmd_repair(args) -> int:
     side by side as one wide stripe (``container.gather``; a lone stripe is
     decoded from its own view, with no gather copy).
     """
-    with cont.reader(args.input) as (header, readinto, _):
+    with cont.reader(args.input) as (header, (src,), _):
         cfg = header.cfg
         by_stripe = _read_manifest(args.manifest, header)
         for pattern in reversed(dict.fromkeys(by_stripe[k] for k in sorted(by_stripe))):
@@ -334,7 +331,7 @@ def cmd_repair(args) -> int:
 
         def decode(body, idx, pattern):
             cont.scatter(body, idx, stair_decode(cfg, cont.gather(body, idx), pattern))
-        _rewrite(args.output, header, readinto, by_stripe, decode)
+        _rewrite(args.output, header, src, by_stripe, decode)
     return 0
 
 

@@ -25,7 +25,8 @@ import stat
 import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,11 @@ from .stair import StairConfig, check_symbol_size, data_cells
 MAGIC = b"STAIRC1\x00"
 VERSION = 1
 
-#: Bytes of stripes in one block of :func:`blocks`, and of the piece buffer
-#: of :func:`user_bytes`: the bound on the memory each container command
-#: uses per block.  256 KiB keeps a block, and the copies that code it, in a
-#: core's L2 cache; a sweep of 128 KiB to 4 MiB over every container
-#: command is in BENCH_container_io.json ("cache_sized_blocks").
+#: Bytes of stripes in one block, and the most bytes of the body that one
+#: read of :func:`user_bytes` spans: the bound on the memory each container
+#: command uses per block.  256 KiB keeps a block in a core's L2 cache; a
+#: sweep of 128 KiB to 4 MiB over every container command is in
+#: BENCH_container_io.json ("cache_sized_blocks").
 BLOCK_BYTES = 1 << 18
 
 _FIXED = struct.Struct("<8sHBHHHH")
@@ -131,13 +132,17 @@ def _check_length(size: int, shape: tuple, what: str) -> None:
         raise ValueError(f"{what} is {size} bytes, expected {math.prod(shape)}")
 
 
-def read_exact(f, buf) -> None:
-    """Fill the writable buffer ``buf`` from the binary file ``f``;
-    ValueError when the file ends first."""
-    want = memoryview(buf).nbytes
-    got = f.readinto(buf)
-    if got != want:
-        raise ValueError(f"{f.name} ended after {got} of {want} bytes")
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def read_into(f, offset: int, buffers) -> None:
+    """Fill the flat byte ``buffers`` in order from byte ``offset`` of file ``f`` on, one
+    ``os.preadv`` per ``SC_IOV_MAX`` of them; ValueError when the file ends first."""
+    for i in range(0, len(buffers), _IOV_MAX):
+        want = sum(map(len, buffers[i:i + _IOV_MAX]))
+        if (got := os.preadv(f.fileno(), buffers[i:i + _IOV_MAX], offset)) != want:
+            raise ValueError(f"{f.name} ended after {offset + got} of {offset + want} bytes")
+        offset += want
 
 
 def _read_header(f) -> ContainerHeader:
@@ -150,14 +155,10 @@ def _read_header(f) -> ContainerHeader:
 @contextmanager
 def reader(path=None, devices=None):
     """The header of a single container file at ``path``, or of a
-    ``devices`` directory (a header file plus one file per device), a
-    function ``readinto(block)`` that fills a C-contiguous (B, n, r,
-    symbol_size) block with the next B stripes, and a function
-    ``read_at(offset, buf)`` that fills the buffer ``buf`` with the body's
-    bytes from byte ``offset`` of the body on.  Every file length is
-    checked from the file sizes first, so a forged header is refused
-    before anything is allocated.  Given both, it refuses: it could read
-    only one of them."""
+    ``devices`` directory (a header file plus one file per device), the
+    files of its body, and the byte of each where the body starts.  Every
+    file length is checked from the file sizes first, so a forged header
+    is refused before anything is allocated.  Given both, it refuses."""
     if path and devices:
         raise ValueError("give a container file or a devices directory, not both")
     with ExitStack() as stack:
@@ -172,38 +173,15 @@ def reader(path=None, devices=None):
                 _check_length(os.fstat(f.fileno()).st_size,
                               (header.stripe_count, header.cfg.r, header.symbol_size),
                               f"device file {j}")
-
-            def readinto(block):
-                chunk = np.empty((len(block), header.cfg.r, header.symbol_size), dtype=np.uint8)
-                for j, f in enumerate(files):
-                    read_exact(f, chunk)
-                    block[:, j] = chunk
-
-            def read_at(offset, buf):
-                chunk_bytes = header.cfg.r * header.symbol_size
-                done = 0
-                while done < len(buf):      # one read per chunk the bytes touch
-                    k, s = divmod(offset + done, header.stripe_bytes)
-                    j, at = divmod(s, chunk_bytes)
-                    take = min(chunk_bytes - at, len(buf) - done)
-                    files[j].seek(k * chunk_bytes + at)
-                    read_exact(files[j], buf[done:done + take])
-                    done += take
+            yield header, files, 0
         elif path:
             f = stack.enter_context(open(path, "rb"))
             header = _read_header(f)
             _check_length(os.fstat(f.fileno()).st_size - header.size,
                           (header.stripe_count, header.stripe_bytes), "container body")
-
-            def readinto(block):
-                read_exact(f, block)
-
-            def read_at(offset, buf):
-                f.seek(header.size + offset)
-                read_exact(f, buf)
+            yield header, [f], header.size
         else:
             raise ValueError("need a container file or a devices directory")
-        yield header, readinto, read_at
 
 
 @contextmanager
@@ -360,78 +338,101 @@ def _runs(cfg: StairConfig, symbol_size: int) -> tuple[tuple[int, int, int], ...
     return tuple(tuple(run) for run in runs)
 
 
-def blocks(header: ContainerHeader):
-    """The container's stripes a block of at most ``BLOCK_BYTES`` at a time
-    (one stripe when a stripe is larger): (first stripe, block, data,
-    user) per block.  The C-contiguous (B, n, r, symbol_size) block and
-    the (B, data bytes per stripe) array ``data`` for its data cells are
-    views of two arrays that every block reuses, and ``user`` is the flat
-    view of ``data`` that holds the block's input bytes.  The rest of
-    ``data``, past the last stripe's input bytes, is the zero padding."""
-    cfg, per = header.cfg, header.data_bytes_per_stripe
-    per_block = max(1, min(BLOCK_BYTES // header.stripe_bytes, header.stripe_count))
-    body = np.zeros((per_block, cfg.n, cfg.r, header.symbol_size), dtype=np.uint8)
-    data = np.empty((per_block, per), dtype=np.uint8)
-    for k in range(0, header.stripe_count, per_block):
-        b = min(per_block, header.stripe_count - k)
-        flat = data[:b].reshape(-1)
-        flat[header.data_length - k * per:] = 0
-        yield k, body[:b], data[:b], flat[:header.data_length - k * per]
-
-
-def user_bytes(header: ContainerHeader, readinto, read_at):
-    """The container's input bytes in order, through the ``readinto`` and
-    ``read_at`` of :func:`reader`, as views that each hold until the next
-    is yielded.  Stripes smaller than a block are read a block at a time
-    and their data cells copied out.  A stripe of a block or more is never
-    held: each of its data runs (see :func:`_runs`) is read a piece of at
-    most ``BLOCK_BYTES`` at a time into one buffer that every piece
-    reuses, and parity cells and the zero padding are never read.  A read
-    per run is slower where a block holds several stripes, and faster
-    where it holds one (BENCH_container_io.json, "decode_paths": 16 KiB
-    stripes 11.0 ms by blocks against 35.8 ms by runs, 128 KiB 10.0
-    against 11.6 ms, 256 KiB 9.7 against 9.1 ms)."""
-    if header.stripe_bytes < BLOCK_BYTES:
-        for _, body, data, user in blocks(header):
-            readinto(body)
-            extract_data(header, body, data)
-            yield user
-        return
-    per = header.data_bytes_per_stripe
-    buf = np.empty(min(BLOCK_BYTES, per), dtype=np.uint8)
-    for k in range(header.stripe_count):
-        user = min(per, header.data_length - k * per)
+def _spans(header: ContainerHeader, stripes: int, user: int, step: int):
+    """(body offset, length) of the data runs of the first ``stripes``
+    stripes of a body that hold its first ``user`` input bytes, in input
+    order, cut where a multiple of ``step`` or of ``BLOCK_BYTES`` falls."""
+    for q in range(stripes):
         for s, d, length in _runs(header.cfg, header.symbol_size):
-            end = min(d + length, user)
-            for at in range(d, end, len(buf)):
-                piece = buf[:min(len(buf), end - at)]
-                read_at(k * header.stripe_bytes + s + at - d, piece)
-                yield piece
+            at = q * header.stripe_bytes + s
+            end = at + min(length, user - q * header.data_bytes_per_stripe - d)
+            while at < end:
+                cut = min(end, at - at % BLOCK_BYTES + BLOCK_BYTES, at - at % step + step)
+                yield at, cut - at
+                at = cut
 
 
-def _check_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:
-    if data.shape != (len(body), header.data_bytes_per_stripe):
-        raise ValueError(f"data array of shape {data.shape} does not fit a block of "
-                         f"{len(body)} stripes of {header.data_bytes_per_stripe} data bytes")
+def _extents(header: ContainerHeader):
+    """(first stripe, stripes, input bytes) per block of ``BLOCK_BYTES``, or of one stripe."""
+    per, count = header.data_bytes_per_stripe, header.stripe_count
+    size = max(1, min(BLOCK_BYTES // header.stripe_bytes, count))
+    for k in range(0, count, size):
+        yield k, min(size, count - k), min(size * per, header.data_length - k * per)
+
+
+def blocks(header: ContainerHeader):
+    """The container's stripes a block of :func:`_extents` at a time, as
+    (first stripe, block, runs): the C-contiguous (B, n, r, symbol_size)
+    block is a view of one array that every block reuses, and ``runs`` the
+    views of its data cells that hold its input bytes, in order.  Its data
+    cells past the last input byte are zero."""
+    for k, b, user in _extents(header):
+        if k == 0:      # the first block is the largest
+            body = np.zeros((b, header.cfg.n, header.cfg.r, header.symbol_size), np.uint8)
+            runs = cache(lambda b, user: [body.reshape(-1)[at:at + length] for at, length
+                                          in _spans(header, b, user, header.stripe_bytes)])
+        if user < b * header.data_bytes_per_stripe:
+            body[:b] = 0
+        yield k, body[:b], runs(b, user)
+
+
+def user_bytes(header: ContainerHeader, files: list, origin: int):
+    """The container's input bytes in order, read from the ``files`` of
+    :func:`reader`, as views of one buffer that each hold until the next
+    is yielded.  A block's data runs in one aligned ``BLOCK_BYTES`` of it
+    are one read, with one ``os.preadv`` per file, into consecutive slices
+    of the buffer; a file's parity cells between them go to a scratch
+    buffer.  A read ends at its last data byte, so neither the parity at
+    the end of a stripe of a block or more nor a parity device is read."""
+    step = header.stripe_bytes // len(files)      # a file's bytes per stripe
+    out = memoryview(np.empty(min(BLOCK_BYTES, header.data_length), np.uint8))
+    # the parity between a stripe's data runs and on to the next stripe's: no
+    # gap in one file is longer, and no read holds one of BLOCK_BYTES or more
+    runs = _runs(header.cfg, header.symbol_size)
+    starts = [s for s, _, _ in runs[1:]] + [header.stripe_bytes + runs[0][0]]
+    gaps = [t - s - n for (s, _, n), t in zip(runs, starts)]
+    scratch = memoryview(np.empty(max([g for g in gaps if g < BLOCK_BYTES], default=0), np.uint8))
+
+    @cache     # one list for every full block, one for the last
+    def ranges(b, user):
+        done = []
+        for _, group in groupby(_spans(header, b, user, step), lambda s: s[0] // BLOCK_BYTES):
+            reads, n = {}, 0
+            for at, length in group:      # cut at step, so each lies in one file
+                j, o = divmod(at % header.stripe_bytes, step)
+                offset = origin + at // header.stripe_bytes * step + o
+                f, start, buffers, end = reads.get(j, (files[j], offset, [], offset))
+                if offset > end:
+                    buffers.append(scratch[:offset - end])
+                buffers.append(out[n:n + length])
+                reads[j], n = (f, start, buffers, offset + length), n + length
+            done.append((reads.values(), out[:n]))
+        return done
+
+    for k, b, user in _extents(header):
+        for reads, data in ranges(b, user):
+            for f, offset, buffers, _ in reads:
+                read_into(f, offset + k * step, buffers)
+            yield data
 
 
 def fill_data(header: ContainerHeader, data: np.ndarray, body: np.ndarray) -> None:
     """Copy row b of the (B, data bytes per stripe) array ``data`` into the
     data cells of stripe b of ``body``, a C-contiguous block of B stripes;
-    parity cells are left as they are."""
-    _check_data(header, data, body)
+    parity cells are left as they are.  No command calls it."""
+    rows = data.reshape(len(body), header.data_bytes_per_stripe, copy=False)
     stored = body.reshape(len(body), header.stripe_bytes)
     for s, d, length in _runs(header.cfg, header.symbol_size):
-        stored[:, s:s + length] = data[:, d:d + length]
+        stored[:, s:s + length] = rows[:, d:d + length]
 
 
 def extract_data(header: ContainerHeader, body: np.ndarray, data: np.ndarray) -> None:
     """The inverse of :func:`fill_data`: copy the data cells of stripe b of
     ``body`` into row b of ``data``."""
-    _check_data(header, data, body)
+    rows = data.reshape(len(body), header.data_bytes_per_stripe, copy=False)
     stored = body.reshape(len(body), header.stripe_bytes)
     for s, d, length in _runs(header.cfg, header.symbol_size):
-        data[:, d:d + length] = stored[:, s:s + length]
+        rows[:, d:d + length] = stored[:, s:s + length]
 
 
 def zero_cells(body: np.ndarray, idx: list[int], cells) -> None:

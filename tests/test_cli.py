@@ -808,9 +808,11 @@ def _tree(path: Path) -> dict:
 def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, method):
     """Encode and decode stream a block of stripes at a time.  With blocks
     of one and of three stripes, containers (to -o, to --devices and to
-    both) equal those of one whole-file block, and decoding them from the
+    both) equal those of the default blocks, and decoding them from the
     file or the devices gives the input back, for inputs that end at,
-    before, after and inside a block, and in the middle of a data run."""
+    before, after and inside a block, in the middle of a data run, and
+    after 600 stripes: the default block then holds 512 stripes, whose
+    thousands of buffers are more than one ``os.preadv`` takes."""
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
              "--symbol-size", "16", "--method", method]
@@ -819,7 +821,7 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
     (_, d0, l0), (_, d1, l1), *_ = cont._runs(cfg, 16)
     assert l0 < per and d1 == d0 + l0                 # the data cells form several runs
     sizes = [0, 1, block * per, (block - 1) * per, (block + 1) * per,
-             2 * block * per + d1 + l1 // 2]
+             2 * block * per + d1 + l1 // 2, 600 * per - 7]
     src, out = tmp_path / "in.bin", tmp_path / "out.bin"
     for size in sizes:
         data = rng.bytes(size)
@@ -851,12 +853,13 @@ def test_block_boundaries_are_byte_identical(tmp_path, monkeypatch, rng, w, meth
 
 @pytest.mark.parametrize("w", [8, 16, 32])
 def test_piecewise_decode_is_byte_identical(tmp_path, monkeypatch, rng, w):
-    """A stripe of a block or more is decoded a piece of its data runs at
-    a time.  With blocks of one word, one symbol, a chunk less and more
-    one symbol, a stripe less one word and one stripe, and with blocks of
-    one stripe and a word (read by blocks again), decoding from the file
-    and from the devices gives what the default blocks give, for inputs
-    that end at a stripe, inside a data run and inside a piece."""
+    """Decode reads a block a range of at most ``BLOCK_BYTES`` at a time,
+    so a stripe of a block or more in several ranges.  With blocks of one
+    word, one symbol, a chunk less and more one symbol, a stripe less one
+    word and one stripe, and with blocks of one stripe and a word (a block
+    of one stripe, read in one range), decoding from the file and from the
+    devices gives what the default blocks give, for inputs that end at a
+    stripe, inside a data run and inside a range."""
     cfg = config_new(8, 4, 2, (1, 1, 2), w)
     symbol, word = 16, w // 8
     flags = ["--n", "8", "--r", "4", "--m", "2", "--e", "1,1,2", "--w", str(w),
@@ -907,6 +910,26 @@ def test_decode_of_large_stripes_holds_no_stripe(tmp_path, rng, source):
         tracemalloc.stop()
     assert out.read_bytes() == data
     assert peak < 3 * cont.BLOCK_BYTES < header.stripe_bytes, peak
+
+
+def test_inject_holds_one_stripe(tmp_path, rng):
+    """An inject into two 4 MiB stripes (the archive_large geometry)
+    rewrites them in blocks of one stripe, read straight into the block:
+    its traced peak, numpy buffers included, stays below a stripe and
+    three blocks, with no room for a second array of the stripe's data."""
+    flags = ["--n", "16", "--r", "16", "--m", "1", "--e", "2", "--symbol-size", "16384"]
+    header = cont.ContainerHeader(config_new(16, 16, 1, (2,), 8), 16384, 0)
+    src, box, dmg = tmp_path / "in.bin", tmp_path / "c.stairc", tmp_path / "d.stairc"
+    src.write_bytes(rng.bytes(2 * header.data_bytes_per_stripe - 12345))
+    assert cli.main(["encode", str(src), "-o", str(box)] + flags) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=3;sectors=5:2",
+                         "--manifest", str(tmp_path / "m.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < header.stripe_bytes + 3 * cont.BLOCK_BYTES, peak
 
 
 def test_container_commands_memory_does_not_grow_with_file_size(tmp_path, rng):

@@ -136,18 +136,27 @@ def test_data_fill_and_extract_roundtrip(exemplar, rng):
 
 def test_blocks_cover_the_data(exemplar, monkeypatch):
     # blocks of two stripes over a 5-stripe container whose last stripe
-    # holds 5 bytes; the arrays are dirtied between blocks, and the last
-    # stripe's tail past its 5 bytes still reads as the zero padding
+    # holds 5 bytes; the block is dirtied between blocks, its runs are its
+    # data cells in input order, and the last stripe's data cells past its
+    # 5 bytes still read as the zero padding
     per = exemplar.data_cell_count * 4
     header = cont.ContainerHeader(exemplar, 4, 4 * per + 5)
     monkeypatch.setattr(cont, "BLOCK_BYTES", 2 * header.stripe_bytes)
     got = []
-    for k, body, data, user in cont.blocks(header):
-        assert body.shape == (len(data), exemplar.n, exemplar.r, 4) and body.flags.c_contiguous
-        assert data.shape == (len(body), per) and user.ctypes.data == data.ctypes.data
-        got.append((k, len(body), len(user)))
-        assert not data.reshape(-1)[len(user):].any()
-        data[:] = 0xA5
+    for k, body, runs in cont.blocks(header):
+        assert body.shape == (len(body), exemplar.n, exemplar.r, 4) and body.flags.c_contiguous
+        user = sum(map(len, runs))
+        payload = np.arange(1, user + 1, dtype=np.uint8)      # no zero byte
+        at = 0
+        for run in runs:
+            run[:] = payload[at:at + len(run)]
+            at += len(run)
+        data = np.empty((len(body), per), np.uint8)
+        cont.extract_data(header, body, data)
+        assert np.array_equal(data.reshape(-1)[:user], payload)
+        assert not data.reshape(-1)[user:].any()
+        got.append((k, len(body), user))
+        body[:] = 0xA5
     assert got == [(0, 2, 2 * per), (2, 2, 2 * per), (4, 1, 5)]
 
 
