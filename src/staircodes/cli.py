@@ -223,16 +223,17 @@ def _merge_by_stripe(cfg: StairConfig, entries) -> dict[int, FailurePattern]:
             for k, ps in by_stripe.items()}
 
 
-def _rewrite(path, header: cont.ContainerHeader, src, by_stripe: dict, fix) -> None:
-    """Copy the container file ``src`` to ``path`` a block at a time.  Before
-    a block is written, ``fix(body, idx, pattern)`` runs once for each
-    pattern of ``by_stripe`` (stripe -> pattern) on the list ``idx`` of the
-    block's stripes that have it, found in one walk over the sorted stripes."""
+def _rewrite(path, header: cont.ContainerHeader, src, origin: int, by_stripe: dict, fix) -> None:
+    """Copy the container file ``src``, whose body starts at byte ``origin``,
+    to ``path`` a block at a time.  Before a block is written,
+    ``fix(body, idx, pattern)`` runs once for each pattern of ``by_stripe``
+    (stripe -> pattern) on the list ``idx`` of the block's stripes that
+    have it, found in one walk over the sorted stripes."""
     named = sorted(by_stripe)
     start = 0
     with cont.writer(header, path) as write:
         for k, body, _ in cont.blocks(header):
-            cont.read_into(src, header.size + k * header.stripe_bytes, [body.reshape(-1)])
+            cont.read_into(src, origin + k * header.stripe_bytes, [body.reshape(-1)])
             stop = bisect.bisect_left(named, k + len(body), start)
             groups: dict[FailurePattern, list[int]] = {}
             for t in named[start:stop]:
@@ -250,7 +251,7 @@ def cmd_inject(args) -> int:
     of its patterns' cells, and repair merges its entries the same way.
     An earlier manifest goes before the container is written, so a failed
     run leaves no stale manifest beside it."""
-    with cont.reader(args.input) as (header, (src,), _):
+    with cont.reader(args.input) as (header, (src,), origin):
         cfg = header.cfg
         rng = np.random.default_rng(args.seed) if args.seed is not None else None
         stripes = header.stripe_count
@@ -267,7 +268,7 @@ def cmd_inject(args) -> int:
 
         def zero(body, idx, pattern):
             cont.zero_cells(body, idx, pattern.lost_cells(cfg))
-        _rewrite(args.output, header, src, by_stripe, zero)
+        _rewrite(args.output, header, src, origin, by_stripe, zero)
     manifest = {
         "config": {"n": cfg.n, "r": cfg.r, "m": cfg.m, "e": list(cfg.e), "w": cfg.w},
         "symbol_size": header.symbol_size,
@@ -323,7 +324,7 @@ def cmd_repair(args) -> int:
     side by side as one wide stripe (``container.gather``; a lone stripe is
     decoded from its own view, with no gather copy).
     """
-    with cont.reader(args.input) as (header, (src,), _):
+    with cont.reader(args.input) as (header, (src,), origin):
         cfg = header.cfg
         by_stripe = _read_manifest(args.manifest, header)
         for pattern in reversed(dict.fromkeys(by_stripe[k] for k in sorted(by_stripe))):
@@ -331,7 +332,7 @@ def cmd_repair(args) -> int:
 
         def decode(body, idx, pattern):
             cont.scatter(body, idx, stair_decode(cfg, cont.gather(body, idx), pattern))
-        _rewrite(args.output, header, src, by_stripe, decode)
+        _rewrite(args.output, header, src, origin, by_stripe, decode)
     return 0
 
 
@@ -529,16 +530,16 @@ def cmd_reliability(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0) -> dict:
-    """Best-of-``reps`` encode timings per method plus a worst-case decode."""
+def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3) -> dict:
+    """Best-of-``reps`` encode timings per method plus a worst-case decode,
+    on one random stripe: no field of the result depends on its bytes."""
     if reps < 1:
         raise ValueError(f"bench needs at least one repetition, got {reps}")
     if stripe_bytes < 1:
         raise ValueError(f"bench needs a positive stripe size, got {stripe_bytes} bytes")
     word = cfg.w // 8
     symbol = max(word, (stripe_bytes // (cfg.r * cfg.n)) // word * word)
-    rng = np.random.default_rng(seed)
-    base = random_stripe(cfg, symbol, rng)
+    base = random_stripe(cfg, symbol, np.random.default_rng(0))
     data_mib = cfg.data_cell_count * symbol / 2 ** 20
     encode_res = {}
     for method in METHODS:
@@ -580,7 +581,7 @@ def run_bench(cfg: StairConfig, stripe_bytes: int, reps: int = 3, seed: int = 0)
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    result = run_bench(cfg, args.stripe_mib * 2 ** 20, reps=args.reps, seed=args.seed)
+    result = run_bench(cfg, args.stripe_mib * 2 ** 20, reps=args.reps)
     rows = [{
         "method": meth,
         "mult_xors": result["encode"][meth]["mult_xors"],
@@ -732,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--stripe-mib", type=int, default=32)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     _add_format_flags(p)
     p.set_defaults(func=cmd_bench)
 

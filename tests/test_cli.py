@@ -130,15 +130,25 @@ def test_foreign_polynomial_exits_1(tmp_path, payload):
                      "-o", str(tmp_path / "f.stairc")]) == 1
 
 
-@pytest.mark.parametrize("stripes", ["99", "-1"])
-def test_inject_bad_stripe_index_exits_1(tmp_path, payload, stripes):
+@pytest.mark.parametrize("stripes, spec, message", [
+    ("99", "chunks=6", "stripe index 99 is not in 0..1"),
+    ("-1", "chunks=6", "stripe index -1 is not in 0..1"),
+    ("all", "sectors=3:0", "sector count 0 outside 1..4"),
+    ("all", "sectors=3:5", "sector count 5 outside 1..4"),
+    ("all", "chunk=6", "unknown pattern key 'chunk'"),
+    ("all", "sectors=8:1", "sector-failure chunk 8 outside 0..7"),
+], ids=["99", "-1", "no-sectors", "r+1-sectors", "unknown-key", "sector-chunk-n"])
+def test_inject_bad_stripe_index_exits_1(tmp_path, capsys, payload, stripes, spec, message):
+    """A stripe index the container does not hold, or a --spec that the
+    geometry (n=8, r=4) cannot take, exits 1 and writes nothing."""
     src, data = payload
     src.write_bytes(data[:1000])                     # two stripes
     box, dmg, manifest = tmp_path / "c.stairc", tmp_path / "d.stairc", tmp_path / "m.json"
     assert cli.main(["encode", str(src), "-o", str(box)] + CFG_FLAGS) == 0
     assert cont.parse_header(box.read_bytes()).stripe_count == 2
-    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", "chunks=6",
+    assert cli.main(["inject", str(box), "-o", str(dmg), "--spec", spec,
                      "--stripes", stripes, "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not dmg.exists() and not manifest.exists()
 
 
@@ -1145,7 +1155,10 @@ def test_seed_drives_the_validated_sample(tmp_path):
     ("mean_rebuild_hours = 17.8", "mean_rebuild_hour = 1",
      "unknown scenario key 'mean_rebuild_hour'"),
     ("codes = rs; stair:1; sd:2", "codes = ;", "scenario lists no codes"),
-], ids=["misspelt-key", "no-codes"])
+    ("mean_rebuild_hours = 17.8", "mean_rebuild_hours 17.8",
+     "bad scenario line: 'mean_rebuild_hours 17.8'"),
+    ("codes = rs; stair:1; sd:2", "codes = rs; raid6", "unknown code token 'raid6'"),
+], ids=["misspelt-key", "no-codes", "no-equals", "unknown-code"])
 @pytest.mark.parametrize("flags", [[], ["--validate", "--histogram", "--trials", "10000"]],
                          ids=["plain", "sampled"])
 def test_scenario_typos_exit_1(tmp_path, capsys, line, typo, message, flags):
@@ -1250,9 +1263,10 @@ def test_mc_bench_reads_the_scenario_model():
 
 
 def test_bench_scripts_name_only_what_exists(monkeypatch):
-    """scripts/io_bench.py times the functions of its WRAPPED list, and
-    refuses a name that does not exist; scripts/plan_bench.py and
-    scripts/kernel_bench.py clear the caches of stair._decode_plan and
+    """scripts/io_bench.py times the functions of its TIMED list through
+    stairbench's span tracer, which refuses a name that does not exist, on
+    the inputs and commands of stairbench's workloads; scripts/plan_bench.py
+    and scripts/kernel_bench.py clear the caches of stair._decode_plan and
     gf.Field._maps.  Every one of those names must exist."""
     from staircodes.gf import Field
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -1260,11 +1274,18 @@ def test_bench_scripts_name_only_what_exists(monkeypatch):
         "io_bench", Path(__file__).resolve().parent.parent / "scripts" / "io_bench.py")
     io_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(io_bench)
-    for module, attr, phase in io_bench.WRAPPED:
+    for module, attr, _ in io_bench.TIMED:
         assert callable(getattr(importlib.import_module(f"staircodes.{module}"), attr)), attr
-        assert phase in io_bench.PHASES
+    for name in ("Runner", "Rebuild", "make", "same_file"):
+        assert hasattr(io_bench.workloads, name), name
+    for name in ("encode_argv", "prepare", "path"):
+        assert callable(getattr(io_bench.workloads.Rebuild, name)), name
+    for name in ("traced", "aggregate", "last_op"):
+        assert hasattr(io_bench.spans.Tracer, name), name
+    tracer = io_bench.spans.Tracer([(cont, "no_such_function", "copy", None)])
     with pytest.raises(AttributeError):
-        io_bench.PhaseTimer().wrap(cont, "no_such_function", "copy")
+        with tracer.traced():
+            pass
     assert callable(stair._decode_plan.cache_clear) and callable(Field._maps.cache_clear)
 
 
@@ -1570,3 +1591,6 @@ def test_bad_flags_exit_1(tmp_path, payload):
     assert cli.main(["encode", str(src), "-o", str(tmp_path / "x"),
                      "--n", "4", "--r", "4", "--m", "2", "--e", "1,1,1"]) == 1
     assert cli.main(["encode", str(src)] + CFG_FLAGS) == 1      # neither -o nor --devices
+    # neither an input nor --devices
+    assert cli.main(["decode", "-o", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()

@@ -178,3 +178,14 @@ def test_stripe_counts(exemplar):
     assert per == exemplar.data_cell_count * 512
     assert cont.ContainerHeader(exemplar, 512, per).stripe_count == 1
     assert cont.ContainerHeader(exemplar, 512, per + 1).stripe_count == 2
+
+
+def test_replaced_refuses_a_short_body(tmp_path):
+    """A body that writes fewer bytes than ``replaced`` was given would
+    leave a file that ends in zeros: it raises, and leaves neither the
+    file nor its temporary."""
+    path = tmp_path / "out.bin"
+    with pytest.raises(ValueError, match="wrote 3 bytes"):
+        with cont.replaced(path, 4) as f:
+            f.write(b"abc")
+    assert list(tmp_path.iterdir()) == []
